@@ -52,7 +52,7 @@ type BenchResult struct {
 	Name string `json:"name"`
 	// Group classifies it: "kernel" results gate CI regressions, "naive"
 	// are the frozen reference implementations, "macro"/"e2e"/"server" are
-	// informational.
+	// informational except for the allocs/op ceilings in allocCeilings.
 	Group       string  `json:"group"`
 	Iters       int64   `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -639,8 +639,18 @@ func checkSpeedups(rep *Report, min float64) error {
 	return nil
 }
 
+// allocCeilings caps allocs/op for benches whose allocation count is what
+// an optimization bought; checkRegression enforces them beside the kernel
+// ns/op gate. risk/topk-10 ranks every node on a scalar risk and builds
+// full scores only for the 10 it returns: 71 allocs/op at scale 1, down
+// from 21,034 when every node of every active system was materialized.
+var allocCeilings = map[string]float64{
+	"risk/topk-10": 500,
+}
+
 // checkRegression compares this run's kernel benches against a committed
-// baseline report and fails when any is more than tolerance slower.
+// baseline report and fails when any is more than tolerance slower, or
+// when a bench in allocCeilings allocates more than its ceiling.
 func checkRegression(rep *Report, baselinePath string, tolerance float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -673,8 +683,13 @@ func checkRegression(rep *Report, baselinePath string, tolerance float64) error 
 	if checked == 0 {
 		return fmt.Errorf("baseline %s: no kernel benches in common with this run", baselinePath)
 	}
+	for _, r := range rep.Results {
+		if ceiling, ok := allocCeilings[r.Name]; ok && r.AllocsPerOp > ceiling {
+			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op over its ceiling of %.0f", r.Name, r.AllocsPerOp, ceiling))
+		}
+	}
 	if len(bad) > 0 {
-		return fmt.Errorf("hpcbench: ns/op regressions vs %s:\n  %s", baselinePath, joinLines(bad))
+		return fmt.Errorf("hpcbench: regressions vs %s:\n  %s", baselinePath, joinLines(bad))
 	}
 	fmt.Fprintf(os.Stderr, "hpcbench: %d kernel benches within %.0f%% of %s\n", checked, 100*tolerance, baselinePath)
 	return nil

@@ -105,6 +105,16 @@ func TestCheckRegression(t *testing.T) {
 	if err := checkRegression(reportOf(nil, nil), path, 0.25); err == nil {
 		t.Error("no kernel benches in common must fail")
 	}
+	// Benches in allocCeilings are gated on allocs/op in the same pass.
+	kernel := BenchResult{Name: "condprob/a/indexed", Group: "kernel", NsPerOp: 1000}
+	lean := reportOf([]BenchResult{kernel, {Name: "risk/topk-10", Group: "macro", AllocsPerOp: 140}}, nil)
+	if err := checkRegression(lean, path, 0.25); err != nil {
+		t.Errorf("under the alloc ceiling: %v", err)
+	}
+	fat := reportOf([]BenchResult{kernel, {Name: "risk/topk-10", Group: "macro", AllocsPerOp: 21034}}, nil)
+	if err := checkRegression(fat, path, 0.25); err == nil {
+		t.Error("risk/topk-10 over its alloc ceiling must fail")
+	}
 }
 
 func TestCheckSpeedups(t *testing.T) {

@@ -302,6 +302,15 @@ func TestRetentionBound(t *testing.T) {
 	}
 }
 
+// combine folds a whole list of excesses the way scoring folds events.
+func combine(base float64, excesses []float64) float64 {
+	miss := 1.0
+	for _, x := range excesses {
+		miss = accumulate(miss, x)
+	}
+	return finish(base, miss)
+}
+
 func TestCombineBounds(t *testing.T) {
 	if got := combine(0.5, nil); got != 0.5 {
 		t.Errorf("combine(base, nil) = %v", got)

@@ -1,8 +1,10 @@
 package risk
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -55,22 +57,28 @@ type Score struct {
 	Contributions []Contribution
 }
 
-// combine folds independent excess probabilities over a base rate:
+// Scores fold independent excess probabilities over a base rate:
 // risk = 1 - (1-base) * prod(1-excess_i), the noisy-or of the base hazard
-// and each anchor's decayed extra hazard. It is monotone in every input and
-// stays in [base, 1).
-func combine(base float64, excesses []float64) float64 {
+// and each anchor's decayed extra hazard. The fold is split in two so a
+// risk can be computed without building any slice: accumulate folds one
+// excess into the running no-failure product (which starts at 1), and
+// finish applies the product to the base rate. The result is monotone in
+// every input and stays in [base, 1).
+func accumulate(miss, excess float64) float64 {
+	if excess > 0 {
+		miss *= 1 - math.Min(excess, 1)
+	}
+	return miss
+}
+
+// finish turns a running no-failure product into a risk over base; see
+// accumulate.
+func finish(base, miss float64) float64 {
 	if math.IsNaN(base) || base < 0 {
 		base = 0
 	}
 	if base > 1 {
 		base = 1
-	}
-	miss := 1.0
-	for _, x := range excesses {
-		if x > 0 {
-			miss *= 1 - math.Min(x, 1)
-		}
 	}
 	if miss == 1 {
 		// No excess mass: the risk is exactly the base rate, without the
@@ -133,6 +141,18 @@ type eventLift struct {
 	scopes [3]scopeLift // indexed by Scope-1
 }
 
+// scopeFor returns the scope that connects the event to a node sitting in
+// nodeRack (-1 when unknown or unplaced).
+func (el *eventLift) scopeFor(node, nodeRack int) analysis.Scope {
+	switch {
+	case el.f.Node == node:
+		return analysis.ScopeNode
+	case nodeRack >= 0 && el.rack == nodeRack:
+		return analysis.ScopeRack
+	}
+	return analysis.ScopeSystem
+}
+
 // systemLifts carries one system's precomputed scoring state for one query
 // instant: the clamped base rate with its CI bounds, and the in-window
 // events newest first.
@@ -173,8 +193,8 @@ func (e *Engine) liftsFor(s trace.SystemInfo, now time.Time, evs []trace.Failure
 			el.scopes[scope-1] = scopeLift{
 				ok:   true,
 				cond: cond,
-				// Excess bounds use the same point-estimate base, so
-				// combine's monotonicity guarantees Lo <= Risk <= Hi.
+				// Excess bounds use the same point-estimate base, so the
+				// fold's monotonicity guarantees Lo <= Risk <= Hi.
 				excess: math.Max(0, cond-sl.base) * el.weight,
 				lo:     math.Max(0, entry.Result.CondCI.Lo-sl.base) * el.weight,
 				hi:     math.Max(0, entry.Result.CondCI.Hi-sl.base) * el.weight,
@@ -183,6 +203,19 @@ func (e *Engine) liftsFor(s trace.SystemInfo, now time.Time, evs []trace.Failure
 		sl.lifts = append(sl.lifts, el)
 	}
 	return sl
+}
+
+// risk is scoreFromLifts' Risk alone, computed without allocating: the
+// key TopK ranks candidates by before it builds any Score.
+func (sl *systemLifts) risk(node, nodeRack int) float64 {
+	miss := 1.0
+	for i := range sl.lifts {
+		el := &sl.lifts[i]
+		if v := el.scopes[el.scopeFor(node, nodeRack)-1]; v.ok {
+			miss = accumulate(miss, v.excess)
+		}
+	}
+	return finish(sl.base, miss)
 }
 
 // scoreFromLifts computes one node's score from the precomputed lifts,
@@ -198,16 +231,10 @@ func (e *Engine) scoreFromLifts(s trace.SystemInfo, node int, now time.Time, sl 
 	if lay := e.layouts[s.ID]; lay != nil {
 		nodeRack = lay.Rack(node)
 	}
-	var excesses, los, his []float64
+	miss, missLo, missHi := 1.0, 1.0, 1.0
 	for i := range sl.lifts {
 		el := &sl.lifts[i]
-		scope := analysis.ScopeSystem
-		switch {
-		case el.f.Node == node:
-			scope = analysis.ScopeNode
-		case nodeRack >= 0 && el.rack == nodeRack:
-			scope = analysis.ScopeRack
-		}
+		scope := el.scopeFor(node, nodeRack)
 		v := el.scopes[scope-1]
 		if !v.ok {
 			continue
@@ -220,13 +247,13 @@ func (e *Engine) scoreFromLifts(s trace.SystemInfo, node int, now time.Time, sl 
 			Conditional: v.cond,
 			Excess:      v.excess,
 		})
-		excesses = append(excesses, v.excess)
-		los = append(los, v.lo)
-		his = append(his, v.hi)
+		miss = accumulate(miss, v.excess)
+		missLo = accumulate(missLo, v.lo)
+		missHi = accumulate(missHi, v.hi)
 	}
-	sc.Risk = combine(sc.Base, excesses)
-	sc.Lo = combine(sl.baseLo, los)
-	sc.Hi = combine(sl.baseHi, his)
+	sc.Risk = finish(sc.Base, miss)
+	sc.Lo = finish(sl.baseLo, missLo)
+	sc.Hi = finish(sl.baseHi, missHi)
 	if sc.Base > 0 {
 		sc.Factor = sc.Risk / sc.Base
 	} else if sc.Risk > 0 {
@@ -245,36 +272,184 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// TopK returns the k highest-risk nodes across every system at the given
-// instant, descending by risk with deterministic (system, node) tie-breaks.
-// Only systems with at least one in-window event are scanned: every other
-// node sits exactly at its base rate, so they can only pad the tail. Pass
-// k <= 0 for all scanned nodes.
-func (e *Engine) TopK(k int, now time.Time) []Score {
+// TopK returns the k highest-risk nodes at the given instant, descending by
+// risk with deterministic (system, node) tie-breaks. Only systems with at
+// least one in-window event are scanned: every other node sits exactly at
+// its base rate, so they can only pad the tail. Naming systems restricts
+// the scan to those IDs (unknown IDs match nothing). Pass k <= 0 for every
+// scanned node.
+//
+// TopK ranks before it materializes. Call a node touched when it is an
+// in-window event's own node or sits in that event's rack. An untouched
+// node meets every event at system scope, so all untouched nodes of a
+// system share one background risk, and under ScoreLess only the k
+// lowest-numbered of them can rank. The candidates — touched nodes plus
+// those k — are ranked on their scalar risk, the best k are kept, and a
+// full Score (contributions, CI bounds) is built only for the winners.
+// Results are bit-identical to fully scoring every node and sorting.
+func (e *Engine) TopK(k int, now time.Time, systems ...int) []Score {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ids := make([]int, 0, len(e.events))
 	for id := range e.events {
-		ids = append(ids, id)
+		if len(systems) == 0 || slices.Contains(systems, id) {
+			ids = append(ids, id)
+		}
 	}
 	sort.Ints(ids)
-	var out []Score
+	type scanned struct {
+		s  trace.SystemInfo
+		sl *systemLifts
+	}
+	var scan []scanned
+	total := 0
 	for _, id := range ids {
 		evs := e.windowEvents(id, now)
 		if len(evs) == 0 {
 			continue
 		}
 		s := e.systems[id]
-		sl := e.liftsFor(s, now, evs)
-		for n := 0; n < s.Nodes; n++ {
-			out = append(out, e.scoreFromLifts(s, n, now, sl))
+		scan = append(scan, scanned{s, e.liftsFor(s, now, evs)})
+		total += s.Nodes
+	}
+	if total == 0 {
+		return nil
+	}
+	if k <= 0 || k > total {
+		k = total
+	}
+
+	top := bestK{k: k}
+	for i, sys := range scan {
+		touched := e.touched(sys.s, sys.sl)
+		for _, t := range touched {
+			top.offer(candidate{rank{sys.sl.risk(t.node, t.rack), sys.s.ID, t.node}, i})
+		}
+		// Untouched nodes in ascending ID order, all at the background risk
+		// (node and rack -1 match no event, so every event reaches them at
+		// system scope): once one is rejected every later one would be too.
+		bg := sys.sl.risk(-1, -1)
+		j := 0
+		for n, offered := 0, 0; n < sys.s.Nodes && offered < k; n++ {
+			for j < len(touched) && touched[j].node < n {
+				j++
+			}
+			if j < len(touched) && touched[j].node == n {
+				continue
+			}
+			if !top.offer(candidate{rank{bg, sys.s.ID, n}, i}) {
+				break
+			}
+			offered++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return ScoreLess(out[i], out[j]) })
-	if k > 0 && len(out) > k {
-		out = out[:k]
+
+	winners := top.result()
+	out := make([]Score, len(winners))
+	for i, w := range winners {
+		sys := scan[w.scan]
+		out[i] = e.scoreFromLifts(sys.s, w.node, now, sys.sl)
 	}
 	return out
+}
+
+// placedNode is a node with its rack (-1 when unknown or unplaced).
+type placedNode struct{ node, rack int }
+
+// touched lists the nodes of s that an in-window event reaches at node or
+// rack scope, ascending by node ID, each with its rack. Callers must hold
+// e.mu.
+func (e *Engine) touched(s trace.SystemInfo, sl *systemLifts) []placedNode {
+	out := make([]placedNode, 0, len(sl.lifts))
+	var racks []int
+	for i := range sl.lifts {
+		el := &sl.lifts[i]
+		out = append(out, placedNode{el.f.Node, el.rack})
+		if el.rack >= 0 {
+			racks = append(racks, el.rack)
+		}
+	}
+	if len(racks) > 0 {
+		slices.Sort(racks)
+		lay := e.layouts[s.ID] // non-nil: only a layout places a node in a rack
+		for _, r := range slices.Compact(racks) {
+			for _, n := range lay.NodesInRack(r) {
+				if n >= 0 && n < s.Nodes {
+					out = append(out, placedNode{n, r})
+				}
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b placedNode) int { return cmp.Compare(a.node, b.node) })
+	// A node appears once per own event and once per rack listing; every
+	// copy carries the same rack.
+	return slices.CompactFunc(out, func(a, b placedNode) bool { return a.node == b.node })
+}
+
+// rank is the part of a Score that ScoreLess orders by.
+type rank struct {
+	risk         float64
+	system, node int
+}
+
+// compare is ScoreLess's order as a three-way comparison: descending
+// risk, then ascending system and node.
+func (a rank) compare(b rank) int {
+	if a.risk != b.risk {
+		if a.risk > b.risk {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.system, b.system); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.node, b.node)
+}
+
+// candidate is a ranked node plus the index of its system's scan entry.
+type candidate struct {
+	rank
+	scan int
+}
+
+// bestK keeps the best k candidates offered so far under ScoreLess's
+// order. It buffers up to 2k and then sorts and truncates to k, so an offer
+// costs amortized O(log k); once k are held, anything not better than the
+// k-th is rejected in O(1).
+type bestK struct {
+	k    int
+	buf  []candidate
+	full bool      // buf held k entries at the last trim
+	cut  candidate // the k-th best at the last trim, valid when full
+}
+
+// offer adds c unless k better candidates are already held, and reports
+// whether it was kept.
+func (b *bestK) offer(c candidate) bool {
+	if b.full && c.compare(b.cut.rank) >= 0 {
+		return false
+	}
+	b.buf = append(b.buf, c)
+	if len(b.buf) >= 2*b.k {
+		b.trim()
+	}
+	return true
+}
+
+func (b *bestK) trim() {
+	slices.SortFunc(b.buf, func(x, y candidate) int { return x.compare(y.rank) })
+	if len(b.buf) >= b.k {
+		b.buf = b.buf[:b.k]
+		b.full = true
+		b.cut = b.buf[b.k-1]
+	}
+}
+
+// result returns the kept candidates, best first.
+func (b *bestK) result() []candidate {
+	b.trim()
+	return b.buf
 }
 
 // ScoreLess is TopK's ranking order — descending risk with deterministic
@@ -283,11 +458,5 @@ func (e *Engine) TopK(k int, now time.Time) []Score {
 // results under it reproduces exactly the order one engine over the whole
 // fleet would emit.
 func ScoreLess(a, b Score) bool {
-	if a.Risk != b.Risk {
-		return a.Risk > b.Risk
-	}
-	if a.System != b.System {
-		return a.System < b.System
-	}
-	return a.Node < b.Node
+	return rank{a.Risk, a.System, a.Node}.compare(rank{b.Risk, b.System, b.Node}) < 0
 }

@@ -826,13 +826,13 @@ func (s *Server) handleRiskTop(w http.ResponseWriter, r *http.Request) {
 	out := riskTopResponse{At: now, Window: f.window.String(), Scores: []scoreJSON{}}
 
 	if q.System != 0 {
-		// Per-system: one owner shard answers the whole query.
+		// Per-system: the owner shard ranks that one system.
 		owner, _ := f.ownerOf(q.System)
 		var scores []risk.Score
 		var version uint64
 		err := f.call(r.Context(), owner, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
 			version = st.Snapshot().Version()
-			scores = eng.TopK(0, now)
+			scores = eng.TopK(q.K, now, q.System)
 			return nil
 		})
 		if err != nil {
@@ -841,25 +841,22 @@ func (s *Server) handleRiskTop(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("X-Dataset-Version", strconv.FormatUint(version, 10))
 		for _, sc := range scores {
-			if sc.System != q.System {
-				continue
-			}
 			out.Scores = append(out.Scores, s.scoreJSON(sc))
-			if len(out.Scores) >= q.K {
-				break
-			}
 		}
 		s.writeJSON(w, http.StatusOK, out)
 		return
 	}
 
-	// Fleet-wide: scatter to every shard, merge under TopK's exact order.
-	// Survivors answer even when a shard is down — the response says so.
+	// Fleet-wide: every shard returns its own top k, merged under TopK's
+	// order. The merge is exact: ScoreLess is a total order and shards own
+	// disjoint systems, so a global winner is beaten by fewer than k rows of
+	// its own shard and is in that shard's top k. Survivors answer even
+	// when a shard is down — the response says so.
 	idxs := f.allShards()
 	versions := make([]uint64, len(idxs))
 	parts, errs := scatterShards(r.Context(), f, idxs, func(k, i int, st *store.Store, eng *risk.Engine) ([]risk.Score, error) {
 		versions[k] = st.Snapshot().Version()
-		return eng.TopK(0, now), nil
+		return eng.TopK(q.K, now), nil
 	})
 	var merged []risk.Score
 	anyOK := false

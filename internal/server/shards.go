@@ -462,7 +462,14 @@ func (f *fabric) supervise(ctx context.Context) {
 func (f *fabric) maintain(now time.Time) {
 	for i := range f.shards {
 		_, eng, j := f.shards[i].view()
-		eng.Decay(now)
+		// Decay on the feed's clock: a server fed historical or replayed
+		// events would otherwise drop them all and change ?at=-pinned
+		// answers. Observe's pruning and the retention bound cap memory.
+		at := now
+		if last := eng.LastEvent(); last.Before(at) {
+			at = last
+		}
+		eng.Decay(at)
 		if j == nil {
 			continue
 		}

@@ -12,6 +12,9 @@ dir=$(dirname "$0")
 
 go vet ./...
 go build ./...
+# bench/ is its own module, so ./... never compiles it: vet and build it
+# here so an API change cannot break the benchmark unnoticed.
+(cd "$dir/bench" && go vet ./... && go build -o /dev/null .)
 go test -race ./...
 
 # Bench smoke: every benchmark must still compile and run one iteration.
