@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// resultCache is a bounded LRU of computed /v1/condprob responses with
-// singleflight semantics: concurrent requests for the same key block on one
-// computation instead of each recomputing the (dataset-scan-heavy)
-// conditional probability. The dataset is immutable, so entries never go
-// stale and eviction is purely a size bound.
+// resultCache is a bounded LRU of computed analysis results (the query
+// executor's rendered bodies and per-shard parts) with singleflight
+// semantics: concurrent requests for the same key block on one computation
+// instead of each recomputing a dataset-scan-heavy kernel. Keys embed the
+// pinned snapshot version, so entries never go stale and eviction is
+// purely a size bound.
 type resultCache struct {
 	mu       sync.Mutex
 	max      int

@@ -2,14 +2,14 @@
 // dataset's failure-rate and lift tables, and GET /v1/compare/{condprob,
 // rates} runs the same computation against several registered datasets,
 // pinning one snapshot per dataset and diffing the results against the
-// first-named baseline. Each per-dataset result reuses the exact cache
-// keys and compute path of the plain endpoints, so a compare side is
-// bit-identical to querying that dataset alone.
+// first-named baseline. Each per-dataset result runs through the same query
+// executor as the plain endpoint (strict mode: a missing shard fails the
+// call instead of degrading it), so a compare side is bit-identical to
+// querying that dataset alone.
 package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -122,55 +122,34 @@ func (s *Server) handleRates(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, body)
 }
 
-// writeBodyError maps a rates/condprob body-computation error onto HTTP: a
-// down or slow shard (and a timed-out compute) is retryable 503, anything
-// else is a 500.
-func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errShardDown) || errors.Is(err, errShardSlow) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.shardUnavailable(w, err)
-		return
-	}
-	s.writeError(w, http.StatusInternalServerError, err)
-}
-
 // ratesPart is one shard's contribution to the rate tables.
 type ratesPart struct {
-	version uint64
-	events  int
-	cats    map[trace.Category]int
-	sys     map[int]int
+	events int
+	cats   map[trace.Category]int
+	sys    map[int]int
 }
 
 // ratesBody computes the failure-rate and lift tables over one pinned
-// snapshot per shard. Unlike the query endpoints it is strict: any shard
-// failing fails the whole call, because a comparative answer built on a
-// partial count would silently compare unlike denominators.
+// snapshot per shard. Like every comparative body it is strict: any shard
+// failing fails the whole call.
 func (s *Server) ratesBody(ctx context.Context, q ratesQuery) (ratesJSON, error) {
 	f := s.fabric
-	idxs := f.allShards()
-	parts, errs := scatterShards(ctx, f, idxs, func(k, i int, st *store.Store, eng *risk.Engine) (ratesPart, error) {
+	parts, g := gather(ctx, f, f.allShards(), func(_, _ int, st *store.Store, _ *risk.Engine) (ratesPart, uint64, error) {
 		snap := st.Snapshot()
-		p := ratesPart{
-			version: snap.Version(),
-			cats:    make(map[trace.Category]int),
-			sys:     make(map[int]int),
-		}
+		p := ratesPart{cats: make(map[trace.Category]int), sys: make(map[int]int)}
 		ds := snap.Dataset()
 		p.events = len(ds.Failures)
 		for _, fe := range ds.Failures {
 			p.cats[fe.Category]++
 			p.sys[fe.System]++
 		}
-		return p, nil
+		return p, snap.Version(), nil
 	})
+	if err := g.failure(true); err != nil {
+		return ratesJSON{}, fmt.Errorf("rates: %w", err)
+	}
 	merged := ratesPart{cats: make(map[trace.Category]int), sys: make(map[int]int)}
-	for k, err := range errs {
-		if err != nil {
-			return ratesJSON{}, fmt.Errorf("rates: %w", err)
-		}
-		p := parts[k]
-		merged.version = max(merged.version, p.version)
+	for _, p := range parts {
 		merged.events += p.events
 		for c, n := range p.cats {
 			merged.cats[c] += n
@@ -192,7 +171,7 @@ func (s *Server) ratesBody(ctx context.Context, q ratesQuery) (ratesJSON, error)
 		return float64(count) / nodeYears
 	}
 	out := ratesJSON{
-		DatasetVersion: merged.version,
+		DatasetVersion: g.version(),
 		Window:         trace.WindowName(q.window),
 		Scope:          q.scope.String(),
 		NodeYears:      nodeYears,
@@ -232,12 +211,12 @@ func (s *Server) ratesBody(ctx context.Context, q ratesQuery) (ratesJSON, error)
 			PerNodeYear: finite(rate),
 		})
 	}
-	// The lift table runs one condprob per category through the exact
-	// compute-and-cache path /v1/condprob uses, so its cells agree with the
-	// standalone endpoint bit for bit.
+	// The lift table runs one condprob per category through the executor
+	// path /v1/condprob uses, so its cells agree with the standalone
+	// endpoint bit for bit.
 	for _, cat := range trace.Categories {
 		cq := condProbQuery{anchor: cat.String(), window: q.window, scope: q.scope}
-		res, err := s.condProbBody(ctx, cq)
+		res, err := s.condProbValue(ctx, cq)
 		if err != nil {
 			return ratesJSON{}, fmt.Errorf("rates: lift %s: %w", cat, err)
 		}
@@ -250,108 +229,6 @@ func (s *Server) ratesBody(ctx context.Context, q ratesQuery) (ratesJSON, error)
 		})
 	}
 	return out, nil
-}
-
-// condProbBody answers one canonical condprob query as a value, through the
-// same shard routing, snapshot pinning, cache keys and breaker gates as the
-// /v1/condprob handler — the comparative endpoints' guarantee that each
-// side matches the standalone answer rests on this sharing. Unlike the
-// handler's scatter it is strict: a missing shard part fails the call
-// instead of degrading to a partial.
-func (s *Server) condProbBody(ctx context.Context, q condProbQuery) (condProbJSON, error) {
-	f := s.fabric
-	if f.n() == 1 {
-		return s.condProbCached(ctx, q, 0)
-	}
-	involved := f.involvedShards(q.group)
-	switch len(involved) {
-	case 0:
-		return s.condProbResponse(q, f.maxVersion(), analysis.MergeCondResults(q.window, q.scope, nil)), nil
-	case 1:
-		return s.condProbCached(ctx, q, involved[0])
-	}
-	versions := make([]uint64, len(involved))
-	parts, errs := scatterShards(ctx, f, involved, func(k, i int, st *store.Store, eng *risk.Engine) (analysis.CondResult, error) {
-		sh := f.shards[i]
-		snap := st.Snapshot()
-		versions[k] = snap.Version()
-		key := fmt.Sprintf("part|s%d.g%d.v%d|%s", i, sh.gen.Load(), snap.Version(), q.Key())
-		if val, ok := s.cache.Get(key); ok {
-			return val.(analysis.CondResult), nil
-		}
-		if !sh.breaker.allow() {
-			return analysis.CondResult{}, fmt.Errorf("shard %d condprob circuit open", i)
-		}
-		computed := false
-		val, _, err := s.cache.Do(key, func() (any, error) {
-			computed = true
-			cctx, cancel := context.WithTimeout(s.base, s.timeout)
-			defer cancel()
-			return s.computeCondPart(cctx, snap, q)
-		})
-		if computed {
-			sh.breaker.report(err == nil)
-		}
-		if err != nil {
-			return analysis.CondResult{}, err
-		}
-		return val.(analysis.CondResult), nil
-	})
-	var ok []analysis.CondResult
-	var version uint64
-	for k, err := range errs {
-		if err != nil {
-			return condProbJSON{}, err
-		}
-		ok = append(ok, parts[k])
-		version = max(version, versions[k])
-	}
-	return s.condProbResponse(q, version, analysis.MergeCondResults(q.window, q.scope, ok)), nil
-}
-
-// condProbCached is the one-shard slice of condProbBody: pin a snapshot,
-// consult the shared result cache under the handler's exact key, and only
-// compute (breaker-gated, under the lifecycle context) on a miss.
-func (s *Server) condProbCached(ctx context.Context, q condProbQuery, idx int) (condProbJSON, error) {
-	f := s.fabric
-	if st := f.sup.State(idx); st != store.ShardReady {
-		return condProbJSON{}, fmt.Errorf("%w: shard %d %s", errShardDown, idx, st)
-	}
-	sh := f.shards[idx]
-	st, _, _ := sh.view()
-	snap := st.Snapshot()
-	key := fmt.Sprintf("s%d.g%d.v%d|%s", idx, sh.gen.Load(), snap.Version(), q.Key())
-	if val, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		return val.(condProbJSON), nil
-	}
-	if !sh.breaker.allow() {
-		s.metrics.degraded.Add(1)
-		return condProbJSON{}, fmt.Errorf("condprob compute circuit open")
-	}
-	computed := false
-	val, oc, err := s.cache.Do(key, func() (any, error) {
-		computed = true
-		cctx, cancel := context.WithTimeout(s.base, s.timeout)
-		defer cancel()
-		return s.computeCondProb(cctx, snap, q)
-	})
-	if computed {
-		sh.breaker.report(err == nil)
-	}
-	switch oc {
-	case outcomeHit:
-		s.metrics.cacheHits.Add(1)
-	case outcomeShared:
-		s.metrics.cacheMisses.Add(1)
-		s.metrics.shared.Add(1)
-	default:
-		s.metrics.cacheMisses.Add(1)
-	}
-	if err != nil {
-		return condProbJSON{}, err
-	}
-	return val.(condProbJSON), nil
 }
 
 // maxCompareDatasets bounds one comparative query's fan-out.
@@ -460,7 +337,7 @@ func (s *Server) handleCompareCondProb(w http.ResponseWriter, r *http.Request) {
 			s.writeTenantError(w, name, err)
 			return
 		}
-		res, err := ts.condProbBody(r.Context(), q)
+		res, err := ts.condProbValue(r.Context(), q)
 		release()
 		if err != nil {
 			s.writeBodyError(w, fmt.Errorf("dataset %s: %w", name, err))

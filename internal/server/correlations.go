@@ -1,13 +1,11 @@
 // Correlation-rule and vicinity-anomaly serving: GET /v1/correlations and
-// GET /v1/anomalies over internal/correlate, under the same serving
-// discipline as /v1/condprob — pinned snapshots, version-prefixed cache
-// keys, admission + breaker gating, and sharded scatter-gather with exact
-// integer merges (correlate.MergeRuleCounts) and explicit partials.
+// GET /v1/anomalies over internal/correlate, two more routes of the query
+// executor (exec.go) beside /v1/condprob — each is a key, a per-shard part
+// and a render.
 package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -18,7 +16,6 @@ import (
 
 	"github.com/hpcfail/hpcfail/internal/analysis"
 	"github.com/hpcfail/hpcfail/internal/correlate"
-	"github.com/hpcfail/hpcfail/internal/risk"
 	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/trace"
 )
@@ -199,218 +196,44 @@ func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	f := s.fabric
-	if q.system != 0 {
-		if _, ok := f.fleetSystem(q.system); !ok {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown system %d", q.system))
-			return
-		}
-		owner, _ := f.ownerOf(q.system)
-		s.correlationsSingle(w, q, owner)
+	if _, ok := s.fabric.fleetSystem(q.system); q.system != 0 && !ok {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown system %d", q.system))
 		return
 	}
-	if f.n() == 1 {
-		s.correlationsSingle(w, q, 0)
-		return
-	}
-	s.correlationsScatter(w, r, q, f.allShards())
+	serveQuery(s, w, r, &correlationsRoute, q, s.fabric.systemShards(q.system))
 }
 
-// correlationsSingle answers a correlations query entirely from one shard —
-// the single-shard server's whole path, and the owner path for per-system
-// queries. The structure mirrors condProbSingle: pin a snapshot, key the
-// cache by shard/generation/version, serve hits regardless of breaker
-// state, gate only misses on the breaker.
-func (s *Server) correlationsSingle(w http.ResponseWriter, q correlationsQuery, idx int) {
-	f := s.fabric
-	if st := f.sup.State(idx); st != store.ShardReady {
-		s.shardUnavailable(w, fmt.Errorf("%w: shard %d %s", errShardDown, idx, st))
-		return
-	}
-	sh := f.shards[idx]
-	st, _, _ := sh.view()
-	snap := st.Snapshot()
-	setVersion(w, snap)
-	key := fmt.Sprintf("corr|s%d.g%d.v%d|%s", idx, sh.gen.Load(), snap.Version(), q.Key())
-	if val, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-		if open, _ := sh.breaker.snapshot(); open {
-			s.metrics.degraded.Add(1)
-			w.Header().Set("X-Degraded", "cache-only")
-		}
-		s.writeJSON(w, http.StatusOK, val)
-		return
-	}
-	if !sh.breaker.allow() {
-		s.metrics.degraded.Add(1)
-		w.Header().Set("Retry-After", retryAfter)
-		w.Header().Set("X-Degraded", "circuit-open")
-		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("correlations compute circuit open"))
-		return
-	}
-	computed := false
-	val, oc, err := s.cache.Do(key, func() (any, error) {
-		computed = true
-		ctx, cancel := context.WithTimeout(s.base, s.timeout)
-		defer cancel()
-		return s.computeCorrelations(ctx, sh, q)
-	})
-	switch oc {
-	case outcomeHit:
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-	case outcomeShared:
-		s.metrics.cacheMisses.Add(1)
-		s.metrics.shared.Add(1)
-		w.Header().Set("X-Cache", "SHARED")
-	default:
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("X-Cache", "MISS")
-	}
-	if computed {
-		sh.breaker.report(err == nil)
-	}
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			code = http.StatusServiceUnavailable
-		}
-		s.writeError(w, code, err)
-		return
-	}
-	// The miner pins its own snapshot inside the compute; if an append raced
-	// in between our pin and the mine, the answer reflects the newer (never
-	// an older) version — restamp the header with the version actually
-	// answered so it always tells the truth.
-	if body, ok := val.(correlationsJSON); ok {
-		w.Header().Set("X-Dataset-Version", strconv.FormatUint(body.DatasetVersion, 10))
-	}
-	s.writeJSON(w, http.StatusOK, val)
-}
-
-// correlationsScatter answers a fleet-wide correlations query across
-// shards: each shard mines (or serves from cache) its partition's integer
-// rule counts, and correlate.MergeRuleCounts combines them into exactly the
-// counts one miner over the union would produce. Per-shard parts are cached
-// and breaker-gated independently; a down shard degrades the answer to an
-// explicit partial instead of failing it.
-func (s *Server) correlationsScatter(w http.ResponseWriter, r *http.Request, q correlationsQuery, involved []int) {
-	f := s.fabric
-	versions := make([]uint64, len(involved))
-	hits := make([]bool, len(involved))
-	parts, errs := scatterShards(r.Context(), f, involved, func(k, i int, st *store.Store, _ *risk.Engine) (correlate.RuleCounts, error) {
-		sh := f.shards[i]
-		snap := st.Snapshot()
-		versions[k] = snap.Version()
-		key := fmt.Sprintf("corrpart|s%d.g%d.v%d|%s", i, sh.gen.Load(), snap.Version(), q.Key())
-		if val, ok := s.cache.Get(key); ok {
-			hits[k] = true
-			return val.(correlate.RuleCounts), nil
-		}
-		if !sh.breaker.allow() {
-			return correlate.RuleCounts{}, fmt.Errorf("shard %d correlations circuit open", i)
-		}
-		computed := false
-		val, _, err := s.cache.Do(key, func() (any, error) {
-			computed = true
-			ctx, cancel := context.WithTimeout(s.base, s.timeout)
-			defer cancel()
-			return s.computeRulePart(ctx, sh, q)
-		})
-		if computed {
-			sh.breaker.report(err == nil)
-		}
-		if err != nil {
-			return correlate.RuleCounts{}, err
-		}
-		return val.(correlate.RuleCounts), nil
-	})
-	var ok []correlate.RuleCounts
-	allHit := true
-	for k, err := range errs {
-		if err != nil {
-			continue
-		}
-		ok = append(ok, parts[k])
-		if !hits[k] {
-			allHit = false
-		}
-	}
-	if len(ok) == 0 {
-		s.shardUnavailable(w, fmt.Errorf("no shard available for correlations"))
-		return
-	}
-	if allHit {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("X-Cache", "MISS")
-	}
-	s.stampPartial(w, involved, versions, errs)
-	var version uint64
-	for k, err := range errs {
-		if err == nil {
-			version = max(version, versions[k])
-		}
-	}
-	s.writeJSON(w, http.StatusOK, s.correlationsResponse(q, version, correlate.MergeRuleCounts(q.window, ok)))
-}
-
-// computeRulePart mines one shard's partition for the query window — the
-// raw integer RuleCounts that cross shard boundaries and merge exactly. The
-// mine runs under the shared analysis pool like every other kernel.
-func (s *Server) computeRulePart(ctx context.Context, sh *shard, q correlationsQuery) (correlate.RuleCounts, error) {
-	m := sh.getMiner()
-	var rc correlate.RuleCounts
-	err := analysis.Shared().Do(ctx, func() error {
-		var ok bool
-		if q.system != 0 {
-			rc, _, ok = m.Mine(q.window, q.system)
-		} else {
-			rc, _, ok = m.Mine(q.window)
-		}
+// correlationsRoute serves /v1/correlations. A shard's part is its miner's
+// integer rule counts, which correlate.MergeRuleCounts combines into exactly
+// the counts one miner over the union would produce. The miner catches up
+// on events appended since its last query and pins its own snapshot, so a
+// freshly POSTed event is reflected in this very answer, and the part
+// answers for the miner's version — never older than the executor's pin.
+var correlationsRoute = analysisRoute[correlationsQuery, correlate.RuleCounts, correlationsJSON]{
+	name: "correlations",
+	part: func(_ context.Context, sh *shard, _ *store.Snapshot, q correlationsQuery) (correlate.RuleCounts, uint64, error) {
+		rc, snap, ok := sh.getMiner().Mine(q.window, scopeSystems(q.system)...)
 		if !ok {
-			return fmt.Errorf("window %s not maintained by the correlation miner", trace.WindowName(q.window))
+			return correlate.RuleCounts{}, 0, fmt.Errorf("window %s not maintained by the correlation miner", trace.WindowName(q.window))
 		}
-		return nil
-	})
-	if err != nil {
-		return correlate.RuleCounts{}, err
-	}
-	return rc, nil
+		return rc, snap.Version(), nil
+	},
+	render: correlationsResponse,
 }
 
-// computeCorrelations is the single-shard compute: mine, then render. The
-// miner catches up on any events appended since the last query before
-// counting, so a freshly POSTed event is reflected in this very answer.
-func (s *Server) computeCorrelations(ctx context.Context, sh *shard, q correlationsQuery) (correlationsJSON, error) {
-	m := sh.getMiner()
-	var rc correlate.RuleCounts
-	var snap *store.Snapshot
-	err := analysis.Shared().Do(ctx, func() error {
-		var ok bool
-		if q.system != 0 {
-			rc, snap, ok = m.Mine(q.window, q.system)
-		} else {
-			rc, snap, ok = m.Mine(q.window)
-		}
-		if !ok {
-			return fmt.Errorf("window %s not maintained by the correlation miner", trace.WindowName(q.window))
-		}
+// scopeSystems turns an optional system parameter into a system filter
+// (nil = all systems).
+func scopeSystems(system int) []int {
+	if system == 0 {
 		return nil
-	})
-	if err != nil {
-		return correlationsJSON{}, err
 	}
-	return s.correlationsResponse(q, snap.Version(), rc), nil
+	return []int{system}
 }
 
-// correlationsResponse derives the thresholded rule graph from (possibly
-// merged) integer counts and renders the wire body.
-func (s *Server) correlationsResponse(q correlationsQuery, version uint64, rc correlate.RuleCounts) correlationsJSON {
-	agg := rc.Aggregate()
+// correlationsResponse derives the thresholded rule graph from the merged
+// integer counts and renders the wire body.
+func correlationsResponse(q correlationsQuery, version uint64, parts []correlate.RuleCounts) correlationsJSON {
+	agg := correlate.MergeRuleCounts(q.window, parts).Aggregate()
 	body := correlationsJSON{
 		Window:         trace.WindowName(q.window),
 		Scope:          q.scope.String(),
@@ -441,179 +264,33 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	f := s.fabric
-	if q.system != 0 {
-		if _, ok := f.fleetSystem(q.system); !ok {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown system %d", q.system))
-			return
-		}
-		owner, _ := f.ownerOf(q.system)
-		s.anomaliesSingle(w, q, owner)
+	if _, ok := s.fabric.fleetSystem(q.system); q.system != 0 && !ok {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown system %d", q.system))
 		return
 	}
-	if f.n() == 1 {
-		s.anomaliesSingle(w, q, 0)
-		return
-	}
-	s.anomaliesScatter(w, r, q, f.allShards())
+	serveQuery(s, w, r, &anomaliesRoute, q, s.fabric.systemShards(q.system))
 }
 
-// anomaliesSingle scores one shard's nodes against their vicinities over a
-// pinned snapshot — a pure function of the snapshot, cached and gated
-// exactly like condProbSingle.
-func (s *Server) anomaliesSingle(w http.ResponseWriter, q anomaliesQuery, idx int) {
-	f := s.fabric
-	if st := f.sup.State(idx); st != store.ShardReady {
-		s.shardUnavailable(w, fmt.Errorf("%w: shard %d %s", errShardDown, idx, st))
-		return
-	}
-	sh := f.shards[idx]
-	st, _, _ := sh.view()
-	snap := st.Snapshot()
-	setVersion(w, snap)
-	key := fmt.Sprintf("anom|s%d.g%d.v%d|%s", idx, sh.gen.Load(), snap.Version(), q.Key())
-	if val, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-		if open, _ := sh.breaker.snapshot(); open {
-			s.metrics.degraded.Add(1)
-			w.Header().Set("X-Degraded", "cache-only")
+// anomaliesRoute serves /v1/anomalies: each shard scores its own nodes
+// against their vicinities and returns its top k, and the union re-sorts
+// under the detector's exact order — the global top k is always contained
+// in the union of per-shard top k lists, so per-shard truncation loses
+// nothing.
+var anomaliesRoute = analysisRoute[anomaliesQuery, []correlate.Anomaly, anomaliesJSON]{
+	name: "anomalies",
+	part: func(_ context.Context, _ *shard, snap *store.Snapshot, q anomaliesQuery) ([]correlate.Anomaly, uint64, error) {
+		return correlate.DetectAnomalies(snap.Analyzer(), scopeSystems(q.system), q.k), snap.Version(), nil
+	},
+	render: func(q anomaliesQuery, version uint64, parts [][]correlate.Anomaly) anomaliesJSON {
+		// A fresh slice: cached parts are shared and must never be re-sorted.
+		merged := []correlate.Anomaly{}
+		for _, p := range parts {
+			merged = append(merged, p...)
 		}
-		s.writeJSON(w, http.StatusOK, val)
-		return
-	}
-	if !sh.breaker.allow() {
-		s.metrics.degraded.Add(1)
-		w.Header().Set("Retry-After", retryAfter)
-		w.Header().Set("X-Degraded", "circuit-open")
-		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("anomalies compute circuit open"))
-		return
-	}
-	computed := false
-	val, oc, err := s.cache.Do(key, func() (any, error) {
-		computed = true
-		ctx, cancel := context.WithTimeout(s.base, s.timeout)
-		defer cancel()
-		return s.computeAnomalies(ctx, snap, q)
-	})
-	switch oc {
-	case outcomeHit:
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-	case outcomeShared:
-		s.metrics.cacheMisses.Add(1)
-		s.metrics.shared.Add(1)
-		w.Header().Set("X-Cache", "SHARED")
-	default:
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("X-Cache", "MISS")
-	}
-	if computed {
-		sh.breaker.report(err == nil)
-	}
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			code = http.StatusServiceUnavailable
+		correlate.SortAnomalies(merged)
+		if len(merged) > q.k {
+			merged = merged[:q.k]
 		}
-		s.writeError(w, code, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, val)
-}
-
-// anomaliesScatter fans a fleet-wide anomaly query out to every shard: each
-// scores its own nodes and returns its top k, and the union re-sorts under
-// the detector's exact order — the global top k is always contained in the
-// union of per-shard top k lists, so per-shard truncation loses nothing.
-func (s *Server) anomaliesScatter(w http.ResponseWriter, r *http.Request, q anomaliesQuery, involved []int) {
-	f := s.fabric
-	versions := make([]uint64, len(involved))
-	hits := make([]bool, len(involved))
-	parts, errs := scatterShards(r.Context(), f, involved, func(k, i int, st *store.Store, _ *risk.Engine) ([]correlate.Anomaly, error) {
-		sh := f.shards[i]
-		snap := st.Snapshot()
-		versions[k] = snap.Version()
-		key := fmt.Sprintf("anompart|s%d.g%d.v%d|%s", i, sh.gen.Load(), snap.Version(), q.Key())
-		if val, ok := s.cache.Get(key); ok {
-			hits[k] = true
-			return val.([]correlate.Anomaly), nil
-		}
-		if !sh.breaker.allow() {
-			return nil, fmt.Errorf("shard %d anomalies circuit open", i)
-		}
-		computed := false
-		val, _, err := s.cache.Do(key, func() (any, error) {
-			computed = true
-			ctx, cancel := context.WithTimeout(s.base, s.timeout)
-			defer cancel()
-			body, cerr := s.computeAnomalies(ctx, snap, q)
-			if cerr != nil {
-				return nil, cerr
-			}
-			return body.Anomalies, nil
-		})
-		if computed {
-			sh.breaker.report(err == nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return val.([]correlate.Anomaly), nil
-	})
-	merged := []correlate.Anomaly{}
-	anyOK := false
-	allHit := true
-	for k, err := range errs {
-		if err != nil {
-			continue
-		}
-		anyOK = true
-		merged = append(merged, parts[k]...)
-		if !hits[k] {
-			allHit = false
-		}
-	}
-	if !anyOK {
-		s.shardUnavailable(w, fmt.Errorf("no shard available for anomalies"))
-		return
-	}
-	if allHit {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("X-Cache", "MISS")
-	}
-	correlate.SortAnomalies(merged)
-	if len(merged) > q.k {
-		merged = merged[:q.k]
-	}
-	s.stampPartial(w, involved, versions, errs)
-	var version uint64
-	for k, err := range errs {
-		if err == nil {
-			version = max(version, versions[k])
-		}
-	}
-	s.writeJSON(w, http.StatusOK, anomaliesJSON{System: q.system, K: q.k, DatasetVersion: version, Anomalies: merged})
-}
-
-// computeAnomalies runs the vicinity detector over one pinned snapshot.
-func (s *Server) computeAnomalies(ctx context.Context, snap *store.Snapshot, q anomaliesQuery) (anomaliesJSON, error) {
-	var systems []int
-	if q.system != 0 {
-		systems = []int{q.system}
-	}
-	out := []correlate.Anomaly{}
-	err := analysis.Shared().Do(ctx, func() error {
-		if got := correlate.DetectAnomalies(snap.Analyzer(), systems, q.k); got != nil {
-			out = got
-		}
-		return nil
-	})
-	if err != nil {
-		return anomaliesJSON{}, err
-	}
-	return anomaliesJSON{System: q.system, K: q.k, DatasetVersion: snap.Version(), Anomalies: out}, nil
+		return anomaliesJSON{System: q.system, K: q.k, DatasetVersion: version, Anomalies: merged}
+	},
 }

@@ -217,9 +217,9 @@ func writeMetricsRows(w io.Writer, rows []metricsRow) {
 		func(r metricsRow) string { return u(r.m.degraded.Load()) })
 	simple("hpcserve_idempotent_replays_total", "Event POSTs replayed from the idempotency cache.", "counter",
 		func(r metricsRow) string { return u(r.m.idemReplays.Load()) })
-	simple("hpcserve_breaker_open", "Whether the condprob compute circuit is open.", "gauge",
+	simple("hpcserve_breaker_open", "Whether any shard's analysis compute circuit is open.", "gauge",
 		func(r metricsRow) string { return d(b2i(r.g.breakerOpen)) })
-	simple("hpcserve_breaker_trips_total", "Closed-to-open transitions of the compute circuit.", "counter",
+	simple("hpcserve_breaker_trips_total", "Closed-to-open transitions of the compute circuits, summed over shards.", "counter",
 		func(r metricsRow) string { return u(r.g.breakerTrips) })
 	simple("hpcserve_wal_records_total", "Records ever appended to the write-ahead log.", "counter",
 		func(r metricsRow) string { return u(r.g.walRecords) })

@@ -146,9 +146,9 @@ func TestBreakerDegradesToCache(t *testing.T) {
 	getJSON(t, cached, http.StatusOK, nil) // prime the cache
 
 	for i := 0; i < 5; i++ {
-		s.breaker.report(false)
+		s.fabric.shards[0].breaker.report(false)
 	}
-	if open, _ := s.breaker.snapshot(); !open {
+	if open, _ := s.fabric.shards[0].breaker.snapshot(); !open {
 		t.Fatal("breaker not open after threshold failures")
 	}
 
@@ -185,7 +185,7 @@ func TestBreakerDegradesToCache(t *testing.T) {
 	// and closes the circuit.
 	clock.Advance(11 * time.Second)
 	getJSON(t, uncached, http.StatusOK, nil)
-	if open, _ := s.breaker.snapshot(); open {
+	if open, _ := s.fabric.shards[0].breaker.snapshot(); open {
 		t.Error("breaker still open after successful trial")
 	}
 	resp = getJSON(t, cached, http.StatusOK, nil)

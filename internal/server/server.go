@@ -12,6 +12,9 @@
 //	GET  /v1/correlations?window=&scope=&system=&min_support=&min_confidence=
 //	                                  mined correlation-rule graph (internal/correlate)
 //	GET  /v1/anomalies?system=&k=     vicinity anomaly ranking
+//	GET  /v1/rates?window=&scope=     failure-rate and follow-up lift tables
+//	GET  /v1/compare/{condprob,rates}?datasets=a,b,...
+//	                                  one query across named datasets, diffed
 //	GET  /v1/snapshot                 canonical engine state (recovery checks)
 //	POST /v1/events                   feed failure events into the engine
 //	GET  /healthz                     liveness
@@ -21,18 +24,22 @@
 // versioned dataset store (internal/store): handlers pin one snapshot, so a
 // response is internally consistent even while POST /v1/events advances the
 // dataset underneath. Responses carry the snapshot's version in an
-// X-Dataset-Version header, and conditional-probability cache keys embed it,
-// so a cached answer can never leak across dataset versions.
+// X-Dataset-Version header, and analysis cache keys embed it, so a cached
+// answer can never leak across dataset versions.
 //
-// Conditional-probability responses are cached on the canonicalized query
-// and deduplicated singleflight-style: concurrent identical queries compute
-// once. Every request runs under a timeout and per-route admission control
-// (overload is shed with 429 + Retry-After); a circuit breaker degrades
-// condprob to cached answers when compute keeps failing. With a
-// risk.Journal configured, POST /v1/events is write-ahead logged so acked
-// events survive a crash, and X-Idempotency-Key makes retries safe. Serve
-// shuts down gracefully when its context is cancelled, joining in-flight
-// handlers before tearing down shared state.
+// The cached analysis routes (condprob, correlations, anomalies) and the
+// comparative endpoints built on them share one query executor (exec.go):
+// a route supplies a canonical key, a per-shard part and a render, and the
+// executor caches on the canonicalized query, deduplicates concurrent
+// identical queries singleflight-style, gates compute on each shard's
+// circuit breaker (degrading to cached answers when compute keeps
+// failing), and scatter-gathers across shards. Every request runs under a
+// timeout and per-route admission control (overload is shed with 429 +
+// Retry-After). With a risk.Journal configured, POST /v1/events is
+// write-ahead logged so acked events survive a crash, and
+// X-Idempotency-Key makes retries safe. Serve shuts down gracefully when
+// its context is cancelled, joining in-flight handlers before tearing down
+// shared state.
 package server
 
 import (
@@ -44,6 +51,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -189,9 +197,6 @@ type Server struct {
 	metrics *metrics
 	idem    *idemCache
 	limits  map[string]*limiter
-	// breaker aliases shard 0's circuit breaker — the whole breaker in the
-	// single-shard server, one of n in sharded mode.
-	breaker *breaker
 	wrap    func(http.Handler) http.Handler
 	timeout time.Duration
 	now     func() time.Time
@@ -333,7 +338,6 @@ func newServer(cfg Config) (*Server, error) {
 		metrics: newMetrics(),
 		idem:    newIdemCache(1024),
 		limits:  limiters,
-		breaker: fab.shards[0].breaker,
 		wrap:    cfg.Middleware,
 		timeout: timeout,
 		now:     now,
@@ -355,13 +359,6 @@ func (s *Server) Engine() *risk.Engine {
 func (s *Server) Store() *store.Store {
 	st, _, _ := s.fabric.shards[0].view()
 	return st
-}
-
-// setVersion stamps the response with the pinned snapshot's dataset
-// version, so clients (and the stale-cache test) can tell which dataset a
-// response was computed over.
-func setVersion(w http.ResponseWriter, snap *store.Snapshot) {
-	w.Header().Set("X-Dataset-Version", strconv.FormatUint(snap.Version(), 10))
 }
 
 // Handler returns the server's routed HTTP handler, wrapped in the
@@ -541,11 +538,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // metrics row.
 func (s *Server) gatherGauges() gauges {
 	f := s.fabric
-	open, trips := s.breaker.snapshot()
 	g := gauges{
 		cacheEntries:  s.cache.Len(),
-		breakerOpen:   open,
-		breakerTrips:  trips,
 		readOnlyEntry: f.roEntries.Load(),
 		walAppendErrs: f.walAppendErrs.Load(),
 		admission:     make(map[string]admissionGauge, len(s.limits)),
@@ -562,6 +556,10 @@ func (s *Server) gatherGauges() gauges {
 		g.datasetEvents += dsnap.Events()
 		g.storeAppends += st.Appends()
 		g.storeRebuilds += st.Rebuilds()
+		// Any shard's open circuit reads as open; trips sum across shards.
+		open, trips := sh.breaker.snapshot()
+		g.breakerOpen = g.breakerOpen || open
+		g.breakerTrips += trips
 		sg := shardGauge{
 			state:     f.sup.State(i).String(),
 			healthy:   f.sup.State(i) == store.ShardReady,
@@ -612,41 +610,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// byte-compare snapshot bodies between servers whose store versions
 	// legitimately differ (one recovered in a single batch, one fed live).
 	f := s.fabric
-	idxs := f.allShards()
-	versions := make([]uint64, len(idxs))
-	parts, errs := scatterShards(r.Context(), f, idxs, func(k, i int, st *store.Store, eng *risk.Engine) (risk.Snapshot, error) {
-		versions[k] = st.Snapshot().Version()
-		return eng.Snapshot(), nil
+	snaps, g := gather(r.Context(), f, f.allShards(), func(_, _ int, st *store.Store, eng *risk.Engine) (risk.Snapshot, uint64, error) {
+		return eng.Snapshot(), st.Snapshot().Version(), nil
 	})
-	var ok []risk.Snapshot
-	for k, err := range errs {
-		if err == nil {
-			ok = append(ok, parts[k])
-		}
-	}
-	if len(ok) == 0 {
-		s.shardUnavailable(w, fmt.Errorf("no shard available"))
+	if err := g.failure(false); err != nil {
+		s.shardUnavailable(w, err)
 		return
 	}
-	s.stampPartial(w, idxs, versions, errs)
-	s.writeJSON(w, http.StatusOK, risk.SnapshotJSON(risk.MergeSnapshots(ok)))
-}
-
-// pickSystem resolves an optional system parameter against one pinned
-// dataset: 0 means "the dataset's only system" and is an error when there
-// are several.
-func pickSystem(ds *trace.Dataset, id int) (trace.SystemInfo, error) {
-	if id == 0 {
-		if len(ds.Systems) == 1 {
-			return ds.Systems[0], nil
-		}
-		return trace.SystemInfo{}, fmt.Errorf("dataset covers %d systems; pass ?system=", len(ds.Systems))
-	}
-	sys, ok := ds.System(id)
-	if !ok {
-		return trace.SystemInfo{}, fmt.Errorf("unknown system %d", id)
-	}
-	return sys, nil
+	s.stampPartial(w, g)
+	s.writeJSON(w, http.StatusOK, risk.SnapshotJSON(risk.MergeSnapshots(snaps)))
 }
 
 // contributionJSON is one scored contribution on the wire.
@@ -852,26 +824,16 @@ func (s *Server) handleRiskTop(w http.ResponseWriter, r *http.Request) {
 	// disjoint systems, so a global winner is beaten by fewer than k rows of
 	// its own shard and is in that shard's top k. Survivors answer even
 	// when a shard is down — the response says so.
-	idxs := f.allShards()
-	versions := make([]uint64, len(idxs))
-	parts, errs := scatterShards(r.Context(), f, idxs, func(k, i int, st *store.Store, eng *risk.Engine) ([]risk.Score, error) {
-		versions[k] = st.Snapshot().Version()
-		return eng.TopK(q.K, now), nil
+	tops, g := gather(r.Context(), f, f.allShards(), func(_, _ int, st *store.Store, eng *risk.Engine) ([]risk.Score, uint64, error) {
+		return eng.TopK(q.K, now), st.Snapshot().Version(), nil
 	})
-	var merged []risk.Score
-	anyOK := false
-	for k, err := range errs {
-		if err == nil {
-			anyOK = true
-			merged = append(merged, parts[k]...)
-		}
-	}
-	if !anyOK {
-		s.shardUnavailable(w, fmt.Errorf("no shard available"))
+	if err := g.failure(false); err != nil {
+		s.shardUnavailable(w, err)
 		return
 	}
+	merged := slices.Concat(tops...)
 	sort.Slice(merged, func(i, j int) bool { return risk.ScoreLess(merged[i], merged[j]) })
-	s.stampPartial(w, idxs, versions, errs)
+	s.stampPartial(w, g)
 	for _, sc := range merged {
 		out.Scores = append(out.Scores, s.scoreJSON(sc))
 		if len(out.Scores) >= q.K {
@@ -879,30 +841,6 @@ func (s *Server) handleRiskTop(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-// stampPartial stamps a scatter-gather response: X-Dataset-Version is the
-// max surviving shard version, X-Shard-Versions the per-shard version
-// vector (multi-shard fabrics only), and X-Partial: true when any shard's
-// part is missing — the explicit partial-result contract.
-func (s *Server) stampPartial(w http.ResponseWriter, idxs []int, versions []uint64, errs []error) {
-	partial := false
-	var v uint64
-	for k, err := range errs {
-		if err == nil {
-			v = max(v, versions[k])
-		} else {
-			partial = true
-		}
-	}
-	w.Header().Set("X-Dataset-Version", strconv.FormatUint(v, 10))
-	if s.fabric.n() > 1 {
-		w.Header().Set("X-Shard-Versions", s.fabric.versionVector(idxs, versions, errs))
-	}
-	if partial {
-		w.Header().Set("X-Partial", "true")
-		s.metrics.partial.Add(1)
-	}
 }
 
 // proportionJSON is a stats.Proportion with its CI on the wire.
@@ -941,241 +879,62 @@ type condProbJSON struct {
 	Significant    bool           `json:"significant_5pct"`
 }
 
+// condProbRoute serves /v1/condprob. A shard's part is its partition's raw
+// CondResult: integer success/trial counts merge exactly into the union's
+// statistics (analysis.MergeCondResults), rendered statistics do not.
+var condProbRoute = analysisRoute[condProbQuery, analysis.CondResult, condProbJSON]{
+	name: "condprob",
+	part: func(ctx context.Context, _ *shard, snap *store.Snapshot, q condProbQuery) (analysis.CondResult, uint64, error) {
+		anchor, target, err := q.preds()
+		if err != nil {
+			return analysis.CondResult{}, 0, err
+		}
+		ds := snap.Dataset()
+		systems := ds.Systems
+		switch q.group {
+		case 1:
+			systems = ds.GroupSystems(trace.Group1)
+		case 2:
+			systems = ds.GroupSystems(trace.Group2)
+		}
+		res, err := snap.Analyzer().CondProbCtx(ctx, systems, anchor, target, q.window, q.scope)
+		return res, snap.Version(), err
+	},
+	render: func(q condProbQuery, version uint64, parts []analysis.CondResult) condProbJSON {
+		res := analysis.MergeCondResults(q.window, q.scope, parts)
+		return condProbJSON{
+			Anchor:         q.anchor,
+			Target:         q.target,
+			Window:         trace.WindowName(q.window),
+			Scope:          q.scope.String(),
+			Group:          q.group,
+			DatasetVersion: version,
+			Conditional:    proportionOf(res.Conditional, res.CondCI),
+			Baseline:       proportionOf(res.Baseline, res.BaseCI),
+			Factor:         finite(res.Factor()),
+			FactorLo:       finite(res.FactorCI.Lo),
+			FactorHi:       finite(res.FactorCI.Hi),
+			PValue:         finite(res.Test.P),
+			Significant:    res.Significant(0.05),
+		}
+	},
+}
+
 func (s *Server) handleCondProb(w http.ResponseWriter, r *http.Request) {
 	q, err := parseCondProbQuery(r.URL.RawQuery)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	f := s.fabric
-	if f.n() == 1 {
-		s.condProbSingle(w, r, q, 0)
-		return
-	}
-	w.Header().Set("X-Dataset-Version", strconv.FormatUint(f.maxVersion(), 10))
-	involved := f.involvedShards(q.group)
-	switch len(involved) {
-	case 0:
-		// The scope matches no system on any shard; the answer is the empty
-		// result, same as one analyzer over zero systems would produce.
-		s.writeJSON(w, http.StatusOK, s.condProbResponse(q, f.maxVersion(), analysis.MergeCondResults(q.window, q.scope, nil)))
-	case 1:
-		s.condProbSingle(w, r, q, involved[0])
-	default:
-		s.condProbScatter(w, r, q, involved)
-	}
+	serveQuery(s, w, r, &condProbRoute, q, s.fabric.involvedShards(q.group))
 }
 
-// condProbSingle answers a conditional-probability query entirely from one
-// shard — the single-shard server's whole path, and the fast path when the
-// scoped systems all live in one fault domain. Results are cached as
-// rendered responses; only cache misses consult the shard's breaker.
-func (s *Server) condProbSingle(w http.ResponseWriter, r *http.Request, q condProbQuery, idx int) {
-	f := s.fabric
-	if st := f.sup.State(idx); st != store.ShardReady {
-		s.shardUnavailable(w, fmt.Errorf("%w: shard %d %s", errShardDown, idx, st))
-		return
-	}
-	sh := f.shards[idx]
-	st, _, _ := sh.view()
-	// Pin one snapshot for the whole request and key the cache by shard,
-	// promotion generation and version: an append in flight cannot tear
-	// this answer, a cached result computed over an older dataset version
-	// can never be served for a newer one, and a result computed against a
-	// dead leader dies with it.
-	snap := st.Snapshot()
-	w.Header().Set("X-Dataset-Version", strconv.FormatUint(snap.Version(), 10))
-	key := fmt.Sprintf("s%d.g%d.v%d|%s", idx, sh.gen.Load(), snap.Version(), q.Key())
-	// Cached answers flow regardless of breaker state: the pinned snapshot
-	// is immutable, so a cached result is correct even while compute is
-	// degraded. Only a cache miss consults the breaker — a hit must never
-	// consume the half-open trial slot (nothing would report back and the
-	// breaker would wedge half-open).
-	if val, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-		if open, _ := sh.breaker.snapshot(); open {
-			s.metrics.degraded.Add(1)
-			w.Header().Set("X-Degraded", "cache-only")
-		}
-		s.writeJSON(w, http.StatusOK, val)
-		return
-	}
-	// While the circuit is open, compute is off-limits: shed cache misses
-	// with 503 instead of piling onto a struggling compute pool.
-	if !sh.breaker.allow() {
-		s.metrics.degraded.Add(1)
-		w.Header().Set("Retry-After", retryAfter)
-		w.Header().Set("X-Degraded", "circuit-open")
-		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("condprob compute circuit open"))
-		return
-	}
-	// Compute under the server lifecycle context, not the request context:
-	// the result is shared with concurrent identical requests and cached,
-	// so one caller hanging up must not poison it. The request's own
-	// timeout still applies to the wait below.
-	computed := false
-	val, oc, err := s.cache.Do(key, func() (any, error) {
-		computed = true
-		ctx, cancel := context.WithTimeout(s.base, s.timeout)
-		defer cancel()
-		return s.computeCondProb(ctx, snap, q)
-	})
-	switch oc {
-	case outcomeHit:
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-	case outcomeShared:
-		s.metrics.cacheMisses.Add(1)
-		s.metrics.shared.Add(1)
-		w.Header().Set("X-Cache", "SHARED")
-	default:
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("X-Cache", "MISS")
-	}
-	if computed {
-		// Only actual compute attempts feed the breaker; a bad request
-		// never reaches here, and shared waiters would double-count.
-		sh.breaker.report(err == nil)
-	}
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			code = http.StatusServiceUnavailable
-		}
-		s.writeError(w, code, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, val)
-}
-
-// condProbScatter answers a conditional-probability query whose scope spans
-// several shards: each involved shard computes (or serves from cache) its
-// partition's integer success/trial counts, and the parts merge into the
-// union's exact statistics (analysis.MergeCondResults). Per-shard parts are
-// cached and breaker-gated independently, so one struggling shard degrades
-// the answer to a partial instead of failing it.
-func (s *Server) condProbScatter(w http.ResponseWriter, r *http.Request, q condProbQuery, involved []int) {
-	f := s.fabric
-	versions := make([]uint64, len(involved))
-	hits := make([]bool, len(involved))
-	parts, errs := scatterShards(r.Context(), f, involved, func(k, i int, st *store.Store, eng *risk.Engine) (analysis.CondResult, error) {
-		sh := f.shards[i]
-		snap := st.Snapshot()
-		versions[k] = snap.Version()
-		key := fmt.Sprintf("part|s%d.g%d.v%d|%s", i, sh.gen.Load(), snap.Version(), q.Key())
-		if val, ok := s.cache.Get(key); ok {
-			hits[k] = true
-			return val.(analysis.CondResult), nil
-		}
-		if !sh.breaker.allow() {
-			return analysis.CondResult{}, fmt.Errorf("shard %d condprob circuit open", i)
-		}
-		computed := false
-		val, _, err := s.cache.Do(key, func() (any, error) {
-			computed = true
-			ctx, cancel := context.WithTimeout(s.base, s.timeout)
-			defer cancel()
-			return s.computeCondPart(ctx, snap, q)
-		})
-		if computed {
-			sh.breaker.report(err == nil)
-		}
-		if err != nil {
-			return analysis.CondResult{}, err
-		}
-		return val.(analysis.CondResult), nil
-	})
-	var ok []analysis.CondResult
-	allHit := true
-	for k, err := range errs {
-		if err != nil {
-			continue
-		}
-		ok = append(ok, parts[k])
-		if !hits[k] {
-			allHit = false
-		}
-	}
-	if len(ok) == 0 {
-		s.shardUnavailable(w, fmt.Errorf("no shard available for condprob"))
-		return
-	}
-	if allHit {
-		s.metrics.cacheHits.Add(1)
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("X-Cache", "MISS")
-	}
-	s.stampPartial(w, involved, versions, errs)
-	var version uint64
-	for k, err := range errs {
-		if err == nil {
-			version = max(version, versions[k])
-		}
-	}
-	s.writeJSON(w, http.StatusOK, s.condProbResponse(q, version, analysis.MergeCondResults(q.window, q.scope, ok)))
-}
-
-// computeCondPart runs the actual analysis for one canonical query over one
-// pinned snapshot — the dataset and its indexes cannot change underneath
-// it. The raw CondResult is what crosses shard boundaries: integer counts
-// merge exactly, rendered statistics do not.
-func (s *Server) computeCondPart(ctx context.Context, snap *store.Snapshot, q condProbQuery) (analysis.CondResult, error) {
-	anchor, target, err := q.preds()
-	if err != nil {
-		return analysis.CondResult{}, err
-	}
-	ds := snap.Dataset()
-	systems := ds.Systems
-	switch q.group {
-	case 1:
-		systems = ds.GroupSystems(trace.Group1)
-	case 2:
-		systems = ds.GroupSystems(trace.Group2)
-	}
-	// Admission through the shared analysis pool bounds how many kernel
-	// computations run at once when many distinct queries miss the cache
-	// together.
-	var res analysis.CondResult
-	err = analysis.Shared().Do(ctx, func() error {
-		var cerr error
-		res, cerr = snap.Analyzer().CondProbCtx(ctx, systems, anchor, target, q.window, q.scope)
-		return cerr
-	})
-	if err != nil {
-		return analysis.CondResult{}, err
-	}
-	return res, nil
-}
-
-// condProbResponse renders a (possibly merged) CondResult as the wire body.
-func (s *Server) condProbResponse(q condProbQuery, version uint64, res analysis.CondResult) condProbJSON {
-	return condProbJSON{
-		Anchor:         q.anchor,
-		Target:         q.target,
-		Window:         trace.WindowName(q.window),
-		Scope:          q.scope.String(),
-		Group:          q.group,
-		DatasetVersion: version,
-		Conditional:    proportionOf(res.Conditional, res.CondCI),
-		Baseline:       proportionOf(res.Baseline, res.BaseCI),
-		Factor:         finite(res.Factor()),
-		FactorLo:       finite(res.FactorCI.Lo),
-		FactorHi:       finite(res.FactorCI.Hi),
-		PValue:         finite(res.Test.P),
-		Significant:    res.Significant(0.05),
-	}
-}
-
-// computeCondProb is the single-shard compute: one part, rendered.
-func (s *Server) computeCondProb(ctx context.Context, snap *store.Snapshot, q condProbQuery) (condProbJSON, error) {
-	res, err := s.computeCondPart(ctx, snap, q)
-	if err != nil {
-		return condProbJSON{}, err
-	}
-	return s.condProbResponse(q, snap.Version(), res), nil
+// condProbValue answers q as a value through the strict executor — the
+// comparative endpoints' guarantee that each side matches the standalone
+// /v1/condprob answer rests on sharing this one path.
+func (s *Server) condProbValue(ctx context.Context, q condProbQuery) (condProbJSON, error) {
+	res := runQuery(ctx, s, &condProbRoute, q, s.fabric.involvedShards(q.group), true)
+	return res.body, res.err
 }
 
 // eventJSON is one failure event on the wire.

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,8 +161,12 @@ func (f *fabric) ownerOf(systemID int) (int, bool) {
 // involvedShards lists the shards owning at least one system in the query
 // scope (0 = all systems, 1/2 = the architecture groups), ascending. Group
 // membership is fixed at boot, so the fleet catalog answers without
-// touching any shard.
+// touching any shard. A single-shard fabric always answers from its one
+// shard, even for a group with no systems.
 func (f *fabric) involvedShards(group int) []int {
+	if f.n() == 1 {
+		return []int{0}
+	}
 	mark := make([]bool, f.n())
 	for _, sys := range f.fleet {
 		switch group {
@@ -187,6 +190,15 @@ func (f *fabric) involvedShards(group int) []int {
 		}
 	}
 	return idxs
+}
+
+// systemShards lists the shards a query scoped by an optional system
+// involves: the owner alone, or (0 = all systems) every shard.
+func (f *fabric) systemShards(system int) []int {
+	if system != 0 {
+		return []int{f.owner[system]}
+	}
+	return f.allShards()
 }
 
 // fleetSystem resolves a system ID against the fleet catalog.
@@ -539,57 +551,6 @@ func (f *fabric) allShards() []int {
 	return idxs
 }
 
-// scatterShards fans fn out to the given shards with per-shard deadlines,
-// returning result and error slices parallel to idxs (fn receives both the
-// slot k and the shard index i). A down, slow or panicking shard yields its
-// error slot; survivors still return results — the handler decides whether
-// that is a partial answer or a failure.
-func scatterShards[T any](ctx context.Context, f *fabric, idxs []int, fn func(k, i int, st *store.Store, eng *risk.Engine) (T, error)) ([]T, []error) {
-	parts := make([]T, len(idxs))
-	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for k, i := range idxs {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, f.deadline)
-			defer cancel()
-			errs[k] = f.call(sctx, i, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
-				v, err := fn(k, i, st, eng)
-				if err != nil {
-					return err
-				}
-				parts[k] = v
-				return nil
-			})
-		}(k, i)
-	}
-	wg.Wait()
-	return parts, errs
-}
-
-// versionVector renders the per-shard version vector a partial-capable
-// response carries: "0:12,1:down,2:9" pairs shard index with the dataset
-// version its part was computed at, or the reason it is missing.
-func (f *fabric) versionVector(idxs []int, versions []uint64, errs []error) string {
-	var b strings.Builder
-	for k, i := range idxs {
-		if k > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d:", i)
-		switch {
-		case errs[k] == nil:
-			fmt.Fprintf(&b, "%d", versions[k])
-		case errors.Is(errs[k], errShardSlow):
-			b.WriteString("slow")
-		default:
-			b.WriteString("down")
-		}
-	}
-	return b.String()
-}
-
 // shardStatus is one shard's row in the /readyz body.
 type shardStatus struct {
 	Shard   int    `json:"shard"`
@@ -682,17 +643,6 @@ func (s *Server) CatchupStandbys() { s.fabric.catchupStandbys() }
 // SuperviseTick runs one supervision round (heartbeats, expiry, catchup,
 // auto-failover) synchronously.
 func (s *Server) SuperviseTick(ctx context.Context) { s.fabric.tick(ctx) }
-
-// shardVersions reads each listed shard's current dataset version (only
-// meaningful for slots whose scatter succeeded).
-func (f *fabric) shardVersions(idxs []int) []uint64 {
-	out := make([]uint64, len(idxs))
-	for k, i := range idxs {
-		st, _, _ := f.shards[i].view()
-		out[k] = st.Snapshot().Version()
-	}
-	return out
-}
 
 // fleetCopy deep-copies a system catalog, sorted ascending by ID.
 func fleetCopy(systems []trace.SystemInfo) []trace.SystemInfo {
