@@ -138,6 +138,7 @@ func run(args []string) (err error) {
 	b.kernelBenches(a, ds)
 	b.indexAppendBench(ds)
 	b.correlateMineBench(ds)
+	b.anomaliesBench(a)
 	b.macroBenches(a, ds)
 	if !*quick {
 		b.endToEnd(ds)
@@ -393,6 +394,17 @@ func (b *bencher) correlateMineBench(ds *trace.Dataset) {
 	)
 }
 
+// anomaliesBench pits the vicinity detector — position classes and racks
+// sorted once per system, median and MAD selected by rank — against the
+// frozen reference that walks the layout and sorts twice per node, both
+// ranking the whole fleet for the top 10.
+func (b *bencher) anomaliesBench(a *analysis.Analyzer) {
+	b.pair("anomalies/fleet-k10",
+		func() { correlate.DetectAnomalies(a, nil, 10) },
+		func() { correlate.DetectAnomaliesNaive(a, nil, 10) },
+	)
+}
+
 // tailBatches builds chainLen single-system batches of batchSize events
 // starting one second past the dataset's end — one system per batch
 // because failure bursts cluster on a machine, and the journal's live path
@@ -613,10 +625,13 @@ func printTable(w io.Writer, rep *Report) {
 // ~100-200x at scale 1; the floor leaves headroom for noisy CI hosts).
 // correlate-mine folds a 64-event batch into standing pair counts instead
 // of re-scanning every event window; measured ~35x in quick mode with the
-// chain restarts billed in.
+// chain restarts billed in. anomalies/fleet-k10 sorts each system's
+// position classes once instead of walking the layout and sorting twice per
+// node; measured ~14x at scale 1.
 var speedupFloors = map[string]float64{
 	"index-append/batch-64":   25,
 	"correlate-mine/batch-64": 10,
+	"anomalies/fleet-k10":     5,
 }
 
 // checkSpeedups fails when any indexed kernel lost its edge over the naive
@@ -644,8 +659,11 @@ func checkSpeedups(rep *Report, min float64) error {
 // ns/op gate. risk/topk-10 ranks every node on a scalar risk and builds
 // full scores only for the 10 it returns: 71 allocs/op at scale 1, down
 // from 21,034 when every node of every active system was materialized.
+// The vicinity detector reuses one set of per-system buffers and allocates
+// nothing per node: 147 allocs/op at scale 1, down from 46,774.
 var allocCeilings = map[string]float64{
-	"risk/topk-10": 500,
+	"risk/topk-10":                500,
+	"anomalies/fleet-k10/indexed": 1000,
 }
 
 // checkRegression compares this run's kernel benches against a committed

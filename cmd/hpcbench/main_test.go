@@ -115,6 +115,10 @@ func TestCheckRegression(t *testing.T) {
 	if err := checkRegression(fat, path, 0.25); err == nil {
 		t.Error("risk/topk-10 over its alloc ceiling must fail")
 	}
+	perNode := reportOf([]BenchResult{kernel, {Name: "anomalies/fleet-k10/indexed", Group: "kernel", AllocsPerOp: 46774}}, nil)
+	if err := checkRegression(perNode, path, 0.25); err == nil {
+		t.Error("anomalies/fleet-k10/indexed over its alloc ceiling must fail")
+	}
 }
 
 func TestCheckSpeedups(t *testing.T) {

@@ -23,7 +23,10 @@
 // The vicinity anomaly detector (DetectAnomalies) scores each node's
 // failure behavior — rate, category mix, burstiness — against its physical
 // vicinity (rack-mates plus position peers from internal/layout), flagging
-// nodes whose behavior deviates robustly from their neighbors'.
+// nodes whose behavior deviates robustly from their neighbors'. It sorts
+// each system's position classes once and selects every node's median and
+// MAD by rank; DetectAnomaliesNaive, which materializes and sorts every
+// node's vicinity, is the frozen reference it is pinned to bit for bit.
 package correlate
 
 import (

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcfail/hpcfail/internal/layout"
 	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
@@ -167,6 +168,69 @@ func TestAnomaliesEndpoint(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/anomalies?k=0", http.StatusBadRequest, nil)
 	getJSON(t, ts.URL+"/v1/anomalies?system=9", http.StatusBadRequest, nil)
 	getJSON(t, ts.URL+"/v1/anomalies?bogus=1", http.StatusBadRequest, nil)
+}
+
+// TestAnomaliesLayoutOutOfRange pins that layout rows naming nodes outside
+// [0, Nodes) — which trace.ReadLayout accepts — are left out of every
+// vicinity instead of crashing the read. On one store and on a 3-shard
+// fleet, /v1/anomalies answers 200 without X-Partial, byte-identical to a
+// twin whose layouts never had the stray rows, and /readyz stays 200.
+func TestAnomaliesLayoutOutOfRange(t *testing.T) {
+	stray := func(ds *trace.Dataset) *trace.Dataset {
+		for id, lay := range ds.Layouts {
+			info, _ := ds.System(id)
+			_ = lay.SetPlace(info.Nodes, layout.Place{Rack: 0, Position: 1})
+			_ = lay.SetPlace(-1, layout.Place{Rack: 1, Position: 2})
+		}
+		return ds
+	}
+	serve := func(cfg Config) *httptest.Server {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	now := func() time.Time { return day(100) }
+	quiet := func(string, ...any) {}
+	for _, c := range []struct {
+		name        string
+		stray, twin Config
+		queries     []string
+	}{
+		{
+			"single",
+			Config{Dataset: stray(testDS()), Window: trace.Day, Now: now},
+			Config{Dataset: testDS(), Window: trace.Day, Now: now},
+			[]string{"/v1/anomalies", "/v1/anomalies?system=1&k=2"},
+		},
+		{
+			"3-shards",
+			Config{Dataset: stray(fleetDS()), Window: trace.Day, Now: now, Shards: 3, Logf: quiet},
+			Config{Dataset: fleetDS(), Window: trace.Day, Now: now, Shards: 3, Logf: quiet},
+			[]string{"/v1/anomalies", "/v1/anomalies?system=4&k=3", "/v1/anomalies?k=7"},
+		},
+	} {
+		ts, twin := serve(c.stray), serve(c.twin)
+		for _, q := range c.queries {
+			resp, body := getRaw(t, ts.URL+q)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s = %d; body: %s", c.name, q, resp.StatusCode, body)
+			}
+			if p := resp.Header.Get("X-Partial"); p != "" {
+				t.Fatalf("%s %s: X-Partial = %q on a healthy fleet", c.name, q, p)
+			}
+			_, twinBody := getRaw(t, twin.URL+q)
+			if !bytes.Equal(body, twinBody) {
+				t.Fatalf("%s %s: stray layout rows changed the answer:\n%s\n%s", c.name, q, body, twinBody)
+			}
+		}
+		if resp, body := getRaw(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: readyz = %d after anomalies reads; body: %s", c.name, resp.StatusCode, body)
+		}
+	}
 }
 
 // TestCorrelationsScatterMatchesSingle pins the scatter-gather merge
