@@ -527,26 +527,13 @@ func (b *bencher) serveIngestBench(ds *trace.Dataset) error {
 	}
 	for _, c := range configs {
 		cfg := server.Config{Dataset: ds}
-		var journal *risk.Journal
 		if c.wal {
 			dir, err := os.MkdirTemp("", "hpcbench-wal-*")
 			if err != nil {
 				return err
 			}
 			defer os.RemoveAll(dir)
-			engine, err := risk.FromDataset(ds, trace.Day)
-			if err != nil {
-				return err
-			}
-			journal, _, err = risk.OpenJournal(risk.JournalConfig{
-				Engine: engine,
-				WAL:    wal.Options{Dir: dir, Policy: c.policy},
-			})
-			if err != nil {
-				return err
-			}
-			cfg.Engine = engine
-			cfg.Journal = journal
+			cfg.ShardWAL = wal.Options{Dir: dir, Policy: c.policy}
 		}
 		srv, err := server.New(cfg)
 		if err != nil {
@@ -571,9 +558,7 @@ func (b *bencher) serveIngestBench(ds *trace.Dataset) error {
 			}
 		})
 		ts.Close()
-		if journal != nil {
-			journal.Close()
-		}
+		srv.Close()
 		if reqErr != nil {
 			return reqErr
 		}

@@ -52,7 +52,6 @@ import (
 	"github.com/hpcfail/hpcfail/internal/client"
 	"github.com/hpcfail/hpcfail/internal/replay"
 	"github.com/hpcfail/hpcfail/internal/server"
-	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
@@ -159,14 +158,8 @@ func run(args []string) error {
 		baseURL = "http://" + ln.Addr().String()
 		sctx, cancel := context.WithCancel(context.Background())
 		srvCancel = cancel
-		st, err := store.New(sched.BootDataset())
-		if err != nil {
-			ln.Close()
-			cancel()
-			return err
-		}
 		srvDone = make(chan error, 1)
-		scfg := server.Config{Store: st, Window: trace.Day, Logf: logf}
+		scfg := server.Config{Dataset: sched.BootDataset(), Window: trace.Day, Logf: logf}
 		go func() { srvDone <- server.ServeListener(sctx, ln, scfg) }()
 		logf("in-process hpcserve on %s", baseURL)
 	}

@@ -24,7 +24,9 @@
 //
 // With -shards N, the fleet is split into N supervised fault domains by
 // consistent hashing on system ID; each shard has its own store, engine and
-// (under -wal) WAL segment tree at <dir>/shard-NNN. Cross-system queries
+// (under -wal) WAL segment tree at <dir>/shard-NNN. The default -shards 0
+// is the same server with one shard whose WAL segments and snapshot sit
+// directly in <dir>, the layout from before sharding. Cross-system queries
 // scatter-gather with per-shard deadlines and answer partially (X-Partial:
 // true) when a shard is down. With -standby, every shard's WAL is tailed by
 // a warm standby that the supervisor promotes automatically when the shard
@@ -36,8 +38,8 @@
 // -chaos-kill-shard, one shard is killed after -chaos-kill-after to
 // exercise failover end to end.
 //
-// A SIGINT or SIGTERM drains in-flight requests, syncs the WAL, and
-// exits 0.
+// A SIGINT or SIGTERM drains in-flight requests, syncs and closes every
+// WAL, and exits 0.
 //
 // Endpoints (see internal/server):
 //
@@ -68,9 +70,7 @@ import (
 	"github.com/hpcfail/hpcfail/internal/cli"
 	"github.com/hpcfail/hpcfail/internal/faultinject"
 	"github.com/hpcfail/hpcfail/internal/iofault"
-	"github.com/hpcfail/hpcfail/internal/risk"
 	"github.com/hpcfail/hpcfail/internal/server"
-	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/trace"
 	"github.com/hpcfail/hpcfail/internal/wal"
 )
@@ -177,92 +177,35 @@ func run(args []string) error {
 		})
 		logf("hpcserve: WAL fault injection armed (enospc after %d bytes, clear file %q)", *faultENOSPC, *faultClear)
 	}
-	var snapPolicy checkpoint.Policy
-	if *snapEvery > 0 {
-		snapPolicy = checkpoint.Fixed{Every: *snapEvery}
-	}
-
-	if *shards >= 1 {
-		// Sharded mode: the server partitions the dataset and builds each
-		// shard's store, engine and (under -wal) journal itself; the WAL root
-		// holds one shard-NNN segment tree per fault domain.
-		cfg.Dataset = ds
-		cfg.Shards = *shards
-		if *walDir != "" {
-			policy, err := wal.ParseSyncPolicy(*walFsync)
-			if err != nil {
-				return cli.Usagef("%v", err)
-			}
-			cfg.ShardWAL = wal.Options{
-				Dir:      *walDir,
-				Policy:   policy,
-				Interval: *walFsyncEvery,
-				FS:       walFS,
-			}
-			cfg.SnapshotPolicy = snapPolicy
-			cfg.Standby = *standby
-		}
-	} else {
-		// One versioned store owns the canonical event log: the server
-		// answers condprob from its snapshots, and (under -wal) the journal
-		// applies recovered and live events to it.
-		st, err := store.New(ds)
-		if err != nil {
-			return err
-		}
-		cfg.Store = st
-
-		if *walDir != "" {
-			policy, err := wal.ParseSyncPolicy(*walFsync)
-			if err != nil {
-				return cli.Usagef("%v", err)
-			}
-			engine, err := risk.FromAnalyzer(st.Snapshot().Analyzer(), *window)
-			if err != nil {
-				return err
-			}
-			jcfg := risk.JournalConfig{
-				Engine: engine,
-				WAL: wal.Options{
-					Dir:      *walDir,
-					Policy:   policy,
-					Interval: *walFsyncEvery,
-				},
-				SnapshotPolicy: snapPolicy,
-				FS:             walFS,
-			}
-			if *liveIngest {
-				jcfg.Store = st
-			}
-			journal, stats, err := risk.OpenJournal(jcfg)
-			if err != nil {
-				return err
-			}
-			defer journal.Close()
-			logf("hpcserve: wal %s: snapshot=%v (%d events), replayed %d, skipped %d, store-applied %d (dataset v%d)",
-				*walDir, stats.SnapshotLoaded, stats.SnapshotEvents, stats.Replayed, stats.Skipped,
-				stats.StoreApplied, st.Version())
-			cfg.Engine = engine
-			cfg.Journal = journal
-		}
-	}
-
-	// Named datasets (the multi-tenant registry) persist under the WAL root:
-	// <dir>/<name>/tenant.json next to that tenant's shard-NNN WAL trees.
-	// Without -wal they are memory-only. The registry ignores the default
-	// tenant's own shard-NNN dirs and segment files sharing the root.
+	// The server partitions the dataset and builds each shard's store,
+	// engine and (under -wal) journal itself. -shards 0 is one shard whose
+	// WAL and snapshot sit directly in the -wal dir; -shards N keeps one
+	// shard-NNN segment tree per fault domain there.
+	cfg.Dataset = ds
+	cfg.Shards = *shards
 	cfg.AdminToken = *adminToken
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walFsync)
 		if err != nil {
 			return cli.Usagef("%v", err)
 		}
-		cfg.TenantRoot = *walDir
-		cfg.TenantWAL = wal.Options{
+		cfg.ShardWAL = wal.Options{
+			Dir:      *walDir,
 			Policy:   policy,
 			Interval: *walFsyncEvery,
 			FS:       walFS,
 		}
+		if *snapEvery > 0 {
+			cfg.SnapshotPolicy = checkpoint.Fixed{Every: *snapEvery}
+		}
+		cfg.Standby = *standby
+		// Named datasets (the multi-tenant registry) persist under the WAL
+		// root: <dir>/<name>/tenant.json next to that tenant's shard-NNN WAL
+		// trees. Without -wal they are memory-only. The registry ignores the
+		// default tenant's own shard-NNN dirs and segment files sharing the
+		// root.
+		cfg.TenantRoot = *walDir
+		cfg.TenantWAL = cfg.ShardWAL
 	}
 
 	if *chaosSeed != 0 {

@@ -398,7 +398,8 @@ type (
 	// JournalConfig assembles a Journal around a RiskEngine.
 	JournalConfig = risk.JournalConfig
 	// Journal is the durable ingest path: WAL-first observation with
-	// periodic engine snapshots; pass it to ServerConfig.Journal.
+	// periodic engine snapshots. A server opens its own journals from
+	// ServerConfig.ShardWAL.
 	Journal = risk.Journal
 	// RecoveryStats reports what OpenJournal reconstructed on startup.
 	RecoveryStats = risk.RecoveryStats
@@ -421,9 +422,9 @@ func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 // Versioned-store re-exports: the copy-on-write dataset store that unifies
 // batch and online analysis (see internal/store). Readers pin an immutable
 // DatasetSnapshot (dataset + incrementally-maintained analyzer + monotonic
-// version) while writers append event batches; ServerConfig.Store and
-// JournalConfig.Store accept a shared DatasetStore so live ingest and WAL
-// recovery advance the analysis dataset the server answers from.
+// version) while writers append event batches; JournalConfig.Store accepts
+// a shared DatasetStore so live ingest and WAL recovery advance one
+// analysis dataset.
 type (
 	// DatasetStore is the versioned, copy-on-write owner of a canonical
 	// event log.

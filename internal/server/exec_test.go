@@ -58,6 +58,7 @@ func TestRouteContract(t *testing.T) {
 		scoped bool
 	}{
 		{"n=1", 0, false},
+		{"n=1 shard-000", 1, false},
 		{"fleet-wide", 3, false},
 		{"one-shard", 3, true},
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/hpcfail/hpcfail/internal/iofault"
-	"github.com/hpcfail/hpcfail/internal/risk"
 	"github.com/hpcfail/hpcfail/internal/trace"
 	"github.com/hpcfail/hpcfail/internal/wal"
 )
@@ -17,32 +16,19 @@ import (
 // is deterministic in-process.
 func newReadOnlyTestServer(t *testing.T) (*httptest.Server, *iofault.Inject) {
 	t.Helper()
-	ds := testDS()
-	engine, err := risk.FromDataset(ds, trace.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inj := iofault.NewInject(iofault.Disk, iofault.InjectSpec{})
-	j, _, err := risk.OpenJournal(risk.JournalConfig{
-		Engine: engine,
-		WAL:    wal.Options{Dir: t.TempDir()},
-		FS:     inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
 	clock := &fakeClock{t: day(100)}
 	s, err := New(Config{
-		Dataset:            ds,
+		Dataset:            testDS(),
 		Window:             trace.Day,
-		Journal:            j,
+		ShardWAL:           wal.Options{Dir: t.TempDir(), FS: inj},
 		Now:                clock.Now,
 		SpaceProbeInterval: -1, // probe on every gated attempt
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts, inj

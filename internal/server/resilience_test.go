@@ -16,7 +16,6 @@ import (
 
 	"github.com/hpcfail/hpcfail/internal/checkpoint"
 	"github.com/hpcfail/hpcfail/internal/faultinject"
-	"github.com/hpcfail/hpcfail/internal/risk"
 	"github.com/hpcfail/hpcfail/internal/trace"
 	"github.com/hpcfail/hpcfail/internal/wal"
 )
@@ -337,23 +336,12 @@ func TestIdempotencyConcurrentDuplicates(t *testing.T) {
 // — a retry must replay the 500, not re-ingest events from earlier in the
 // batch that are already durable and observed.
 func TestAppendFailureRecordedUnderKey(t *testing.T) {
-	ds := testDS()
-	engine, err := risk.FromDataset(ds, trace.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, _, err := risk.OpenJournal(risk.JournalConfig{
-		Engine: engine,
-		WAL:    wal.Options{Dir: t.TempDir()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	clock := &fakeClock{t: day(100)}
-	s, err := New(Config{Dataset: ds, Window: trace.Day, Journal: j, Now: clock.Now})
+	s, err := New(Config{Dataset: testDS(), Window: trace.Day, ShardWAL: wal.Options{Dir: t.TempDir()}, Now: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _, j := s.fabric.shards[0].view()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -511,27 +499,19 @@ func TestServerJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clock := &fakeClock{t: day(100)}
 
-	openServer := func() (*httptest.Server, *risk.Journal) {
+	openServer := func() (*httptest.Server, *Server) {
 		t.Helper()
-		ds := testDS()
-		engine, err := risk.FromDataset(ds, trace.Day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, _, err := risk.OpenJournal(risk.JournalConfig{
-			Engine:         engine,
-			WAL:            wal.Options{Dir: dir, Policy: wal.SyncAlways},
+		s, err := New(Config{
+			Dataset:        testDS(),
+			Window:         trace.Day,
+			ShardWAL:       wal.Options{Dir: dir, Policy: wal.SyncAlways},
 			SnapshotPolicy: checkpoint.Fixed{Every: time.Hour},
 			Now:            clock.Now,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Dataset: ds, Window: trace.Day, Journal: j, Now: clock.Now})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return httptest.NewServer(s.Handler()), j
+		return httptest.NewServer(s.Handler()), s
 	}
 
 	// Uninterrupted twin: plain in-memory server fed the same events.
@@ -554,9 +534,9 @@ func TestServerJournalRecovery(t *testing.T) {
 	}
 	ts1.Close() // closes the HTTP listener; the journal is simply dropped
 
-	ts2, j2 := openServer()
+	ts2, s2 := openServer()
 	defer ts2.Close()
-	defer j2.Close()
+	defer s2.Close()
 
 	get := func(ts *httptest.Server, path string) string {
 		resp, err := http.Get(ts.URL + path)
@@ -688,21 +668,7 @@ func TestShutdownJoinsHandlersUnderChaos(t *testing.T) {
 // path — the final WAL sync must not race in-flight appends.
 func TestShutdownJoinsJournaledHandlers(t *testing.T) {
 	dir := t.TempDir()
-	ds := testDS()
-	engine, err := risk.FromDataset(ds, trace.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, _, err := risk.OpenJournal(risk.JournalConfig{
-		Engine: engine,
-		WAL:    wal.Options{Dir: dir, Policy: wal.SyncInterval},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
 	testLeakUnderLoad(t, func(cfg *Config) {
-		cfg.Dataset = ds
-		cfg.Journal = j
+		cfg.ShardWAL = wal.Options{Dir: dir, Policy: wal.SyncInterval}
 	})
 }

@@ -35,7 +35,7 @@
 // circuit breaker (degrading to cached answers when compute keeps
 // failing), and scatter-gathers across shards. Every request runs under a
 // timeout and per-route admission control (overload is shed with 429 +
-// Retry-After). With a risk.Journal configured, POST /v1/events is
+// Retry-After). With Config.ShardWAL.Dir set, POST /v1/events is
 // write-ahead logged so acked events survive a crash, and
 // X-Idempotency-Key makes retries safe. Serve shuts down gracefully when
 // its context is cancelled, joining in-flight handlers before tearing down
@@ -70,29 +70,28 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Dataset is the in-memory dataset the server answers from; the server
-	// wraps it in a private versioned store. Required unless Store is set.
+	// Dataset is the in-memory dataset the server answers from. The server
+	// partitions it into per-shard versioned stores; a one-shard server
+	// takes it over without a copy, so callers must not reuse it for a
+	// second server. Required unless Store is set.
 	Dataset *trace.Dataset
-	// Store, when set, is the versioned dataset store the server resolves
-	// requests against, and Dataset is ignored. Pass the same store the
-	// journal applies events to so batch history and live ingest share one
-	// canonical event log.
-	Store *store.Store
-	// FrozenDataset stops POST /v1/events from advancing the server's own
-	// store: accepted events still feed the risk engine, but condprob
-	// answers stay pinned to the boot dataset. A journal that owns the
-	// store keeps advancing it regardless.
+	// FrozenDataset stops POST /v1/events from advancing the server's
+	// stores: accepted events still feed the risk engines (and WALs), but
+	// analysis answers stay pinned to the boot dataset.
 	FrozenDataset bool
 	// Window is the risk engine's sliding window (and the lift table's
-	// look-ahead). Defaults to one day. Ignored when Engine is set.
+	// look-ahead). Defaults to one day.
 	Window time.Duration
-	// Engine overrides the engine built from Dataset/Window — pass one to
-	// reuse a pre-built lift table.
-	Engine *risk.Engine
-	// Journal, when set, makes ingestion durable: POST /v1/events appends
-	// to its write-ahead log before the engine observes anything, and the
-	// serve loop drives its fsync/snapshot maintenance. The journal must
-	// wrap the same engine the server scores with.
+	// Store, Engine and Journal adopt caller-built components as the one
+	// shard of a Shards <= 1 server, in place of the store, engine and
+	// journal it would build from Dataset, Window and ShardWAL; the server
+	// then owns them and Close closes the journal. Unless FrozenDataset is
+	// set, the journal must apply its events to the store.
+	//
+	// Deprecated: set Dataset and ShardWAL instead. Only the benchmark's
+	// in-process server (bench/layers.go) still uses these.
+	Store   *store.Store
+	Engine  *risk.Engine
 	Journal *risk.Journal
 	// CorrelationWindows are the time windows the per-shard correlation-rule
 	// miners maintain incrementally and /v1/correlations can answer for.
@@ -115,25 +114,24 @@ type Config struct {
 	// Middleware, when set, wraps the routed handler — the chaos injector
 	// (internal/faultinject) plugs in here.
 	Middleware func(http.Handler) http.Handler
-	// Shards, when >= 1, splits the fleet into that many supervised fault
-	// domains by consistent hashing on system ID: per-shard stores, engines,
-	// WALs and breakers, scatter-gather for cross-system queries, and
-	// partial results when a shard is down. Requires Dataset; Store, Engine
-	// and Journal must be nil (sharded mode builds its own). Counts above
-	// the system count are clamped. Zero keeps the legacy single-store
-	// server.
+	// Shards splits the fleet into that many supervised fault domains by
+	// consistent hashing on system ID: per-shard stores, engines, WALs and
+	// breakers, scatter-gather for cross-system queries, and partial results
+	// when a shard is down. Counts above the system count are clamped. Zero
+	// is one shard whose WAL and snapshot sit directly under ShardWAL.Dir
+	// (the pre-sharding layout); N >= 1 keeps shard i's at shard-NNN/.
 	Shards int
-	// ShardWAL configures per-shard durability in sharded mode: Dir is the
-	// root under which shard i keeps its WAL at shard-NNN/; the remaining
-	// options pass through to wal.Open. An empty Dir disables durability
-	// (and standbys).
+	// ShardWAL configures durability for every layout: Dir is the WAL root
+	// (see Shards for where each shard's log lives); the remaining options
+	// pass through to wal.Open. An empty Dir disables durability (and
+	// standbys).
 	ShardWAL wal.Options
-	// Standby, in sharded mode with ShardWAL.Dir set, gives every shard a
-	// warm standby that tails the leader's WAL and is promoted automatically
-	// when the shard dies.
+	// Standby, with ShardWAL.Dir set, gives every shard a warm standby that
+	// tails the leader's WAL and is promoted automatically when the shard
+	// dies.
 	Standby bool
-	// SnapshotPolicy spaces periodic per-shard engine snapshots in sharded
-	// mode (see risk.JournalConfig.SnapshotPolicy).
+	// SnapshotPolicy spaces periodic per-shard engine snapshots (see
+	// risk.JournalConfig.SnapshotPolicy).
 	SnapshotPolicy checkpoint.Policy
 	// ShardDeadline bounds one shard's slice of a scatter-gather query;
 	// defaults to DefaultShardDeadline.
@@ -225,10 +223,10 @@ type Server struct {
 	routeTab   map[string]http.Handler
 }
 
-// New builds the root server over the config's store (or a private store
-// over its dataset) and wires up the named-dataset registry: tenants
-// persisted under cfg.TenantRoot are reopened, and new ones can be created
-// through the dataset API. The root server itself is the "default" tenant.
+// New builds the root server over the config's dataset and wires up the
+// named-dataset registry: tenants persisted under cfg.TenantRoot are
+// reopened, and new ones can be created through the dataset API. The root
+// server itself is the "default" tenant.
 func New(cfg Config) (*Server, error) {
 	s, err := newServer(cfg)
 	if err != nil {
@@ -242,21 +240,22 @@ func New(cfg Config) (*Server, error) {
 		Logf:  s.logf,
 	})
 	if err != nil {
+		s.Close()
 		return nil, err
 	}
 	s.reg = reg
 	if err := reg.OpenAll(); err != nil {
 		reg.CloseAll()
+		s.Close()
 		return nil, fmt.Errorf("server: reopening datasets: %w", err)
 	}
 	return s, nil
 }
 
-// newServer builds one dataset's serving stack — store, risk engine (lift
-// table, sliding windows), shard fabric, caches, admission — without any
-// registry wiring. With cfg.Shards set, the dataset is partitioned into
-// supervised fault domains — see Config.Shards. It is the constructor both
-// for the root server (via New) and for registry-built tenant children.
+// newServer builds one dataset's serving stack — the shard fabric (stores,
+// risk engines, journals; see newFabric), caches, admission — without any
+// registry wiring. It is the constructor both for the root server (via New)
+// and for registry-built tenant children.
 func newServer(cfg Config) (*Server, error) {
 	w := cfg.Window
 	if w <= 0 {
@@ -270,42 +269,9 @@ func newServer(cfg Config) (*Server, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	var fab *fabric
-	if cfg.Shards >= 1 {
-		var err error
-		if fab, err = newShardedFabric(cfg, cfg.Shards, w, now, logf); err != nil {
-			return nil, err
-		}
-	} else {
-		st := cfg.Store
-		if st == nil {
-			if cfg.Dataset == nil {
-				return nil, fmt.Errorf("server: nil dataset")
-			}
-			var err error
-			if st, err = store.New(cfg.Dataset); err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-		}
-		boot := st.Snapshot()
-		if len(boot.Dataset().Systems) == 0 {
-			return nil, fmt.Errorf("server: dataset has no systems")
-		}
-		engine := cfg.Engine
-		if engine == nil && cfg.Journal != nil {
-			engine = cfg.Journal.Engine()
-		}
-		if engine == nil {
-			var err error
-			if engine, err = risk.FromAnalyzer(boot.Analyzer(), w); err != nil {
-				return nil, err
-			}
-		}
-		br := newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, now)
-		var err error
-		if fab, err = newSingleFabric(st, engine, cfg.Journal, br, cfg, now, logf); err != nil {
-			return nil, err
-		}
+	fab, err := newFabric(cfg, w, now, logf)
+	if err != nil {
+		return nil, err
 	}
 	switch {
 	case cfg.SpaceProbeInterval < 0:
@@ -347,18 +313,11 @@ func newServer(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Engine returns shard 0's risk engine (the server's whole engine in the
-// single-shard configuration) so callers can pre-seed events.
+// Engine returns shard 0's risk engine (the server's whole engine when it
+// has one shard) so callers can pre-seed events.
 func (s *Server) Engine() *risk.Engine {
 	_, eng, _ := s.fabric.shards[0].view()
 	return eng
-}
-
-// Store returns shard 0's versioned dataset store (the server's whole store
-// in the single-shard configuration).
-func (s *Server) Store() *store.Store {
-	st, _, _ := s.fabric.shards[0].view()
-	return st
 }
 
 // Handler returns the server's routed HTTP handler, wrapped in the
@@ -1191,8 +1150,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		accepted++
 		s.metrics.eventsIn.Add(1)
-		st, _, j := fab.shards[owner].view()
-		if !s.frozen && (j == nil || j.Store() != st) {
+		if _, _, j := fab.shards[owner].view(); !s.frozen && j == nil {
 			pendingStore[owner] = append(pendingStore[owner], f)
 		}
 	}
@@ -1256,8 +1214,8 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		}
 	}()
 	// Supervision: heartbeats, standby replication catchup, and automatic
-	// failover. Single-shard fabrics without a standby skip the loop — the
-	// legacy server had no supervisor and keeps exactly that behavior.
+	// failover. One-shard fabrics without a standby skip the loop: there is
+	// nothing to fail over to.
 	supDone := make(chan struct{})
 	if s.fabric.needsSupervision() {
 		go func() {
@@ -1289,7 +1247,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		}
 	}()
 	// Shutdown ordering: stop accepting, join in-flight handlers, then tear
-	// down the maintenance goroutines and flush every shard's journal.
+	// down the maintenance goroutines and close every shard's journal.
 	// Handlers may touch the journals, so they must outlive them.
 	defer func() {
 		done := make(chan struct{})
@@ -1303,12 +1261,11 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		<-decayDone
 		<-supDone
 		<-tenantSupDone
-		s.fabric.syncAll()
-		// Closing the registry syncs and detaches every named tenant's
-		// journals (Server.Close), making their WAL trees reopenable.
-		if s.reg != nil {
-			s.reg.CloseAll()
-		}
+		// Close syncs and closes the root's journals; closing the registry
+		// does the same for every named tenant, making every WAL tree
+		// reopenable.
+		s.Close()
+		s.reg.CloseAll()
 	}()
 	if cfg.OnStart != nil {
 		go cfg.OnStart(dctx, s)

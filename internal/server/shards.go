@@ -101,11 +101,10 @@ func (sh *shard) getMiner() *correlate.Miner {
 }
 
 // fabric is the shard router: ownership map, supervisor, and the scatter
-// and failover machinery. A single-shard fabric is the legacy server with
-// one fault domain.
+// and failover machinery. Every server has one, built by newFabric; the
+// default Config.Shards == 0 server is a one-shard fabric.
 type fabric struct {
 	sup    *store.Supervisor
-	ring   *store.Ring
 	shards []*shard
 	// fleet is the union catalog, ascending by system ID — the routing and
 	// scope-validation view of the whole dataset.
@@ -117,7 +116,10 @@ type fabric struct {
 	hbEvery  time.Duration
 	// walTmpl is the per-shard WAL option template; Dir is the root under
 	// which each shard keeps its own segment tree (empty = no durability).
-	walTmpl    wal.Options
+	walTmpl wal.Options
+	// rootWAL keeps the one shard's WAL directly under walTmpl.Dir instead
+	// of shard-000/ — the pre-sharding layout Config.Shards == 0 selects.
+	rootWAL    bool
 	snapPolicy checkpoint.Policy
 	// corrWindows are the correlation windows every shard's miner maintains
 	// (nil = correlate.DefaultWindows); promotion rebuilds miners with them.
@@ -135,13 +137,11 @@ type fabric struct {
 
 func (f *fabric) walOptsOf(i int) wal.Options {
 	opts := f.walTmpl
-	if opts.Dir != "" {
+	if opts.Dir != "" && !f.rootWAL {
 		opts.Dir = shardWALDir(f.walTmpl.Dir, i)
 	}
 	return opts
 }
-
-func (f *fabric) snapPolicyOf(int) checkpoint.Policy { return f.snapPolicy }
 
 func (f *fabric) n() int { return len(f.shards) }
 
@@ -252,7 +252,7 @@ func (f *fabric) call(ctx context.Context, i int, fn func(st *store.Store, eng *
 }
 
 // detachJournal takes the shard's journal away and closes it. Observe holds
-// the journal mutex, so once Close returns no further append can reach the
+// the journal mutex, so once Close returns no further append can reach a
 // dead leader's WAL — the standby's final catchup reads a quiesced log and
 // promotion cannot split-brain.
 func (f *fabric) detachJournal(i int) {
@@ -263,7 +263,7 @@ func (f *fabric) detachJournal(i int) {
 	sh.mu.Unlock()
 	if j != nil {
 		if err := j.Close(); err != nil {
-			f.logf("hpcserve: shard %d: closing dead leader journal: %v", i, err)
+			f.logf("hpcserve: shard %d: closing journal: %v", i, err)
 		}
 	}
 }
@@ -356,7 +356,7 @@ func (f *fabric) promote(i int) error {
 	// The dead leader's journal must be fenced before the final catchup, or
 	// a straggling append could land after the standby stops reading.
 	f.detachJournal(i)
-	j, err := sb.Promote(f.snapPolicyOf(i), f.walOptsOf(i), f.now)
+	j, err := sb.Promote(f.snapPolicy, f.walOptsOf(i), f.now)
 	if err != nil {
 		f.sup.Transition(i, store.ShardPromoting, store.ShardDown, "promotion failed: "+err.Error())
 		return fmt.Errorf("server: shard %d promotion: %w", i, err)
@@ -446,13 +446,10 @@ func (f *fabric) catchupStandbys() {
 }
 
 // needsSupervision reports whether the background supervise loop should
-// run: single-shard fabrics without a standby keep the legacy behavior of
-// no supervision goroutine.
+// run: a one-shard fabric without a standby has nothing to fail over to,
+// so it runs no supervision goroutine.
 func (f *fabric) needsSupervision() bool {
-	if f.n() > 1 {
-		return true
-	}
-	return f.shards[0].getStandby() != nil
+	return f.n() > 1 || f.shards[0].getStandby() != nil
 }
 
 // supervise runs ticks until ctx is done.
@@ -508,7 +505,7 @@ func (f *fabric) maintain(now time.Time) {
 	}
 }
 
-// syncAll flushes every shard's WAL — the final act of a graceful shutdown.
+// syncAll flushes every shard's WAL — the first step of Server.Close.
 func (f *fabric) syncAll() {
 	for i := range f.shards {
 		_, _, j := f.shards[i].view()
@@ -522,8 +519,8 @@ func (f *fabric) syncAll() {
 }
 
 // maxVersion returns the highest dataset-store version across shards, and
-// totalEvents the fleet-wide event count — the aggregate the single-store
-// server used to read off one snapshot.
+// totalEvents the fleet-wide event count — what a one-shard server reads
+// off its one snapshot.
 func (f *fabric) maxVersion() uint64 {
 	var v uint64
 	for _, sh := range f.shards {
@@ -596,7 +593,7 @@ func (f *fabric) status() (bool, []shardStatus) {
 }
 
 // ShardCount returns the number of fault domains the server is split into
-// (1 for the legacy single-shard server).
+// (1 for the default Config.Shards == 0 server).
 func (s *Server) ShardCount() int { return s.fabric.n() }
 
 // KillShard marks shard i dead and fences its journal, exactly as a panic
@@ -651,40 +648,6 @@ func fleetCopy(systems []trace.SystemInfo) []trace.SystemInfo {
 	return out
 }
 
-// newSingleFabric wraps already-built single-store components as a
-// one-shard fabric — the legacy configuration, byte-for-byte compatible
-// with the pre-sharding server.
-func newSingleFabric(st *store.Store, engine *risk.Engine, journal *risk.Journal, br *breaker, cfg Config, now func() time.Time, logf func(string, ...any)) (*fabric, error) {
-	ring, err := store.NewRing(1, 1)
-	if err != nil {
-		return nil, err
-	}
-	sup, err := store.NewSupervisor(1, cfg.HeartbeatDeadline, now)
-	if err != nil {
-		return nil, err
-	}
-	fleet := fleetCopy(st.Snapshot().Dataset().Systems)
-	owner := make(map[int]int, len(fleet))
-	for _, s := range fleet {
-		owner[s.ID] = 0
-	}
-	sh := &shard{idx: 0, systems: fleet, breaker: br, st: st, engine: engine, journal: journal}
-	sh.miner = correlate.NewMiner(st, cfg.CorrelationWindows...)
-	return &fabric{
-		sup:         sup,
-		ring:        ring,
-		shards:      []*shard{sh},
-		fleet:       fleet,
-		owner:       owner,
-		window:      engine.Window(),
-		deadline:    shardDeadlineOr(cfg.ShardDeadline),
-		hbEvery:     heartbeatIntervalOr(cfg.HeartbeatInterval),
-		corrWindows: cfg.CorrelationWindows,
-		now:         now,
-		logf:        logf,
-	}, nil
-}
-
 func shardDeadlineOr(d time.Duration) time.Duration {
 	if d <= 0 {
 		return DefaultShardDeadline
@@ -699,23 +662,29 @@ func heartbeatIntervalOr(d time.Duration) time.Duration {
 	return d
 }
 
-// newShardedFabric builds n supervised shards over cfg.Dataset: partition
-// by consistent hashing, then per shard a private store, a risk engine over
-// that partition's analyzer, and — when cfg.ShardWAL.Dir is set — a durable
-// journal under shard-NNN/ plus (with cfg.Standby) a warm standby tailing
-// that same directory. Shard counts above the system count are clamped: an
-// empty shard could neither score nor ingest anything.
-func newShardedFabric(cfg Config, n int, w time.Duration, now func() time.Time, logf func(string, ...any)) (*fabric, error) {
-	if cfg.Dataset == nil {
-		return nil, fmt.Errorf("server: sharded mode needs a dataset")
+// newFabric builds every server's fabric: max(cfg.Shards, 1) supervised
+// shards over cfg.Dataset. It partitions by consistent hashing (a one-shard
+// ring keeps the dataset itself, uncopied), then builds per shard a private
+// store, a risk engine over that partition's analyzer, and — when
+// cfg.ShardWAL.Dir is set — a durable journal (see walOptsOf for where)
+// plus, with cfg.Standby, a warm standby tailing that same directory. Shard
+// counts above the system count are clamped: an empty shard could neither
+// score nor ingest anything.
+func newFabric(cfg Config, w time.Duration, now func() time.Time, logf func(string, ...any)) (*fabric, error) {
+	ds := cfg.Dataset
+	if cfg.Store != nil {
+		ds = cfg.Store.Snapshot().Dataset()
 	}
-	if cfg.Store != nil || cfg.Engine != nil || cfg.Journal != nil {
-		return nil, fmt.Errorf("server: sharded mode builds its own stores, engines and journals; Store/Engine/Journal must be nil")
-	}
-	if len(cfg.Dataset.Systems) == 0 {
+	switch {
+	case ds == nil:
+		return nil, fmt.Errorf("server: nil dataset")
+	case len(ds.Systems) == 0:
 		return nil, fmt.Errorf("server: dataset has no systems")
+	case cfg.Shards > 1 && (cfg.Store != nil || cfg.Engine != nil || cfg.Journal != nil):
+		return nil, fmt.Errorf("server: Store, Engine and Journal need a one-shard server (Shards <= 1)")
 	}
-	if got := len(cfg.Dataset.Systems); n > got {
+	n := max(cfg.Shards, 1)
+	if got := len(ds.Systems); n > got {
 		logf("hpcserve: clamping %d shards to %d (one per system)", n, got)
 		n = got
 	}
@@ -727,8 +696,8 @@ func newShardedFabric(cfg Config, n int, w time.Duration, now func() time.Time, 
 	if err != nil {
 		return nil, err
 	}
-	parts, ids := store.PartitionDataset(cfg.Dataset, ring)
-	owner := make(map[int]int, len(cfg.Dataset.Systems))
+	parts, ids := store.PartitionDataset(ds, ring)
+	owner := make(map[int]int, len(ds.Systems))
 	for i, group := range ids {
 		for _, id := range group {
 			owner[id] = i
@@ -736,26 +705,51 @@ func newShardedFabric(cfg Config, n int, w time.Duration, now func() time.Time, 
 	}
 	f := &fabric{
 		sup:         sup,
-		ring:        ring,
-		fleet:       fleetCopy(cfg.Dataset.Systems),
+		fleet:       fleetCopy(ds.Systems),
 		owner:       owner,
-		window:      w,
 		deadline:    shardDeadlineOr(cfg.ShardDeadline),
 		hbEvery:     heartbeatIntervalOr(cfg.HeartbeatInterval),
 		walTmpl:     cfg.ShardWAL,
+		rootWAL:     cfg.Shards == 0,
 		snapPolicy:  cfg.SnapshotPolicy,
 		corrWindows: cfg.CorrelationWindows,
 		now:         now,
 		logf:        logf,
 	}
 	for i := 0; i < n; i++ {
-		st, err := store.New(parts[i])
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d: %w", i, err)
+		// Adopted components are nil unless set, and then n == 1.
+		st, engine, journal := cfg.Store, cfg.Engine, cfg.Journal
+		if st == nil {
+			if st, err = store.New(parts[i]); err != nil {
+				return nil, fmt.Errorf("server: shard %d: %w", i, err)
+			}
 		}
-		engine, err := risk.FromAnalyzer(st.Snapshot().Analyzer(), w)
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d: %w", i, err)
+		if engine == nil && journal != nil {
+			engine = journal.Engine()
+		}
+		if engine == nil {
+			if engine, err = risk.FromAnalyzer(st.Snapshot().Analyzer(), w); err != nil {
+				return nil, fmt.Errorf("server: shard %d: %w", i, err)
+			}
+		}
+		if journal == nil && cfg.ShardWAL.Dir != "" {
+			jc := risk.JournalConfig{Engine: engine, WAL: f.walOptsOf(i), SnapshotPolicy: cfg.SnapshotPolicy, Now: now}
+			if !cfg.FrozenDataset {
+				jc.Store = st
+			}
+			var stats risk.RecoveryStats
+			if journal, stats, err = risk.OpenJournal(jc); err != nil {
+				return nil, fmt.Errorf("server: shard %d: %w", i, err)
+			}
+			if stats.SnapshotLoaded || stats.Replayed > 0 {
+				logf("hpcserve: shard %d recovered (snapshot %d events, replayed %d, skipped %d)",
+					i, stats.SnapshotEvents, stats.Replayed, stats.Skipped)
+			}
+		}
+		// A journal is the one writer of its shard's live store: ingest
+		// appends to the store itself only when there is no journal.
+		if journal != nil && !cfg.FrozenDataset && journal.Store() != st {
+			return nil, fmt.Errorf("server: shard %d: a live dataset's journal must apply its events to the shard's store", i)
 		}
 		sh := &shard{
 			idx:     i,
@@ -763,54 +757,39 @@ func newShardedFabric(cfg Config, n int, w time.Duration, now func() time.Time, 
 			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, now),
 			st:      st,
 			engine:  engine,
+			journal: journal,
+			miner:   correlate.NewMiner(st, cfg.CorrelationWindows...),
 		}
-		sh.miner = correlate.NewMiner(st, cfg.CorrelationWindows...)
-		if cfg.ShardWAL.Dir != "" {
-			jc := risk.JournalConfig{Engine: engine, WAL: f.walOptsOf(i), SnapshotPolicy: cfg.SnapshotPolicy, Now: now}
-			if !cfg.FrozenDataset {
-				jc.Store = st
-			}
-			journal, stats, err := risk.OpenJournal(jc)
-			if err != nil {
-				return nil, fmt.Errorf("server: shard %d: %w", i, err)
-			}
-			sh.journal = journal
-			if stats.SnapshotLoaded || stats.Replayed > 0 {
-				logf("hpcserve: shard %d recovered (snapshot %d events, replayed %d, skipped %d)",
-					i, stats.SnapshotEvents, stats.Replayed, stats.Skipped)
-			}
-			if cfg.Standby {
-				// The standby gets its own dataset copy and engine over the
-				// same boot partition; it replays the leader's WAL through the
-				// follower, so promotion reproduces the leader's state.
-				sds := cfg.Dataset.FilterSystems(ids[i]...)
-				sc := risk.StandbyConfig{Dir: f.walOptsOf(i).Dir, FS: cfg.ShardWAL.FS}
-				if cfg.FrozenDataset {
-					sengine, err := risk.FromDataset(sds, w)
-					if err != nil {
-						return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
-					}
-					sc.Engine = sengine
-				} else {
-					sst, err := store.New(sds)
-					if err != nil {
-						return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
-					}
-					sengine, err := risk.FromAnalyzer(sst.Snapshot().Analyzer(), w)
-					if err != nil {
-						return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
-					}
-					sc.Engine = sengine
-					sc.Store = sst
-				}
-				standby, err := risk.NewStandby(sc)
+		if cfg.Standby && cfg.ShardWAL.Dir != "" {
+			// The standby gets its own dataset copy and engine over the same
+			// boot partition; it replays the leader's WAL through the
+			// follower, so promotion reproduces the leader's state.
+			sds := ds.FilterSystems(ids[i]...)
+			sc := risk.StandbyConfig{Dir: f.walOptsOf(i).Dir, FS: cfg.ShardWAL.FS}
+			if cfg.FrozenDataset {
+				sengine, err := risk.FromDataset(sds, w)
 				if err != nil {
 					return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
 				}
-				sh.standby = standby
+				sc.Engine = sengine
+			} else {
+				sst, err := store.New(sds)
+				if err != nil {
+					return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
+				}
+				sengine, err := risk.FromAnalyzer(sst.Snapshot().Analyzer(), w)
+				if err != nil {
+					return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
+				}
+				sc.Engine = sengine
+				sc.Store = sst
+			}
+			if sh.standby, err = risk.NewStandby(sc); err != nil {
+				return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
 			}
 		}
 		f.shards = append(f.shards, sh)
 	}
+	f.window = f.shards[0].engine.Window()
 	return f, nil
 }

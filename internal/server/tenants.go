@@ -183,10 +183,12 @@ func (s *Server) setBase(ctx context.Context) {
 	s.eachTenant(func(_ string, ts *Server) { ts.base = ctx })
 }
 
-// Close flushes a tenant server's durable state: every shard's WAL is
-// synced and its journal closed, so the tenant's directory can be reopened
-// (or deleted) by another owner. The registry calls it after draining; the
-// root server's lifecycle belongs to ServeListener instead.
+// Close flushes a server's durable state: every shard's journal is synced
+// and closed, so the directory can be reopened (or deleted) by another
+// owner. The server owns every journal its fabric holds: the registry
+// closes a tenant after draining it, and ServeListener closes the root
+// after its final drain. A caller of New that serves the Handler itself
+// calls Close when done.
 func (s *Server) Close() error {
 	s.fabric.syncAll()
 	for i := range s.fabric.shards {

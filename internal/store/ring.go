@@ -126,12 +126,16 @@ func (r *Ring) Assign(systemIDs []int) [][]int {
 
 // PartitionDataset cuts ds into one dataset per shard along Assign's
 // ownership, returning the per-shard datasets and the system IDs each
-// holds. Each partition is built with fresh record slices
-// (trace.Dataset.FilterSystems), so per-shard stores never share mutable
-// backing arrays; the external neutron series and layout pointers are
-// shared read-only.
+// holds. Each partition of a multi-shard ring is built with fresh record
+// slices (trace.Dataset.FilterSystems), so per-shard stores never share
+// mutable backing arrays; the external neutron series and layout pointers
+// are shared read-only. A one-shard ring's partition is ds itself: nothing
+// else shares its arrays, so copying would only double the boot heap.
 func PartitionDataset(ds *trace.Dataset, ring *Ring) ([]*trace.Dataset, [][]int) {
 	ids := ring.Assign(ds.SystemIDs())
+	if ring.Shards() == 1 {
+		return []*trace.Dataset{ds}, ids
+	}
 	parts := make([]*trace.Dataset, ring.Shards())
 	for i := range parts {
 		parts[i] = ds.FilterSystems(ids[i]...)

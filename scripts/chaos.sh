@@ -11,5 +11,5 @@ set -eu
 count="${CHAOS_COUNT:-1}"
 
 go test -race -count="$count" \
-    -run 'TestKillAndRecover|TestShedding|TestConcurrencyNeverExceeded|TestBreaker|TestShutdownJoins|TestServerJournalRecovery|TestChaos|TestLiveCondProb|TestConcurrentReadersDuringAppend|TestRebuildFallbackUnderConcurrentSnapshotReaders|TestKillOneShardPartialThenPromotionIdentity|TestSupervisorAutoFailover|TestCondProbScatterPartialAndMergeIdentity|TestCorrelationsPartialOnShardKill|TestShardChaos|TestStandby|TestTwoTenant|TestTenantReadOnlySiblingWritable|TestRouteContract|TestCompareCircuitOpen503|TestShardedBreakerGauge|TestAnomaliesLayoutOutOfRange' \
+    -run 'TestKillAndRecover|TestShedding|TestConcurrencyNeverExceeded|TestBreaker|TestShutdownJoins|TestServerJournalRecovery|TestChaos|TestLiveCondProb|TestConcurrentReadersDuringAppend|TestRebuildFallbackUnderConcurrentSnapshotReaders|TestKillOneShardPartialThenPromotionIdentity|TestSupervisorAutoFailover|TestCondProbScatterPartialAndMergeIdentity|TestCorrelationsPartialOnShardKill|TestShardChaos|TestStandby|TestTwoTenant|TestTenantReadOnlySiblingWritable|TestRouteContract|TestCompareCircuitOpen503|TestShardedBreakerGauge|TestAnomaliesLayoutOutOfRange|TestServeListenerClosesJournals|TestOneShardLayoutsAgree' \
     ./cmd/hpcserve/ ./internal/server/ ./internal/faultinject/ ./internal/store/ ./internal/risk/
