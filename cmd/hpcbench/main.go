@@ -37,6 +37,7 @@ import (
 	"github.com/hpcfail/hpcfail/internal/risk"
 	"github.com/hpcfail/hpcfail/internal/server"
 	"github.com/hpcfail/hpcfail/internal/simulate"
+	"github.com/hpcfail/hpcfail/internal/stats"
 	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/trace"
 	"github.com/hpcfail/hpcfail/internal/wal"
@@ -91,6 +92,8 @@ func run(args []string) (err error) {
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs -baseline before failing")
 	minSpeedup := fs.Float64("min-speedup", 0, "fail unless every indexed/naive speedup is at least this (0 disables)")
 	benchRe := fs.String("bench", "", "only run benchmarks whose name matches this regexp")
+	reports := fs.String("reports", "", "judge these comma-separated reports instead of running: the change's side of interleaved same-host runs, against -base-reports")
+	baseReports := fs.String("base-reports", "", "with -reports: the base revision's reports, the i-th run beside the i-th of -reports")
 	versionOf := cli.VersionFlag(fs, "hpcbench")
 	profileOf := cli.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -98,6 +101,9 @@ func run(args []string) (err error) {
 	}
 	if versionOf() {
 		return nil
+	}
+	if *reports != "" {
+		return judgePairs(*baseReports, *reports, *tolerance)
 	}
 	stopProf, err := profileOf()
 	if err != nil {
@@ -317,6 +323,12 @@ func (b *bencher) kernelBenches(a *analysis.Analyzer, ds *trace.Dataset) {
 			func() { a.CondProbNaive(sys, c.anchor, c.target, c.w, c.scope) },
 		)
 	}
+	// The per-anchor rescan's worst case: every event an anchor, a month
+	// of window, every other node a trial. Its naive twin runs for seconds,
+	// so it is timed alone.
+	b.measure("condprob/any-any/system-month", "kernel", func() {
+		a.CondProb(sys, nil, nil, trace.Month, analysis.ScopeSystem)
+	})
 	b.pair("baseline/any/week",
 		func() { a.BaselineNodeProb(sys, trace.Week, nil) },
 		func() { a.BaselineNodeProbNaive(sys, trace.Week, nil) },
@@ -612,11 +624,18 @@ func printTable(w io.Writer, rep *Report) {
 // of re-scanning every event window; measured ~35x in quick mode with the
 // chain restarts billed in. anomalies/fleet-k10 sorts each system's
 // position classes once instead of walking the layout and sorting twice per
-// node; measured ~14x at scale 1.
+// node; measured ~14x at scale 1. CondProb sweeps each system's anchors
+// and targets once with in-window node counts instead of probing per
+// anchor; measured 5-40x at node and rack scope at scale 1.
 var speedupFloors = map[string]float64{
 	"index-append/batch-64":   25,
 	"correlate-mine/batch-64": 10,
 	"anomalies/fleet-k10":     5,
+	"condprob/any-any/node":   4,
+	"condprob/hw-any/node":    4,
+	"condprob/hw-hw/node":     4,
+	"condprob/mem-mem/node":   4,
+	"condprob/hw-any/rack":    4,
 }
 
 // checkSpeedups fails when any indexed kernel lost its edge over the naive
@@ -645,10 +664,19 @@ func checkSpeedups(rep *Report, min float64) error {
 // full scores only for the 10 it returns: 71 allocs/op at scale 1, down
 // from 21,034 when every node of every active system was materialized.
 // The vicinity detector reuses one set of per-system buffers and allocates
-// nothing per node: 147 allocs/op at scale 1, down from 46,774.
+// nothing per node: 147 allocs/op at scale 1, down from 46,774. The
+// CondProb sweep allocates only its per-query node and rack scratch: 2-8
+// allocs/op at scale 1.
 var allocCeilings = map[string]float64{
-	"risk/topk-10":                500,
-	"anomalies/fleet-k10/indexed": 1000,
+	"risk/topk-10":                   500,
+	"anomalies/fleet-k10/indexed":    1000,
+	"condprob/any-any/node/indexed":  16,
+	"condprob/hw-any/node/indexed":   16,
+	"condprob/hw-hw/node/indexed":    16,
+	"condprob/mem-mem/node/indexed":  16,
+	"condprob/hw-any/rack/indexed":   16,
+	"condprob/net-sw/system/indexed": 16,
+	"condprob/any-any/system-month":  16,
 }
 
 // checkRegression compares this run's kernel benches against a committed
@@ -686,16 +714,126 @@ func checkRegression(rep *Report, baselinePath string, tolerance float64) error 
 	if checked == 0 {
 		return fmt.Errorf("baseline %s: no kernel benches in common with this run", baselinePath)
 	}
-	for _, r := range rep.Results {
-		if ceiling, ok := allocCeilings[r.Name]; ok && r.AllocsPerOp > ceiling {
-			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op over its ceiling of %.0f", r.Name, r.AllocsPerOp, ceiling))
-		}
-	}
+	bad = append(bad, allocOverruns(rep)...)
 	if len(bad) > 0 {
 		return fmt.Errorf("hpcbench: regressions vs %s:\n  %s", baselinePath, joinLines(bad))
 	}
 	fmt.Fprintf(os.Stderr, "hpcbench: %d kernel benches within %.0f%% of %s\n", checked, 100*tolerance, baselinePath)
 	return nil
+}
+
+// allocOverruns lists the benches of rep over their allocCeilings entry.
+func allocOverruns(rep *Report) []string {
+	var bad []string
+	for _, r := range rep.Results {
+		if ceiling, ok := allocCeilings[r.Name]; ok && r.AllocsPerOp > ceiling {
+			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op over its ceiling of %.0f", r.Name, r.AllocsPerOp, ceiling))
+		}
+	}
+	return bad
+}
+
+// judgePairs is the same-host kernel gate over interleaved runs of a base
+// revision and a change: a kernel bench regresses when the median, across
+// pairs, of its change-over-base ns/op ratio exceeds 1+tolerance. Pairing
+// cancels the host drift that a report committed from another machine or
+// day cannot. The alloc ceilings apply to the median of the change's runs.
+func judgePairs(baseList, changeList string, tolerance float64) error {
+	bases, err := loadReports(baseList)
+	if err != nil {
+		return err
+	}
+	changes, err := loadReports(changeList)
+	if err != nil {
+		return err
+	}
+	if len(bases) != len(changes) {
+		return cli.Usagef("-base-reports has %d reports, -reports %d", len(bases), len(changes))
+	}
+	ratios := map[string][]float64{}
+	var names []string
+	for i, c := range changes {
+		base := map[string]float64{}
+		for _, r := range bases[i].Results {
+			if r.Group == "kernel" {
+				base[r.Name] = r.NsPerOp
+			}
+		}
+		for _, r := range c.Results {
+			if b := base[r.Name]; b > 0 {
+				if ratios[r.Name] == nil {
+					names = append(names, r.Name)
+				}
+				ratios[r.Name] = append(ratios[r.Name], r.NsPerOp/b)
+			}
+		}
+	}
+	if len(names) == 0 {
+		return fmt.Errorf("hpcbench: no kernel benches in common between the base and change reports")
+	}
+	med := medianReport(changes)
+	printTable(os.Stderr, med)
+	var bad []string
+	for _, n := range names {
+		if m := stats.Median(ratios[n]); m > 1+tolerance {
+			bad = append(bad, fmt.Sprintf("%s: median paired ratio %.2f (+%.0f%%, tolerance %.0f%%) over %d pairs",
+				n, m, 100*(m-1), 100*tolerance, len(ratios[n])))
+		}
+	}
+	bad = append(bad, allocOverruns(med)...)
+	if len(bad) > 0 {
+		return fmt.Errorf("hpcbench: regressions vs the base revision:\n  %s", joinLines(bad))
+	}
+	fmt.Fprintf(os.Stderr, "hpcbench: %d kernel benches within %.0f%% of the base over %d interleaved pairs\n",
+		len(names), 100*tolerance, len(changes))
+	return nil
+}
+
+// loadReports reads a comma-separated list of JSON reports.
+func loadReports(list string) ([]*Report, error) {
+	var out []*Report
+	for _, path := range strings.Split(list, ",") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		rep := new(Report)
+		if err := json.Unmarshal(data, rep); err != nil {
+			return nil, fmt.Errorf("report %s: %w", path, err)
+		}
+		out = append(out, rep)
+	}
+	return out, nil
+}
+
+// medianReport folds several runs into one report holding, per bench, the
+// median of each measurement.
+func medianReport(reps []*Report) *Report {
+	med := *reps[0]
+	med.Results, med.Speedups = nil, nil
+	results := map[string][]BenchResult{}
+	for _, rep := range reps {
+		for _, r := range rep.Results {
+			if results[r.Name] == nil {
+				med.Results = append(med.Results, BenchResult{Name: r.Name, Group: r.Group, Iters: r.Iters})
+			}
+			results[r.Name] = append(results[r.Name], r)
+		}
+	}
+	for i := range med.Results {
+		rs := results[med.Results[i].Name]
+		of := func(f func(BenchResult) float64) float64 {
+			xs := make([]float64, len(rs))
+			for j, r := range rs {
+				xs[j] = f(r)
+			}
+			return stats.Median(xs)
+		}
+		med.Results[i].NsPerOp = of(func(r BenchResult) float64 { return r.NsPerOp })
+		med.Results[i].AllocsPerOp = of(func(r BenchResult) float64 { return r.AllocsPerOp })
+		med.Results[i].BytesPerOp = of(func(r BenchResult) float64 { return r.BytesPerOp })
+	}
+	return &med
 }
 
 func joinLines(lines []string) string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,12 +34,14 @@ func TestRunQuickEmitsReport(t *testing.T) {
 	if len(rep.Results) == 0 || len(rep.Speedups) == 0 {
 		t.Fatalf("empty report: %d results, %d speedups", len(rep.Results), len(rep.Speedups))
 	}
+	// Every indexed kernel has a naive twin and a speedup; standalone
+	// kernel rows (no naive twin) carry no /indexed suffix.
 	kernels := 0
 	for _, r := range rep.Results {
 		if r.Iters <= 0 || r.NsPerOp <= 0 {
 			t.Errorf("%s: degenerate measurement %+v", r.Name, r)
 		}
-		if r.Group == "kernel" {
+		if r.Group == "kernel" && strings.HasSuffix(r.Name, "/indexed") {
 			kernels++
 		}
 		if r.Group == "e2e" {
@@ -119,6 +122,18 @@ func TestCheckRegression(t *testing.T) {
 	if err := checkRegression(perNode, path, 0.25); err == nil {
 		t.Error("anomalies/fleet-k10/indexed over its alloc ceiling must fail")
 	}
+	// The CondProb kernels allocate only per-query scratch; a per-anchor
+	// allocation (thousands per op) must trip their ceiling.
+	for _, name := range []string{"condprob/hw-any/rack/indexed", "condprob/any-any/system-month"} {
+		perAnchor := reportOf([]BenchResult{kernel, {Name: name, Group: "kernel", AllocsPerOp: 5000}}, nil)
+		if err := checkRegression(perAnchor, path, 0.25); err == nil {
+			t.Errorf("%s over its alloc ceiling must fail", name)
+		}
+		scratch := reportOf([]BenchResult{kernel, {Name: name, Group: "kernel", AllocsPerOp: 8}}, nil)
+		if err := checkRegression(scratch, path, 0.25); err != nil {
+			t.Errorf("%s under its alloc ceiling: %v", name, err)
+		}
+	}
 }
 
 func TestCheckSpeedups(t *testing.T) {
@@ -131,5 +146,50 @@ func TestCheckSpeedups(t *testing.T) {
 	}
 	if err := checkSpeedups(rep, 1.5); err == nil {
 		t.Error("1.1x must fail a 1.5x floor")
+	}
+}
+
+func TestJudgePairs(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, rep *Report) string {
+		path := filepath.Join(dir, name)
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// runs writes one report per ns/op value of kernel "condprob/a".
+	runs := func(prefix string, allocs float64, ns ...float64) string {
+		var paths []string
+		for i, v := range ns {
+			rep := reportOf([]BenchResult{
+				{Name: "condprob/a/indexed", Group: "kernel", NsPerOp: v},
+				{Name: "condprob/a/naive", Group: "naive", NsPerOp: 9000},
+				{Name: "risk/topk-10", Group: "macro", NsPerOp: 100, AllocsPerOp: allocs},
+			}, []Speedup{{Name: "condprob/a", Speedup: 9000 / v}})
+			paths = append(paths, write(fmt.Sprintf("%s-%d.json", prefix, i), rep))
+		}
+		return strings.Join(paths, ",")
+	}
+	base := runs("base", 71, 1000, 1100, 900)
+	if err := judgePairs(base, runs("same", 71, 1050, 1000, 950), 0.25); err != nil {
+		t.Errorf("untouched change: %v", err)
+	}
+	// One noisy pair does not move the median ratio.
+	if err := judgePairs(base, runs("noisy", 71, 3000, 1100, 900), 0.25); err != nil {
+		t.Errorf("one noisy pair: %v", err)
+	}
+	if err := judgePairs(base, runs("slow", 71, 2000, 2200, 1800), 0.25); err == nil {
+		t.Error("a 2x slowdown in every pair must fail")
+	}
+	if err := judgePairs(base, runs("fat", 21034, 1000, 1100, 900), 0.25); err == nil {
+		t.Error("median allocs over a ceiling must fail")
+	}
+	if err := judgePairs(base, runs("short", 71, 1000), 0.25); err == nil {
+		t.Error("unequal pair counts must fail")
 	}
 }

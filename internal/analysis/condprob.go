@@ -89,18 +89,16 @@ func finishCond(r *CondResult) {
 // random window of length w: each system's measurement period is cut into
 // consecutive windows and every (node, window) cell is one trial. It
 // answers from the dataset index; BaselineNodeProbNaive is the reference
-// scan it must agree with.
+// scan it must agree with. A cell's window index is (offset + base - start)
+// / w on the integer timeline, the naive scan's truncating Duration
+// division. Window indices arrive nondecreasing per node, so one remembered
+// index per node deduplicates its cells.
 func (a *Analyzer) BaselineNodeProb(systems []trace.SystemInfo, w time.Duration, pred trace.Pred) stats.Proportion {
 	if a.didx == nil {
 		return a.BaselineNodeProbNaive(systems, w, pred)
 	}
-	return a.baselineFromIndex(systems, w, pred, scratchFor(systems))
-}
-
-// baselineFromIndex is BaselineNodeProb over a caller-provided scratch, so
-// CondProbCtx can share one scratch between the baseline and the scan.
-func (a *Analyzer) baselineFromIndex(systems []trace.SystemInfo, w time.Duration, pred trace.Pred, sc *condScratch) stats.Proportion {
 	cls, fil := routePred(pred)
+	last := newNodeSlots(systems) // 1 + the node's last marked window index
 	successes, trials := 0, 0
 	for _, s := range systems {
 		nw := int(s.Period.Duration() / w)
@@ -109,20 +107,29 @@ func (a *Analyzer) baselineFromIndex(systems []trace.SystemInfo, w time.Duration
 		}
 		trials += nw * s.Nodes
 		si := a.didx.system(s.ID)
-		if si == nil {
+		if si == nil || len(si.tl) == 0 {
 			continue
 		}
-		sc.next()
+		last.reset(s.Nodes)
+		// Integer cells unless base - start, or an offset from it, leaves
+		// Duration's range, where Sub saturates.
+		bs, exact := offsetOf(si.base, s.Period.Start)
+		exact = exact && !si.wide && (bs <= 0 || si.tl[len(si.tl)-1] <= math.MaxInt64-bs)
 		for _, p := range si.byClass[cls] {
 			f := &si.fails[p]
 			if fil != nil && !fil.Match(*f) {
 				continue
 			}
-			wi := int64(f.Time.Sub(s.Period.Start) / w)
+			d := time.Duration(si.tl[p] + bs)
+			if !exact {
+				d = f.Time.Sub(s.Period.Start)
+			}
+			wi := int64(d / w)
 			if wi < 0 || wi >= int64(nw) {
 				continue
 			}
-			if sc.markNodeWin(f.Node, wi) {
+			if c := last.at(f.Node); *c != wi+1 {
+				*c = wi + 1
 				successes++
 			}
 		}
@@ -185,37 +192,49 @@ func (a *Analyzer) CondProb(systems []trace.SystemInfo, anchorPred, targetPred t
 // hot loop of every figure, so it is the cancellation point for the whole
 // experiment suite.
 //
-// It answers from the dataset index: anchors come from the anchor class's
-// posting list clipped to the period by one binary search, and per-anchor
-// window membership is resolved against the target class's node, rack or
-// system posting lists. CondProbNaiveCtx is the reference scan the indexed
-// kernel must agree with bit for bit.
+// It answers from the dataset index in one time-ordered sweep per system
+// over the anchor class's posting list (clipped to the period by one binary
+// search) and the target class's, counting the targets inside each anchor's
+// window per node (see sweep). CondProbNaiveCtx is the reference scan the
+// sweep must agree with bit for bit.
 func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, anchorPred, targetPred trace.Pred, w time.Duration, scope Scope) (CondResult, error) {
 	if a.didx == nil {
 		return a.CondProbNaiveCtx(ctx, systems, anchorPred, targetPred, w, scope)
 	}
 	res := CondResult{Window: w, Scope: scope}
-	sc := scratchFor(systems)
-	res.Baseline = a.baselineFromIndex(systems, w, targetPred, sc)
+	res.Baseline = a.BaselineNodeProb(systems, w, targetPred)
 
 	aCls, aFil := routePred(anchorPred)
 	tCls, tFil := routePred(targetPred)
+	sw := sweep{count: newNodeSlots(systems)}
 	scanned := 0
 	for _, s := range systems {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		if scope == ScopeRack && a.DS.Layouts[s.ID] == nil {
+		si := a.didx.system(s.ID)
+		if si == nil || scope == ScopeRack && len(si.racks.ids) == 0 {
 			continue
 		}
-		si := a.didx.system(s.ID)
-		if si == nil {
+		if si.wide {
+			// No exact integer timeline: answer this system by reference.
+			part, err := a.CondProbNaiveCtx(ctx, []trace.SystemInfo{s}, anchorPred, targetPred, w, scope)
+			res.Conditional.Trials += part.Conditional.Trials
+			res.Conditional.Successes += part.Conditional.Successes
+			if err != nil {
+				return res, err
+			}
 			continue
 		}
 		// Clip anchors whose window would extend past the measurement
 		// period, so truncated exposure does not dilute the estimate.
 		anchors := si.byClass[aCls]
-		anchors = anchors[:upperBoundAnchors(si.times, anchors, s.Period.End, w)]
+		anchors = anchors[:si.upperBoundAnchors(anchors, s.Period.End, w)]
+		if len(anchors) == 0 {
+			continue
+		}
+		sw.reset(si, s.Nodes, tFil)
+		targets := si.byClass[tCls]
 		for _, p := range anchors {
 			scanned++
 			if scanned%1024 == 0 {
@@ -227,41 +246,123 @@ func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, 
 			if aFil != nil && !aFil.Match(*f) {
 				continue
 			}
-			iv := trace.Interval{Start: f.Time.Add(time.Nanosecond), End: f.Time.Add(w)}
+			if w > time.Nanosecond {
+				sw.advance(targets, si.tl[p], int64(w))
+			}
+			self := int(min(*sw.count.at(f.Node), 1))
 			switch scope {
 			case ScopeNode:
 				res.Conditional.Trials++
-				if si.nodeAny(f.Node, tCls, tFil, iv) {
-					res.Conditional.Successes++
-				}
+				res.Conditional.Successes += self
 			case ScopeRack:
-				mates := si.mates[f.Node]
-				if len(mates) == 0 {
-					continue
-				}
-				res.Conditional.Trials += len(mates)
-				// Early out: when the whole rack is quiet inside the
-				// window, no per-mate search can succeed.
-				r := si.rackOf[f.Node]
-				if !si.anyIn(si.rackClass[nodeClassKey{r, tCls}], tFil, iv) {
-					continue
-				}
-				for _, m := range mates {
-					if si.nodeAny(m, tCls, tFil, iv) {
-						res.Conditional.Successes++
-					}
+				if r, placed := si.racks.rackOf(f.Node); placed {
+					res.Conditional.Trials += int(si.racks.size[r]) - 1
+					res.Conditional.Successes += int(sw.rackActive[r]) - self
 				}
 			case ScopeSystem:
-				// Count distinct other nodes with a matching failure in
-				// the window by scanning the window's posting list once.
 				res.Conditional.Trials += s.Nodes - 1
-				sc.next()
-				res.Conditional.Successes += si.distinctOther(f.Node, tCls, tFil, iv, sc)
+				res.Conditional.Successes += sw.distinct - self
 			}
 		}
 	}
 	finishCond(&res)
 	return res, nil
+}
+
+// sweep is one query's window over one system's target posting list. The
+// targets at list positions [lo, hi) are those in the current anchor's
+// window [t+1ns, t+w), counted per node (the residual filter applied on
+// entry and exit); distinct counts the nodes with a nonzero count, and
+// rackActive those of each rack ordinal. An anchor on node n answers its
+// scope in O(1): node success iff count[n] > 0, rack-mate successes
+// rackActive[rack(n)] - self, other-node successes distinct - self. Anchors
+// only move lo and hi forward: O(anchors + targets) per system.
+type sweep struct {
+	si         *systemIndex
+	fil        trace.Pred
+	lo, hi     int
+	count      nodeSlots
+	distinct   int
+	rackActive []int64
+}
+
+// reset empties the window for a sweep over si.
+func (sw *sweep) reset(si *systemIndex, nodes int, fil trace.Pred) {
+	sw.si, sw.fil, sw.lo, sw.hi, sw.distinct = si, fil, 0, 0, 0
+	sw.count.reset(nodes)
+	sw.rackActive = append(sw.rackActive[:0], make([]int64, len(si.racks.ids))...)
+}
+
+// advance moves the window to the anchor at offset ta: targets at or before
+// ta leave, then targets before ta+w enter. An emptied window skips to ta by
+// binary search, so sparse anchors over dense targets stay logarithmic.
+func (sw *sweep) advance(targets []int32, ta, w int64) {
+	tl := sw.si.tl
+	for sw.lo < sw.hi && tl[targets[sw.lo]] <= ta {
+		sw.bump(targets[sw.lo], -1)
+		sw.lo++
+	}
+	if sw.lo == sw.hi {
+		sw.hi += upTo(tl, targets[sw.hi:], ta)
+		sw.lo = sw.hi
+	}
+	// Offsets are nonnegative, so the difference cannot overflow.
+	for sw.hi < len(targets) && tl[targets[sw.hi]]-ta < w {
+		sw.bump(targets[sw.hi], 1)
+		sw.hi++
+	}
+}
+
+// bump adds d to the window count of the node of the target at position p,
+// keeping distinct and rackActive in step with counts turning 0 or 1.
+func (sw *sweep) bump(p int32, d int64) {
+	f := &sw.si.fails[p]
+	if sw.fil != nil && !sw.fil.Match(*f) {
+		return
+	}
+	c := sw.count.at(f.Node)
+	if *c += d; *c != max(d, 0) {
+		return
+	}
+	sw.distinct += int(d)
+	if r, ok := sw.si.racks.rackOf(f.Node); ok {
+		sw.rackActive[r] += d
+	}
+}
+
+// nodeSlots is one query's per-node scratch, dense over [0, nodes) with a
+// side map for node IDs outside that range.
+type nodeSlots struct {
+	dense []int64
+	over  map[int]*int64
+}
+
+// newNodeSlots reserves the dense range of the largest of systems.
+func newNodeSlots(systems []trace.SystemInfo) nodeSlots {
+	n := 0
+	for _, s := range systems {
+		n = max(n, s.Nodes)
+	}
+	return nodeSlots{dense: make([]int64, 0, n), over: make(map[int]*int64)}
+}
+
+// reset zeroes every slot and sets the dense range to [0, nodes).
+func (ns *nodeSlots) reset(nodes int) {
+	ns.dense = append(ns.dense[:0], make([]int64, max(nodes, 0))...)
+	clear(ns.over)
+}
+
+// at returns the node's slot.
+func (ns *nodeSlots) at(n int) *int64 {
+	if uint(n) < uint(len(ns.dense)) {
+		return &ns.dense[n]
+	}
+	c := ns.over[n]
+	if c == nil {
+		c = new(int64)
+		ns.over[n] = c
+	}
+	return c
 }
 
 // CondProbNaive is CondProbNaiveCtx without cancellation.
@@ -377,24 +478,31 @@ type FollowUp struct {
 // the target (any failure by default) follows within w at the given scope —
 // Figure 1a (ScopeNode), Figure 2a (ScopeRack) and Figure 3 (ScopeSystem).
 func (a *Analyzer) FollowUpByType(systems []trace.SystemInfo, w time.Duration, scope Scope) []FollowUp {
-	type bar struct {
-		label string
-		pred  trace.Pred
-	}
-	bars := make([]bar, 0, len(trace.FigureOrder)+2)
-	for _, c := range trace.FigureOrder {
-		bars = append(bars, bar{c.String(), trace.CategoryPred(c)})
-	}
-	// Memory and CPU hardware anchors (the right-most bars of the paper's
-	// figures).
-	for _, hw := range []trace.HWComponent{trace.Memory, trace.CPU} {
-		bars = append(bars, bar{"HW/" + hw.String(), trace.HWPred(hw)})
-	}
+	bars := figureBars()
 	out := make([]FollowUp, len(bars))
 	Shared().ForEach(len(bars), func(i int) {
 		out[i] = FollowUp{Label: bars[i].label, CondResult: a.CondProb(systems, bars[i].pred, nil, w, scope)}
 	})
 	return out
+}
+
+// figureBar is one labelled predicate of the paper's per-type figures.
+type figureBar struct {
+	label string
+	pred  trace.Pred
+}
+
+// figureBars returns the six categories in figure order, then the Memory
+// and CPU hardware leaves (the right-most bars of the paper's figures).
+func figureBars() []figureBar {
+	bars := make([]figureBar, 0, len(trace.FigureOrder)+2)
+	for _, c := range trace.FigureOrder {
+		bars = append(bars, figureBar{c.String(), trace.CategoryPred(c)})
+	}
+	for _, hw := range []trace.HWComponent{trace.Memory, trace.CPU} {
+		bars = append(bars, figureBar{"HW/" + hw.String(), trace.HWPred(hw)})
+	}
+	return bars
 }
 
 // PairwiseResult holds the three bars of one Figure 1b / 2b group for a
@@ -410,24 +518,14 @@ type PairwiseResult struct {
 // category (plus Memory and CPU), at the given scope and window — Figures
 // 1b and 2b.
 func (a *Analyzer) PairwiseByType(systems []trace.SystemInfo, w time.Duration, scope Scope) []PairwiseResult {
-	type group struct {
-		label  string
-		target trace.Pred
-	}
-	groups := make([]group, 0, len(trace.FigureOrder)+2)
-	for _, c := range trace.FigureOrder {
-		groups = append(groups, group{c.String(), trace.CategoryPred(c)})
-	}
-	for _, hw := range []trace.HWComponent{trace.Memory, trace.CPU} {
-		groups = append(groups, group{"HW/" + hw.String(), trace.HWPred(hw)})
-	}
+	groups := figureBars()
 	out := make([]PairwiseResult, len(groups))
 	Shared().ForEach(len(groups), func(i int) {
 		g := groups[i]
 		out[i] = PairwiseResult{
 			Label:     g.label,
-			AfterAny:  a.CondProb(systems, nil, g.target, w, scope),
-			AfterSame: a.CondProb(systems, g.target, g.target, w, scope),
+			AfterAny:  a.CondProb(systems, nil, g.pred, w, scope),
+			AfterSame: a.CondProb(systems, g.pred, g.pred, w, scope),
 		}
 	})
 	return out

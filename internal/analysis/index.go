@@ -1,29 +1,29 @@
 package analysis
 
 import (
+	"maps"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
 
-	"github.com/hpcfail/hpcfail/internal/layout"
 	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
 // DatasetIndex precomputes, once per dataset, everything the conditional-
 // probability kernel needs to answer an (anchor, target, window, scope)
-// query by binary search instead of a full scan: per-system time-sorted
-// event timelines with class-partitioned posting lists at system, node and
-// rack granularity, plus each node's precomputed rack-mates. A posting list
-// stores positions into the system timeline in time order, so an event's
-// position in its list doubles as the cumulative count of earlier same-class
-// events and a count-in-window is two binary searches.
+// query in one time-ordered sweep: per-system time-sorted event timelines
+// with class-partitioned posting lists at system, node and rack granularity,
+// plus each system's layout in dense form. A posting list stores positions
+// into the system timeline in time order, so an event's position in its list
+// doubles as the cumulative count of earlier same-class events and a
+// count-in-window is two binary searches.
 //
 // Predicates built from the standard constructors route to the posting list
 // of their trace.Class; PredOf predicates (trace.ClassOpaque) fall back to
-// the ClassAny timeline filtered per event, which is still window-bounded by
-// binary search. The index is immutable once published and safe for
-// concurrent readers; Append extends it copy-on-write without disturbing
-// readers of the old value.
+// the ClassAny timeline filtered per event. The index is immutable once
+// published and safe for concurrent readers; Append extends it copy-on-write
+// without disturbing readers of the old value.
 type DatasetIndex struct {
 	sys map[int]*systemIndex
 }
@@ -37,17 +37,22 @@ type nodeClassKey struct {
 // systemIndex holds the per-system timelines and posting lists.
 type systemIndex struct {
 	fails []trace.Failure // the system's failures in dataset (time) order
-	times []time.Time     // times[i] == fails[i].Time, for dense access
+
+	// tl[i] is fails[i].Time in nanoseconds after base, the first event's
+	// time, so the kernels' window arithmetic is integer arithmetic. wide
+	// marks a timeline spanning more than an int64 of nanoseconds (~292
+	// years; hand-built data only), whose kernels use time.Time instead.
+	base time.Time
+	tl   []int64
+	wide bool
 
 	byClass   [trace.NumClasses][]int32
 	nodeClass map[nodeClassKey][]int32
 	rackClass map[nodeClassKey][]int32
 
-	// rackOf and mates mirror the system's layout: rack per placed node and
-	// each placed node's other rack members, precomputed so rack-scope scans
-	// allocate nothing per anchor. Nil maps for systems without layouts.
-	rackOf map[int]int
-	mates  map[int][]int
+	// racks is the system's layout in dense form (empty without a layout),
+	// built once and shared by every snapshot appended from this one.
+	racks *rackLayout
 
 	// extended is claimed (once, by CAS) by the first Append that wants to
 	// grow this system's slices into their spare capacity. Readers only ever
@@ -55,6 +60,49 @@ type systemIndex struct {
 	// growth by the unique claim holder is safe; any other Append that
 	// reaches this system loses the claim and rebuilds it instead.
 	extended atomic.Bool
+}
+
+// rackLayout is a layout as dense rack ordinals, immutable once built:
+// ord[n] is 1 + node n's rack ordinal (0 if unplaced) for n below the node
+// count, over holds placed nodes outside that range, and ids and size give
+// each ordinal's rack ID and placed-node count.
+type rackLayout struct {
+	ord  []int32
+	over map[int]int32
+	ids  []int
+	size []int32
+}
+
+// newRackLayout densifies the layout of system id of ds (empty without one).
+func newRackLayout(ds *trace.Dataset, id int) *rackLayout {
+	lay := ds.Layouts[id]
+	if lay == nil {
+		return &rackLayout{}
+	}
+	info, _ := ds.System(id)
+	rl := &rackLayout{ord: make([]int32, max(info.Nodes, 0)), over: make(map[int]int32)}
+	for o, r := range lay.Racks() {
+		members := lay.NodesInRack(r)
+		rl.ids = append(rl.ids, r)
+		rl.size = append(rl.size, int32(len(members)))
+		for _, n := range members {
+			if uint(n) < uint(len(rl.ord)) {
+				rl.ord[n] = int32(o) + 1
+			} else {
+				rl.over[n] = int32(o)
+			}
+		}
+	}
+	return rl
+}
+
+// rackOf returns the rack ordinal of a placed node.
+func (rl *rackLayout) rackOf(n int) (int32, bool) {
+	if uint(n) < uint(len(rl.ord)) {
+		return rl.ord[n] - 1, rl.ord[n] > 0
+	}
+	o, ok := rl.over[n]
+	return o, ok
 }
 
 // NewDatasetIndex builds the index over a sorted dataset. Every system
@@ -65,7 +113,7 @@ func NewDatasetIndex(ds *trace.Dataset) *DatasetIndex {
 	sysOf := func(id int) *systemIndex {
 		si := x.sys[id]
 		if si == nil {
-			si = newSystemIndex(layoutMaps(ds.Layouts[id]))
+			si = newSystemIndex(newRackLayout(ds, id))
 			x.sys[id] = si
 		}
 		return si
@@ -80,44 +128,34 @@ func NewDatasetIndex(ds *trace.Dataset) *DatasetIndex {
 	return x
 }
 
-// newSystemIndex returns an empty per-system index sharing the given layout
-// maps (which are immutable once built).
-func newSystemIndex(rackOf map[int]int, mates map[int][]int) *systemIndex {
+// newSystemIndex returns an empty per-system index sharing the given dense
+// layout (which is immutable once built).
+func newSystemIndex(racks *rackLayout) *systemIndex {
 	return &systemIndex{
 		nodeClass: make(map[nodeClassKey][]int32),
 		rackClass: make(map[nodeClassKey][]int32),
-		rackOf:    rackOf,
-		mates:     mates,
+		racks:     racks,
 	}
-}
-
-// layoutMaps precomputes the rack-per-node and rack-mates maps of a layout.
-func layoutMaps(lay *layout.Layout) (map[int]int, map[int][]int) {
-	if lay == nil {
-		return nil, nil
-	}
-	nodes := lay.Nodes()
-	rackOf := make(map[int]int, len(nodes))
-	mates := make(map[int][]int, len(nodes))
-	for _, n := range nodes {
-		rackOf[n] = lay.Rack(n)
-		mates[n] = lay.RackMates(n)
-	}
-	return rackOf, mates
 }
 
 // add indexes one event at the tail of the timeline. The event's time must
 // not precede the current last event. clsBuf is scratch for ClassesOf.
 func (si *systemIndex) add(f trace.Failure, clsBuf []trace.Class) {
 	p := int32(len(si.fails))
+	if p == 0 {
+		si.base = f.Time
+	}
 	si.fails = append(si.fails, f)
-	si.times = append(si.times, f.Time)
+	off, exact := offsetOf(f.Time, si.base)
+	si.wide = si.wide || !exact
+	si.tl = append(si.tl, off)
+	r, placed := si.racks.rackOf(f.Node)
 	for _, c := range trace.ClassesOf(f, clsBuf) {
 		si.byClass[c] = append(si.byClass[c], p)
 		k := nodeClassKey{f.Node, c}
 		si.nodeClass[k] = append(si.nodeClass[k], p)
-		if r, ok := si.rackOf[f.Node]; ok {
-			rk := nodeClassKey{r, c}
+		if placed {
+			rk := nodeClassKey{si.racks.ids[r], c}
 			si.rackClass[rk] = append(si.rackClass[rk], p)
 		}
 	}
@@ -129,27 +167,26 @@ func (si *systemIndex) add(f trace.Failure, clsBuf []trace.Class) {
 // caller must hold the parent index's extension claim before appending to
 // them in place.
 func (si *systemIndex) cowCopy() *systemIndex {
-	ns := &systemIndex{
+	return &systemIndex{
 		fails:     si.fails,
-		times:     si.times,
+		base:      si.base,
+		tl:        si.tl,
+		wide:      si.wide,
 		byClass:   si.byClass,
-		nodeClass: make(map[nodeClassKey][]int32, len(si.nodeClass)+8),
-		rackClass: make(map[nodeClassKey][]int32, len(si.rackClass)+8),
-		rackOf:    si.rackOf,
-		mates:     si.mates,
+		nodeClass: maps.Clone(si.nodeClass),
+		rackClass: maps.Clone(si.rackClass),
+		racks:     si.racks,
 	}
-	for k, v := range si.nodeClass {
-		ns.nodeClass[k] = v
-	}
-	for k, v := range si.rackClass {
-		ns.rackClass[k] = v
-	}
-	return ns
 }
 
-// lastTime returns the time of the system's newest event.
-func (si *systemIndex) lastTime() time.Time {
-	return si.times[len(si.times)-1]
+// offsetOf returns t in nanoseconds after base, and whether that is exact
+// (false beyond an int64 of nanoseconds, where Sub saturates).
+func offsetOf(t, base time.Time) (int64, bool) {
+	d := t.Sub(base)
+	if d == math.MaxInt64 || d == math.MinInt64 {
+		return int64(d), base.Add(d).Equal(t)
+	}
+	return int64(d), true
 }
 
 // sortBatch orders a batch by (time, node, category) so equal inputs index
@@ -222,13 +259,13 @@ func (x *DatasetIndex) Append(ds *trace.Dataset, batch []trace.Failure) *Dataset
 		var ns *systemIndex
 		switch {
 		case old == nil:
-			ns = newSystemIndex(layoutMaps(ds.Layouts[id]))
-		case (len(old.times) == 0 || !evs[0].Time.Before(old.lastTime())) &&
+			ns = newSystemIndex(newRackLayout(ds, id))
+		case (len(old.fails) == 0 || !evs[0].Time.Before(old.fails[len(old.fails)-1].Time)) &&
 			old.extended.CompareAndSwap(false, true):
 			ns = old.cowCopy()
 		default:
 			evs = mergeByTime(old.fails, evs)
-			ns = newSystemIndex(old.rackOf, old.mates)
+			ns = newSystemIndex(old.racks)
 		}
 		for _, f := range evs {
 			ns.add(f, clsBuf[:0])
@@ -246,18 +283,6 @@ func (x *DatasetIndex) system(id int) *systemIndex {
 	return x.sys[id]
 }
 
-// Systems returns the number of indexed systems.
-func (x *DatasetIndex) Systems() int { return len(x.sys) }
-
-// Events returns the total number of indexed failures.
-func (x *DatasetIndex) Events() int {
-	n := 0
-	for _, si := range x.sys {
-		n += len(si.fails)
-	}
-	return n
-}
-
 // CountInWindow returns the number of failures of the system matching pred
 // inside iv, from the cumulative posting-list positions: two binary searches
 // for class-routed predicates, a window-bounded filter for opaque ones.
@@ -268,12 +293,12 @@ func (x *DatasetIndex) CountInWindow(system int, pred trace.Pred, iv trace.Inter
 	}
 	cls, fil := routePred(pred)
 	list := si.byClass[cls]
-	lo := lowerBound(si.times, list, iv.Start)
+	lo, hi := si.lowerBound(list, iv.Start), si.lowerBound(list, iv.End)
 	if fil == nil {
-		return lowerBound(si.times, list, iv.End) - lo
+		return hi - lo
 	}
 	n := 0
-	for i := lo; i < len(list) && si.times[list[i]].Before(iv.End); i++ {
+	for i := lo; i < hi; i++ {
 		if fil.Match(si.fails[list[i]]) {
 			n++
 		}
@@ -293,151 +318,23 @@ func routePred(pred trace.Pred) (trace.Class, trace.Pred) {
 }
 
 // lowerBound returns the first position of list whose event time is not
-// before t. list holds positions into times in ascending time order.
-func lowerBound(times []time.Time, list []int32, t time.Time) int {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if times[list[mid]].Before(t) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// before t. list holds timeline positions in ascending time order.
+func (si *systemIndex) lowerBound(list []int32, t time.Time) int {
+	return sort.Search(len(list), func(i int) bool { return !si.fails[list[i]].Time.Before(t) })
 }
 
 // upperBoundAnchors returns the number of leading list positions whose
 // events start a w-window fitting inside the period (time + w <= period
 // end), the indexed form of the naive scan's per-anchor window clipping.
-func upperBoundAnchors(times []time.Time, list []int32, periodEnd time.Time, w time.Duration) int {
-	cutoff := periodEnd.Add(-w)
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if times[list[mid]].After(cutoff) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+// Wide timelines never reach it.
+func (si *systemIndex) upperBoundAnchors(list []int32, periodEnd time.Time, w time.Duration) int {
+	if k, exact := offsetOf(periodEnd.Add(-w), si.base); exact || k < 0 {
+		return upTo(si.tl, list, k)
 	}
-	return lo
+	return len(list)
 }
 
-// anyIn reports whether list has an event inside iv passing fil (nil fil
-// accepts every event — the class-routed fast path: one binary search).
-func (si *systemIndex) anyIn(list []int32, fil trace.Pred, iv trace.Interval) bool {
-	lo := lowerBound(si.times, list, iv.Start)
-	if fil == nil {
-		return lo < len(list) && si.times[list[lo]].Before(iv.End)
-	}
-	for i := lo; i < len(list) && si.times[list[i]].Before(iv.End); i++ {
-		if fil.Match(si.fails[list[i]]) {
-			return true
-		}
-	}
-	return false
-}
-
-// nodeAny reports whether the node has an event of cls inside iv passing fil.
-func (si *systemIndex) nodeAny(node int, cls trace.Class, fil trace.Pred, iv trace.Interval) bool {
-	return si.anyIn(si.nodeClass[nodeClassKey{node, cls}], fil, iv)
-}
-
-// distinctOther counts the distinct nodes other than exclude with at least
-// one event of cls inside iv passing fil, deduplicating through sc.
-// Callers advance sc.next() first.
-func (si *systemIndex) distinctOther(exclude int, cls trace.Class, fil trace.Pred, iv trace.Interval, sc *condScratch) int {
-	list := si.byClass[cls]
-	n := 0
-	for i := lowerBound(si.times, list, iv.Start); i < len(list) && si.times[list[i]].Before(iv.End); i++ {
-		f := &si.fails[list[i]]
-		if f.Node == exclude {
-			continue
-		}
-		if fil != nil && !fil.Match(*f) {
-			continue
-		}
-		if sc.markNode(f.Node) {
-			n++
-		}
-	}
-	return n
-}
-
-// condScratch is the per-query deduplication state of the indexed kernel:
-// epoch-stamped per-node marks (with an overflow map for node IDs outside
-// the dense range) replace the per-anchor maps of the naive scan. One
-// scratch serves one CondProb call; queries never share one concurrently.
-type condScratch struct {
-	stamp []uint64
-	val   []int64
-	epoch uint64
-
-	overStamp map[int]uint64
-	overVal   map[int]int64
-}
-
-func newCondScratch(nodes int) *condScratch {
-	return &condScratch{stamp: make([]uint64, nodes), val: make([]int64, nodes)}
-}
-
-// next opens a fresh deduplication scope; prior marks become stale.
-func (sc *condScratch) next() { sc.epoch++ }
-
-func (sc *condScratch) overflow() (map[int]uint64, map[int]int64) {
-	if sc.overStamp == nil {
-		sc.overStamp = make(map[int]uint64)
-		sc.overVal = make(map[int]int64)
-	}
-	return sc.overStamp, sc.overVal
-}
-
-// markNode marks a node in the current scope, reporting whether it was new.
-func (sc *condScratch) markNode(n int) bool {
-	if n >= 0 && n < len(sc.stamp) {
-		if sc.stamp[n] == sc.epoch {
-			return false
-		}
-		sc.stamp[n] = sc.epoch
-		return true
-	}
-	over, _ := sc.overflow()
-	if over[n] == sc.epoch {
-		return false
-	}
-	over[n] = sc.epoch
-	return true
-}
-
-// markNodeWin marks a (node, window-index) cell in the current scope,
-// reporting whether it was new. Window indices arrive nondecreasing per
-// node (events are time-sorted), so one remembered value per node suffices.
-func (sc *condScratch) markNodeWin(n int, wi int64) bool {
-	if n >= 0 && n < len(sc.stamp) {
-		if sc.stamp[n] == sc.epoch && sc.val[n] == wi {
-			return false
-		}
-		sc.stamp[n] = sc.epoch
-		sc.val[n] = wi
-		return true
-	}
-	over, vals := sc.overflow()
-	if over[n] == sc.epoch && vals[n] == wi {
-		return false
-	}
-	over[n] = sc.epoch
-	vals[n] = wi
-	return true
-}
-
-// scratchFor sizes a scratch for the densest system under query.
-func scratchFor(systems []trace.SystemInfo) *condScratch {
-	max := 0
-	for _, s := range systems {
-		if s.Nodes > max {
-			max = s.Nodes
-		}
-	}
-	return newCondScratch(max)
+// upTo returns the number of leading list entries whose offset is <= k.
+func upTo(tl []int64, list []int32, k int64) int {
+	return sort.Search(len(list), func(i int) bool { return tl[list[i]] > k })
 }

@@ -77,21 +77,21 @@ func requireCondEqual(t *testing.T, label string, got, want CondResult) {
 }
 
 // diffCondProb runs the full differential sweep over one dataset: all eight
-// anchor classes x three scopes, plus match-all and opaque predicates, at
-// two window lengths.
+// anchor classes x three scopes at the day, week and month windows, plus
+// match-all and opaque predicates, over every system and over the group-1
+// and group-2 subsets the server also draws.
 func diffCondProb(t *testing.T, ds *trace.Dataset) {
 	t.Helper()
 	a := New(ds)
 	scopes := []Scope{ScopeNode, ScopeRack, ScopeSystem}
-	windows := []time.Duration{trace.Day, trace.Week}
-	for _, anchor := range anchorClasses() {
-		for _, scope := range scopes {
-			for _, w := range windows {
-				got := a.CondProb(ds.Systems, anchor.pred, nil, w, scope)
-				want := a.CondProbNaive(ds.Systems, anchor.pred, nil, w, scope)
-				requireCondEqual(t, anchor.label+"/"+scope.String()+"/"+trace.WindowName(w), got, want)
-			}
-		}
+	windows := []time.Duration{trace.Day, trace.Week, trace.Month}
+	subsets := []struct {
+		label   string
+		systems []trace.SystemInfo
+	}{
+		{"all", ds.Systems},
+		{"g1", groupOf(ds, trace.Group1)},
+		{"g2", groupOf(ds, trace.Group2)},
 	}
 	// Match-all anchor and target, same-type pairs, and opaque predicates
 	// (which bypass the posting-list fast path).
@@ -110,13 +110,34 @@ func diffCondProb(t *testing.T, ds *trace.Dataset) {
 		{"opaque-target", hw, weekend},
 		{"opaque-both", weekend, weekend},
 	}
-	for _, c := range extra {
+	for _, sub := range subsets {
 		for _, scope := range scopes {
-			got := a.CondProb(ds.Systems, c.anchor, c.target, trace.Week, scope)
-			want := a.CondProbNaive(ds.Systems, c.anchor, c.target, trace.Week, scope)
-			requireCondEqual(t, c.label+"/"+scope.String(), got, want)
+			for _, w := range windows {
+				label := sub.label + "/" + scope.String() + "/" + trace.WindowName(w)
+				for _, anchor := range anchorClasses() {
+					got := a.CondProb(sub.systems, anchor.pred, nil, w, scope)
+					want := a.CondProbNaive(sub.systems, anchor.pred, nil, w, scope)
+					requireCondEqual(t, anchor.label+"/"+label, got, want)
+				}
+				for _, c := range extra {
+					got := a.CondProb(sub.systems, c.anchor, c.target, w, scope)
+					want := a.CondProbNaive(sub.systems, c.anchor, c.target, w, scope)
+					requireCondEqual(t, c.label+"/"+label, got, want)
+				}
+			}
 		}
 	}
+}
+
+// groupOf returns the systems of one hardware group.
+func groupOf(ds *trace.Dataset, g trace.Group) []trace.SystemInfo {
+	var out []trace.SystemInfo
+	for _, s := range ds.Systems {
+		if s.Group == g {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func TestIndexedCondProbMatchesNaive(t *testing.T) {

@@ -35,7 +35,7 @@ func (v SystemView) Events() int { return len(v.si.fails) }
 func (v SystemView) Failure(i int) trace.Failure { return v.si.fails[i] }
 
 // Time returns the time of the event at timeline position i.
-func (v SystemView) Time(i int) time.Time { return v.si.times[i] }
+func (v SystemView) Time(i int) time.Time { return v.si.fails[i].Time }
 
 // ClassList returns the system-wide posting list of cls: timeline positions
 // in ascending time (and position) order. Callers must not modify it.
@@ -55,12 +55,15 @@ func (v SystemView) RackClassList(rack int, cls trace.Class) []int32 {
 // Rack returns the rack of a placed node, and whether the node is placed in
 // the system's layout (always false for systems without layouts).
 func (v SystemView) Rack(node int) (int, bool) {
-	r, ok := v.si.rackOf[node]
-	return r, ok
+	r, ok := v.si.racks.rackOf(node)
+	if !ok {
+		return 0, false
+	}
+	return v.si.racks.ids[r], true
 }
 
 // LowerBound returns the first index of list whose event time is not before
 // t — the binary search the window scans are made of.
 func (v SystemView) LowerBound(list []int32, t time.Time) int {
-	return lowerBound(v.si.times, list, t)
+	return v.si.lowerBound(list, t)
 }

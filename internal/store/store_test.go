@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -327,5 +328,50 @@ func TestSiblingAppends(t *testing.T) {
 	w := want.CondProb(ds.Systems, nil, nil, trace.Week, analysis.ScopeNode)
 	if !bitEqual(g, w) {
 		t.Fatal("sibling appends mutated the shared parent analyzer")
+	}
+}
+
+// TestAppendChainCondProbMatchesNaive runs a seeded chain of appends —
+// in-order tails and late batches that force a rebuild — and after every
+// one checks the snapshot's indexed CondProb against the frozen naive scan
+// bit for bit, at all three scopes.
+func TestAppendChainCondProbMatchesNaive(t *testing.T) {
+	ds := genDataset(t, 33)
+	st, err := store.New(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(33))
+	hw := trace.CategoryPred(trace.Hardware)
+	odd := trace.PredOf(func(f trace.Failure) bool { return f.Node%2 == 1 })
+	preds := []trace.Pred{nil, hw, trace.HWPred(trace.Memory), odd}
+	for step := 0; step < 8; step++ {
+		cur := st.Snapshot().Dataset()
+		var batch []trace.Failure
+		if rng.Intn(3) == 0 {
+			batch = batchInside(cur, 1+rng.Intn(12))
+		} else {
+			batch = batchAfter(cur, 1+rng.Intn(40), time.Duration(1+rng.Intn(120))*time.Minute)
+		}
+		snap, err := st.Append(batch)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		a := snap.Analyzer()
+		sys := snap.Dataset().Systems
+		for _, scope := range []analysis.Scope{analysis.ScopeNode, analysis.ScopeRack, analysis.ScopeSystem} {
+			for _, w := range []time.Duration{trace.Day, trace.Week, trace.Month} {
+				anchor, target := preds[rng.Intn(len(preds))], preds[rng.Intn(len(preds))]
+				g := a.CondProb(sys, anchor, target, w, scope)
+				n := a.CondProbNaive(sys, anchor, target, w, scope)
+				if !bitEqual(g, n) {
+					t.Fatalf("step %d (rebuilds %d): CondProb %v/%v diverged from naive:\nindexed %+v\nnaive   %+v",
+						step, snap.Rebuilds(), scope, w, g, n)
+				}
+			}
+		}
+	}
+	if st.Rebuilds() == 0 {
+		t.Fatal("seeded chain never forced a rebuild")
 	}
 }

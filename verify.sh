@@ -34,9 +34,9 @@ go test -bench=. -benchtime=1x -run='^$' ./...
 # degradation tests, under -race. CRASHGATE_DEEP=1 widens the sweep.
 "$dir/scripts/crashgate.sh"
 
-# Bench regression gate: kernel ns/op vs the committed BENCH_results.json
-# (TOLERANCE overrides), and indexed kernels must keep MIN_SPEEDUP over the
-# naive reference.
+# Bench regression gate: kernel ns/op vs BENCH_BASE (default HEAD) built
+# and run in sixteen interleaved pairs on this host (TOLERANCE overrides),
+# and indexed kernels must keep MIN_SPEEDUP over the naive reference.
 "$dir/scripts/benchgate.sh"
 
 # Replay SLO gate: open-loop quick-catalog replay against a live in-process
