@@ -143,6 +143,7 @@ func run(args []string) (err error) {
 	a := analysis.New(ds)
 	b.kernelBenches(a, ds)
 	b.indexAppendBench(ds)
+	b.storeAppendBench(ds)
 	b.correlateMineBench(ds)
 	b.anomaliesBench(a)
 	b.macroBenches(a, ds)
@@ -361,6 +362,33 @@ func (b *bencher) indexAppendBench(ds *trace.Dataset) {
 		},
 		func() { analysis.NewDatasetIndex(merged) },
 	)
+}
+
+// storeAppendBench times the write path one journaled event pays: a
+// one-event store.Append (validation, the copy-on-write dataset merge and
+// the analyzer's index append), chained like index-append with the fresh
+// store that starts each chain billed to the measurement. It has no naive
+// twin; the kernel regression gate pins it.
+func (b *bencher) storeAppendBench(ds *trace.Dataset) {
+	const chainLen = 4096
+	batches, _ := tailBatches(ds, chainLen, 1)
+
+	i := 0
+	var st *store.Store
+	b.measure("store-append/event", "kernel", func() {
+		if i%chainLen == 0 {
+			seed := *ds
+			seed.Failures = append([]trace.Failure(nil), ds.Failures...)
+			var err error
+			if st, err = store.New(&seed); err != nil {
+				panic(err)
+			}
+		}
+		if _, err := st.Append(batches[i%chainLen]); err != nil {
+			panic(err)
+		}
+		i++
+	})
 }
 
 // correlateMineBench pits the incremental correlation miner — one store

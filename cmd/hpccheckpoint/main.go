@@ -75,7 +75,7 @@ func run(args []string) error {
 		mtbf.Round(time.Hour), *base, *risky, *window)
 
 	failureTimes := func(system, node int) []time.Time {
-		fs := a.Index.NodeFailures(system, node)
+		fs := a.NodeFailures(system, node)
 		out := make([]time.Time, len(fs))
 		for i, f := range fs {
 			out[i] = f.Time

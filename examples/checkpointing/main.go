@@ -35,7 +35,7 @@ func main() {
 		mtbf.Round(time.Hour), young)
 
 	failureTimes := func(system, node int) []time.Time {
-		fs := a.Index.NodeFailures(system, node)
+		fs := a.NodeFailures(system, node)
 		out := make([]time.Time, len(fs))
 		for i, f := range fs {
 			out[i] = f.Time

@@ -25,8 +25,8 @@
 //   - a streaming correlation layer: an incremental miner for windowed
 //     class-to-class correlation rules over the versioned store, and a
 //     vicinity anomaly detector flagging nodes that fail unlike their
-//     rack/position neighborhood (served as /v1/correlations and
-//     /v1/anomalies).
+//     rack/position neighborhood (served by cmd/hpcserve as
+//     /v1/correlations and /v1/anomalies).
 //
 // # Quick start
 //
@@ -50,18 +50,15 @@ import (
 	"github.com/hpcfail/hpcfail/internal/analysis"
 	"github.com/hpcfail/hpcfail/internal/checkpoint"
 	"github.com/hpcfail/hpcfail/internal/client"
-	"github.com/hpcfail/hpcfail/internal/correlate"
 	"github.com/hpcfail/hpcfail/internal/experiments"
 	"github.com/hpcfail/hpcfail/internal/faultinject"
 	"github.com/hpcfail/hpcfail/internal/lanl"
-	"github.com/hpcfail/hpcfail/internal/replay"
 	"github.com/hpcfail/hpcfail/internal/risk"
 	"github.com/hpcfail/hpcfail/internal/server"
 	"github.com/hpcfail/hpcfail/internal/simulate"
 	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/trace"
 	"github.com/hpcfail/hpcfail/internal/validate"
-	"github.com/hpcfail/hpcfail/internal/wal"
 )
 
 // Core data model re-exports.
@@ -72,14 +69,6 @@ type (
 	SystemInfo = trace.SystemInfo
 	// Failure is a single node-outage record.
 	Failure = trace.Failure
-	// Job is a single job record from a usage log.
-	Job = trace.Job
-	// TempSample is one periodic temperature reading.
-	TempSample = trace.TempSample
-	// MaintenanceEvent records a maintenance action on a node.
-	MaintenanceEvent = trace.MaintenanceEvent
-	// NeutronSample is one neutron-monitor reading.
-	NeutronSample = trace.NeutronSample
 	// Interval is a right-open time interval.
 	Interval = trace.Interval
 	// Category is the high-level root cause of an outage.
@@ -143,12 +132,6 @@ type (
 	Analyzer = analysis.Analyzer
 	// Scope selects node, rack or system granularity.
 	Scope = analysis.Scope
-	// CondResult is one conditional-vs-baseline comparison.
-	CondResult = analysis.CondResult
-	// FollowUp is a labelled CondResult.
-	FollowUp = analysis.FollowUp
-	// Predictor is the root-cause-aware follow-up-failure predictor.
-	Predictor = analysis.Predictor
 	// Evaluation summarizes a predictor's held-out performance.
 	Evaluation = analysis.Evaluation
 )
@@ -173,9 +156,6 @@ var (
 	SWPred = trace.SWPred
 	// EnvPred matches environment failures of one subtype.
 	EnvPred = trace.EnvPred
-	// PredOf wraps an arbitrary filter function as a predicate; such
-	// predicates bypass the class-partitioned index fast path.
-	PredOf = trace.PredOf
 )
 
 // GenerateOptions configures synthetic dataset generation.
@@ -267,8 +247,6 @@ type (
 	ValidationMode = validate.Mode
 	// ValidationReport aggregates the diagnostics of one load.
 	ValidationReport = validate.Report
-	// Diagnostic is one line-anchored validation finding.
-	Diagnostic = validate.Diagnostic
 )
 
 // Validation modes.
@@ -289,9 +267,6 @@ var ErrBudgetExceeded = validate.ErrBudgetExceeded
 // DefaultValidationPolicy returns the Lenient policy with the standard
 // plausibility bounds and no error budget.
 func DefaultValidationPolicy() ValidationPolicy { return validate.DefaultPolicy() }
-
-// ParseValidationMode parses "strict", "lenient" or "repair".
-func ParseValidationMode(s string) (ValidationMode, error) { return validate.ParseMode(s) }
 
 // LoadDatasetWith reads a dataset directory under a validation policy,
 // returning the dataset together with the validation report. The dataset
@@ -322,11 +297,22 @@ func ImportLANLWith(r io.Reader, m LANLMapping, p ValidationPolicy) (*Dataset, *
 type (
 	// FaultSpec configures a corruption pass.
 	FaultSpec = faultinject.Spec
-	// FaultClass enumerates the injectable fault classes.
-	FaultClass = faultinject.Class
 	// FaultInjection is the ground truth of one injected fault.
 	FaultInjection = faultinject.Injection
 )
+
+// Corrupt serializes failures into the canonical CSV and injects the
+// spec's fault mix, returning the corrupted bytes and per-fault ground
+// truth.
+func Corrupt(failures []Failure, spec FaultSpec) ([]byte, []FaultInjection, error) {
+	return faultinject.CorruptFailures(failures, spec)
+}
+
+// CorruptDataset writes ds into dir and replaces its failures table with a
+// corrupted copy, returning the injection ground truth.
+func CorruptDataset(dir string, ds *Dataset, spec FaultSpec) ([]FaultInjection, error) {
+	return faultinject.CorruptDataset(dir, ds, spec)
+}
 
 // Serving-layer re-exports: online risk scoring and the HTTP API (see
 // internal/risk and internal/server).
@@ -334,20 +320,12 @@ type (
 	// LiftTable is the precomputed conditional-probability table the risk
 	// engine scores against.
 	LiftTable = analysis.LiftTable
-	// LiftKey identifies one lift-table entry (anchor class and scope).
-	LiftKey = analysis.LiftKey
-	// LiftEntry is one lift-table entry.
-	LiftEntry = analysis.LiftEntry
 	// RiskEngine scores live follow-up-failure risk per node.
 	RiskEngine = risk.Engine
 	// RiskConfig assembles a RiskEngine from a lift table and catalog.
 	RiskConfig = risk.Config
 	// RiskScore is one node's risk at one instant.
 	RiskScore = risk.Score
-	// RiskContribution is one active event's effect on a score.
-	RiskContribution = risk.Contribution
-	// RiskSnapshot is a consistent view of an engine's state.
-	RiskSnapshot = risk.Snapshot
 	// ServerConfig assembles the HTTP serving layer.
 	ServerConfig = server.Config
 	// RiskServer answers the JSON API over one dataset.
@@ -388,92 +366,11 @@ func Serve(ctx context.Context, addr string, cfg ServerConfig) error {
 	return server.Serve(ctx, addr, cfg)
 }
 
-// Durability re-exports: crash-safe serving via a write-ahead log plus
-// periodic snapshots (see internal/wal and internal/risk).
-type (
-	// WALOptions configures the write-ahead log backing a Journal.
-	WALOptions = wal.Options
-	// WALSyncPolicy selects when WAL appends reach stable storage.
-	WALSyncPolicy = wal.SyncPolicy
-	// JournalConfig assembles a Journal around a RiskEngine.
-	JournalConfig = risk.JournalConfig
-	// Journal is the durable ingest path: WAL-first observation with
-	// periodic engine snapshots. A server opens its own journals from
-	// ServerConfig.ShardWAL.
-	Journal = risk.Journal
-	// RecoveryStats reports what OpenJournal reconstructed on startup.
-	RecoveryStats = risk.RecoveryStats
-)
-
-// WAL fsync policies, in decreasing durability order.
-const (
-	WALSyncAlways   = wal.SyncAlways
-	WALSyncInterval = wal.SyncInterval
-	WALSyncNever    = wal.SyncNever
-)
-
-// OpenJournal opens (or recovers) a durable journal over the engine: the
-// newest valid snapshot is restored, the WAL tail past it replayed, and
-// subsequent Observe calls are logged before they mutate engine state.
-func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
-	return risk.OpenJournal(cfg)
-}
-
-// Versioned-store re-exports: the copy-on-write dataset store that unifies
+// Versioned-store re-export: the copy-on-write dataset store that unifies
 // batch and online analysis (see internal/store). Readers pin an immutable
-// DatasetSnapshot (dataset + incrementally-maintained analyzer + monotonic
-// version) while writers append event batches; JournalConfig.Store accepts
-// a shared DatasetStore so live ingest and WAL recovery advance one
-// analysis dataset.
-type (
-	// DatasetStore is the versioned, copy-on-write owner of a canonical
-	// event log.
-	DatasetStore = store.Store
-	// DatasetSnapshot is one immutable version of a DatasetStore's world:
-	// dataset, ready analyzer, and version number.
-	DatasetSnapshot = store.Snapshot
-)
-
-// NewDatasetStore builds a versioned store over a sorted dataset; the
-// boot dataset becomes version 1.
-func NewDatasetStore(ds *Dataset) (*DatasetStore, error) { return store.New(ds) }
-
-// Correlation-mining re-exports: the streaming rule miner and vicinity
-// anomaly detector behind GET /v1/correlations and /v1/anomalies (see
-// internal/correlate).
-type (
-	// CorrelationMiner maintains windowed event-pair counts incrementally
-	// against a DatasetStore and assembles correlation rules on demand.
-	CorrelationMiner = correlate.Miner
-	// CorrelationRule is one thresholded class-to-class rule with support,
-	// confidence and lift.
-	CorrelationRule = correlate.Rule
-	// CorrelationRuleCounts is the mergeable pair-count state rules are
-	// derived from; shards exchange these.
-	CorrelationRuleCounts = correlate.RuleCounts
-	// VicinityAnomaly is one node whose failure behaviour deviates from its
-	// rack/position neighborhood.
-	VicinityAnomaly = correlate.Anomaly
-)
-
-// NewCorrelationMiner builds a miner over the store for the given windows
-// (none = the day and week defaults).
-func NewCorrelationMiner(st *DatasetStore, windows ...time.Duration) *CorrelationMiner {
-	return correlate.NewMiner(st, windows...)
-}
-
-// MergeCorrelationCounts merges per-shard rule counts into the counts an
-// unsharded mine over the union dataset would produce, bit for bit.
-func MergeCorrelationCounts(w time.Duration, parts []CorrelationRuleCounts) CorrelationRuleCounts {
-	return correlate.MergeRuleCounts(w, parts)
-}
-
-// DetectVicinityAnomalies ranks the top k nodes of the given systems (nil =
-// all) by how far their failure rate, class mix and burstiness deviate from
-// their layout neighborhood.
-func DetectVicinityAnomalies(a *Analyzer, systems []int, k int) []VicinityAnomaly {
-	return correlate.DetectAnomalies(a, systems, k)
-}
+// snapshot (dataset, incrementally maintained analyzer and monotonic
+// version) while writers append event batches; hpcserve owns one.
+type DatasetStore = store.Store
 
 // Client re-exports: the resilient API client (see internal/client).
 type (
@@ -484,74 +381,7 @@ type (
 	Client = client.Client
 	// ClientEvent is one failure event for Client.PostEvents.
 	ClientEvent = client.Event
-	// APIError is a non-2xx server response the client did not retry away.
-	APIError = client.APIError
-	// DatasetClient is a Client handle scoped to one named dataset on a
-	// multi-tenant server (Client.Dataset).
-	DatasetClient = client.DatasetClient
 )
 
 // NewClient builds a resilient hpcserve API client.
 func NewClient(cfg ClientConfig) (*Client, error) { return client.New(cfg) }
-
-// Chaos re-exports: deterministic HTTP fault injection (see
-// internal/faultinject). Wire Middleware into ServerConfig.Middleware.
-type (
-	// ChaosSpec configures a Chaos injector.
-	ChaosSpec = faultinject.ChaosSpec
-	// Chaos injects seeded latency, errors, and aborts as middleware.
-	Chaos = faultinject.Chaos
-)
-
-// NewChaos builds a deterministic HTTP fault injector.
-func NewChaos(spec ChaosSpec) *Chaos { return faultinject.NewChaos(spec) }
-
-// Corrupt serializes failures into the canonical CSV and injects the
-// spec's fault mix, returning the corrupted bytes and per-fault ground
-// truth.
-func Corrupt(failures []Failure, spec FaultSpec) ([]byte, []FaultInjection, error) {
-	return faultinject.CorruptFailures(failures, spec)
-}
-
-// CorruptDataset writes ds into dir and replaces its failures table with a
-// corrupted copy, returning the injection ground truth.
-func CorruptDataset(dir string, ds *Dataset, spec FaultSpec) ([]FaultInjection, error) {
-	return faultinject.CorruptDataset(dir, ds, spec)
-}
-
-// Replay re-exports: the decade-scale trace replay harness (see
-// internal/replay and cmd/hpcreplay).
-type (
-	// ReplaySchedule is a deterministic, lazily generated stream of mixed
-	// HTTP operations derived from a dataset's post-split failures.
-	ReplaySchedule = replay.Schedule
-	// ReplayScheduleOptions configures NewReplaySchedule.
-	ReplayScheduleOptions = replay.ScheduleOptions
-	// ReplayMix weights the read routes of a replay workload.
-	ReplayMix = replay.Mix
-	// ReplayOp is one scheduled operation with its virtual send time.
-	ReplayOp = replay.Op
-	// ReplayReport is the hpcreplay output document with CO-corrected
-	// per-route latency percentiles.
-	ReplayReport = replay.Report
-	// ReplayGateOptions tunes the replay SLO gate.
-	ReplayGateOptions = replay.GateOptions
-)
-
-// NewReplaySchedule splits ds at the options' split point and prepares the
-// lazy open-loop op stream.
-func NewReplaySchedule(ds *Dataset, opts ReplayScheduleOptions) (*ReplaySchedule, error) {
-	return replay.NewSchedule(ds, opts)
-}
-
-// GenerateReplayCatalog builds a named replay dataset (quick, small,
-// standard, decade or mega) with an optional hazard multiplier.
-func GenerateReplayCatalog(name string, seed int64, hazardMult float64) (*Dataset, error) {
-	return replay.GenerateCatalog(name, seed, hazardMult)
-}
-
-// ReplayGate compares a replay report against a baseline and returns one
-// violation string per breached SLO (empty = pass).
-func ReplayGate(cur, base *ReplayReport, o ReplayGateOptions) []string {
-	return replay.Gate(cur, base, o)
-}

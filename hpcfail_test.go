@@ -85,7 +85,7 @@ func TestCheckpointFacade(t *testing.T) {
 		t.Fatal("Young interval should be positive")
 	}
 	failureTimes := func(system, node int) []time.Time {
-		fs := a.Index.NodeFailures(system, node)
+		fs := a.NodeFailures(system, node)
 		out := make([]time.Time, len(fs))
 		for i, f := range fs {
 			out[i] = f.Time

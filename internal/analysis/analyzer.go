@@ -13,6 +13,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -24,14 +25,13 @@ import (
 type Analyzer struct {
 	// DS is the dataset under analysis.
 	DS *trace.Dataset
-	// Index is the time-ordered failure index.
-	Index *trace.Index
 	// Jobs is the job-log index (usable only for systems with job logs).
 	Jobs *trace.JobIndex
 
-	// didx is the class-partitioned dataset index behind the indexed
-	// conditional-probability kernel. Nil only on hand-assembled Analyzers,
-	// which fall back to the naive scans.
+	// didx is the dataset index every failure-timeline read answers from:
+	// per-system timelines and the class-partitioned posting lists behind
+	// the indexed kernels. Nil only on hand-assembled Analyzers, which
+	// fall back to scans of DS.
 	didx *DatasetIndex
 
 	// maint maps nodes to sorted times of unscheduled hardware-related
@@ -44,7 +44,6 @@ type Analyzer struct {
 func New(ds *trace.Dataset) *Analyzer {
 	a := &Analyzer{
 		DS:    ds,
-		Index: trace.NewIndex(ds.Failures),
 		Jobs:  trace.NewJobIndex(ds.Jobs),
 		didx:  NewDatasetIndex(ds),
 		maint: make(map[trace.NodeKey][]time.Time),
@@ -63,32 +62,14 @@ func New(ds *trace.Dataset) *Analyzer {
 }
 
 // Append returns a new Analyzer over merged, which must be a.DS extended
-// with the events of batch: merged.Failures carries every old failure in its
-// first len(a.DS.Failures) positions (a tail extension) or, for late-arriving
-// batches, a full re-sort — Append detects which by length and falls back to
-// a from-scratch failure index when merged is not a tail extension. The
-// dataset index is maintained incrementally either way; job and maintenance
-// indexes are shared, since ingested failure events never carry job or
-// maintenance records. The receiver stays valid and immutable.
+// with the events of batch, in the order the versioned store merges them:
+// a batch sorted by time with ties kept in batch order, placed after older
+// events of equal time. Late batches are fine; the dataset index rebuilds
+// just the systems they reach back into. Job and maintenance indexes are
+// shared, since ingested failure events never carry job or maintenance
+// records. The receiver stays valid and immutable.
 func (a *Analyzer) Append(merged *trace.Dataset, batch []trace.Failure) *Analyzer {
 	na := &Analyzer{DS: merged, Jobs: a.Jobs, maint: a.maint}
-	tail := a.Index != nil && len(merged.Failures) == len(a.DS.Failures)+len(batch)
-	if tail && len(a.DS.Failures) > 0 {
-		// A batch with an event older than the newest existing failure was
-		// merged by re-sorting, not appended: the old positions moved.
-		last := a.DS.Failures[len(a.DS.Failures)-1].Time
-		for _, f := range batch {
-			if f.Time.Before(last) {
-				tail = false
-				break
-			}
-		}
-	}
-	if tail {
-		na.Index = a.Index.Append(merged.Failures)
-	} else {
-		na.Index = trace.NewIndex(merged.Failures)
-	}
 	if a.didx != nil {
 		na.didx = a.didx.Append(merged, batch)
 	} else {
@@ -101,6 +82,55 @@ func (a *Analyzer) Append(merged *trace.Dataset, batch []trace.Failure) *Analyze
 // conditional-probability kernel (nil on hand-assembled Analyzers). Callers
 // must treat it as read-only.
 func (a *Analyzer) DatasetIndex() *DatasetIndex { return a.didx }
+
+// SystemFailures returns the failures of a system in time order: DS.Failures
+// projected onto the system, ties in dataset order. The slice is the
+// index's own timeline, shared by every reader of this and later
+// snapshots, so it is read-only: callers must not modify or append to it.
+// Unknown systems have none.
+func (a *Analyzer) SystemFailures(id int) []trace.Failure {
+	if a.didx == nil {
+		return a.DS.SystemFailures(id)
+	}
+	if si := a.didx.system(id); si != nil {
+		return si.fails
+	}
+	return nil
+}
+
+// NodeFailures returns the failures of one node in time order, ties in
+// dataset order. The returned slice is freshly allocated.
+func (a *Analyzer) NodeFailures(system, node int) []trace.Failure {
+	si := a.didx.system(system)
+	if si == nil {
+		// A hand-assembled analyzer scans DS; an unknown system has none.
+		var out []trace.Failure
+		for _, f := range a.SystemFailures(system) {
+			if f.Node == node {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+	list := si.nodeClass[nodeClassKey{node, trace.ClassAny}]
+	out := make([]trace.Failure, len(list))
+	for i, p := range list {
+		out[i] = si.fails[p]
+	}
+	return out
+}
+
+// nodeAny reports whether the node has a failure inside iv: one binary
+// search on its ClassAny posting list.
+func (a *Analyzer) nodeAny(system, node int, iv trace.Interval) bool {
+	si := a.didx.system(system)
+	if si == nil {
+		return slices.ContainsFunc(a.NodeFailures(system, node), func(f trace.Failure) bool { return iv.Contains(f.Time) })
+	}
+	list := si.nodeClass[nodeClassKey{node, trace.ClassAny}]
+	i := si.lowerBound(list, iv.Start)
+	return i < len(list) && si.fails[list[i]].Time.Before(iv.End)
+}
 
 // maintAny reports whether the node has an unscheduled hardware maintenance
 // event inside iv.

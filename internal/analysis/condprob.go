@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"math"
+	"sort"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/stats"
@@ -139,8 +140,14 @@ func (a *Analyzer) BaselineNodeProb(systems []trace.SystemInfo, w time.Duration,
 
 // BaselineNodeProbNaive is the reference implementation of
 // BaselineNodeProb: a full scan with map-based cell deduplication. It is
-// retained for differential tests and benchmarks against the indexed path.
+// retained for differential tests and benchmarks against the indexed path
+// and reads only DS, never the index it checks.
 func (a *Analyzer) BaselineNodeProbNaive(systems []trace.SystemInfo, w time.Duration, pred trace.Pred) stats.Proportion {
+	return newFailureScan(a.DS, systems).baseline(systems, w, pred)
+}
+
+// baseline is BaselineNodeProbNaive over the scan.
+func (sc *failureScan) baseline(systems []trace.SystemInfo, w time.Duration, pred trace.Pred) stats.Proportion {
 	successes, trials := 0, 0
 	for _, s := range systems {
 		nw := int(s.Period.Duration() / w)
@@ -151,7 +158,7 @@ func (a *Analyzer) BaselineNodeProbNaive(systems []trace.SystemInfo, w time.Dura
 		// Mark (node, window) cells with a matching failure.
 		type cell struct{ node, win int }
 		seen := make(map[cell]bool)
-		for _, f := range a.Index.SystemFailures(s.ID) {
+		for _, f := range sc.sys[s.ID] {
 			if !pred.Match(f) {
 				continue
 			}
@@ -372,12 +379,14 @@ func (a *Analyzer) CondProbNaive(systems []trace.SystemInfo, anchorPred, targetP
 }
 
 // CondProbNaiveCtx is the reference implementation of CondProbCtx: a full
-// scan of every system's failures with per-anchor index probes. It is
-// retained for differential tests and benchmarks against the indexed path
-// and must stay semantically frozen.
+// scan of every system's failures with per-anchor probes. It is retained
+// for differential tests and benchmarks against the indexed path and must
+// stay semantically frozen. It reads only DS (see failureScan), so it
+// checks the dataset index instead of sharing its answers.
 func (a *Analyzer) CondProbNaiveCtx(ctx context.Context, systems []trace.SystemInfo, anchorPred, targetPred trace.Pred, w time.Duration, scope Scope) (CondResult, error) {
 	res := CondResult{Window: w, Scope: scope}
-	res.Baseline = a.BaselineNodeProbNaive(systems, w, targetPred)
+	sc := newFailureScan(a.DS, systems)
+	res.Baseline = sc.baseline(systems, w, targetPred)
 
 	scanned := 0
 	for _, s := range systems {
@@ -388,7 +397,7 @@ func (a *Analyzer) CondProbNaiveCtx(ctx context.Context, systems []trace.SystemI
 		if scope == ScopeRack && lay == nil {
 			continue
 		}
-		for _, f := range a.Index.SystemFailures(s.ID) {
+		for _, f := range sc.sys[s.ID] {
 			scanned++
 			if scanned%1024 == 0 {
 				if err := ctx.Err(); err != nil {
@@ -408,14 +417,14 @@ func (a *Analyzer) CondProbNaiveCtx(ctx context.Context, systems []trace.SystemI
 			switch scope {
 			case ScopeNode:
 				res.Conditional.Trials++
-				if a.Index.NodeAny(s.ID, f.Node, iv, targetPred) {
+				if sc.nodeAny(s.ID, f.Node, iv, targetPred) {
 					res.Conditional.Successes++
 				}
 			case ScopeRack:
 				mates := lay.RackMates(f.Node)
 				for _, m := range mates {
 					res.Conditional.Trials++
-					if a.Index.NodeAny(s.ID, m, iv, targetPred) {
+					if sc.nodeAny(s.ID, m, iv, targetPred) {
 						res.Conditional.Successes++
 					}
 				}
@@ -423,7 +432,7 @@ func (a *Analyzer) CondProbNaiveCtx(ctx context.Context, systems []trace.SystemI
 				// Count distinct other nodes with a matching failure in
 				// the window by scanning the window once.
 				res.Conditional.Trials += s.Nodes - 1
-				res.Conditional.Successes += a.distinctOtherNodes(s.ID, f.Node, iv, targetPred)
+				res.Conditional.Successes += sc.distinctOtherNodes(s.ID, f.Node, iv, targetPred)
 			}
 		}
 	}
@@ -431,11 +440,59 @@ func (a *Analyzer) CondProbNaiveCtx(ctx context.Context, systems []trace.SystemI
 	return res, nil
 }
 
+// failureScan is the naive references' own view of the failure log: each
+// requested system's failures in dataset order, and per node the positions
+// of its failures in that slice (built on the first node probe; the
+// baseline and system scope never need them). It is built from
+// DS.Failures on every call, so the references never read the DatasetIndex
+// they check.
+type failureScan struct {
+	sys  map[int][]trace.Failure
+	node map[trace.NodeKey][]int
+}
+
+// newFailureScan splits ds's failures of the given systems by system.
+func newFailureScan(ds *trace.Dataset, systems []trace.SystemInfo) *failureScan {
+	sc := &failureScan{sys: make(map[int][]trace.Failure, len(systems))}
+	for _, s := range systems {
+		sc.sys[s.ID] = nil
+	}
+	for _, f := range ds.Failures {
+		if fs, ok := sc.sys[f.System]; ok {
+			sc.sys[f.System] = append(fs, f)
+		}
+	}
+	return sc
+}
+
+// nodeAny reports whether the node has a failure matching pred inside iv,
+// by binary search over its positions.
+func (sc *failureScan) nodeAny(system, node int, iv trace.Interval, pred trace.Pred) bool {
+	if sc.node == nil {
+		sc.node = make(map[trace.NodeKey][]int)
+		for id, fs := range sc.sys {
+			for i, f := range fs {
+				k := trace.NodeKey{System: id, Node: f.Node}
+				sc.node[k] = append(sc.node[k], i)
+			}
+		}
+	}
+	fs := sc.sys[system]
+	idxs := sc.node[trace.NodeKey{System: system, Node: node}]
+	i := sort.Search(len(idxs), func(i int) bool { return !fs[idxs[i]].Time.Before(iv.Start) })
+	for ; i < len(idxs) && fs[idxs[i]].Time.Before(iv.End); i++ {
+		if pred.Match(fs[idxs[i]]) {
+			return true
+		}
+	}
+	return false
+}
+
 // distinctOtherNodes counts distinct nodes (excluding exclude) with at
 // least one failure matching pred in iv.
-func (a *Analyzer) distinctOtherNodes(system, exclude int, iv trace.Interval, pred trace.Pred) int {
+func (sc *failureScan) distinctOtherNodes(system, exclude int, iv trace.Interval, pred trace.Pred) int {
 	seen := make(map[int]bool)
-	for _, f := range a.windowFailures(system, iv) {
+	for _, f := range sc.windowFailures(system, iv) {
 		if f.Node == exclude || seen[f.Node] {
 			continue
 		}
@@ -446,26 +503,13 @@ func (a *Analyzer) distinctOtherNodes(system, exclude int, iv trace.Interval, pr
 	return len(seen)
 }
 
-// windowFailures returns the failures of a system inside iv, using the
-// index's binary search.
-func (a *Analyzer) windowFailures(system int, iv trace.Interval) []trace.Failure {
-	all := a.Index.SystemFailures(system)
-	lo := searchTime(all, iv.Start)
-	hi := searchTime(all, iv.End)
+// windowFailures returns the failures of a system inside iv, by binary
+// search.
+func (sc *failureScan) windowFailures(system int, iv trace.Interval) []trace.Failure {
+	all := sc.sys[system]
+	lo := sort.Search(len(all), func(i int) bool { return !all[i].Time.Before(iv.Start) })
+	hi := sort.Search(len(all), func(i int) bool { return !all[i].Time.Before(iv.End) })
 	return all[lo:hi]
-}
-
-func searchTime(fs []trace.Failure, t time.Time) int {
-	lo, hi := 0, len(fs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if fs[mid].Time.Before(t) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // FollowUp is a labelled CondResult, one bar of a figure.

@@ -60,7 +60,7 @@ func (a *Analyzer) NeutronCorrelation(system int, target string, pred trace.Pred
 	// Monthly distinct failing nodes.
 	failNodes := make(map[time.Time]map[int]bool)
 	failCounts := make(map[time.Time]int)
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		if !pred.Match(f) {
 			continue
 		}

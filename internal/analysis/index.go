@@ -10,14 +10,16 @@ import (
 	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
-// DatasetIndex precomputes, once per dataset, everything the conditional-
-// probability kernel needs to answer an (anchor, target, window, scope)
-// query in one time-ordered sweep: per-system time-sorted event timelines
-// with class-partitioned posting lists at system, node and rack granularity,
-// plus each system's layout in dense form. A posting list stores positions
-// into the system timeline in time order, so an event's position in its list
-// doubles as the cumulative count of earlier same-class events and a
-// count-in-window is two binary searches.
+// DatasetIndex is the analyzer's one event index: every failure-timeline
+// read (a system's or a node's failures in time order) and every indexed
+// kernel answers from it. It precomputes, once per dataset, everything the
+// conditional-probability kernel needs to answer an (anchor, target,
+// window, scope) query in one time-ordered sweep: per-system time-sorted
+// event timelines with class-partitioned posting lists at system, node and
+// rack granularity, plus each system's layout in dense form. A posting list
+// stores positions into the system timeline in time order, so an event's
+// position in its list doubles as the cumulative count of earlier
+// same-class events and a count-in-window is two binary searches.
 //
 // Predicates built from the standard constructors route to the posting list
 // of their trace.Class; PredOf predicates (trace.ClassOpaque) fall back to
@@ -190,9 +192,11 @@ func offsetOf(t, base time.Time) (int64, bool) {
 }
 
 // sortBatch orders a batch by (time, node, category) so equal inputs index
-// identically regardless of arrival order within the batch.
+// identically regardless of arrival order within the batch. The sort is
+// stable, so a batch the store already sorted keeps its order and each
+// timeline stays the store's failure log projected onto its system.
 func sortBatch(evs []trace.Failure) {
-	sort.Slice(evs, func(i, j int) bool {
+	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		if !a.Time.Equal(b.Time) {
 			return a.Time.Before(b.Time)
@@ -295,7 +299,7 @@ func (x *DatasetIndex) CountInWindow(system int, pred trace.Pred, iv trace.Inter
 	list := si.byClass[cls]
 	lo, hi := si.lowerBound(list, iv.Start), si.lowerBound(list, iv.End)
 	if fil == nil {
-		return hi - lo
+		return max(hi-lo, 0) // an inverted interval holds nothing
 	}
 	n := 0
 	for i := lo; i < hi; i++ {

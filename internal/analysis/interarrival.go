@@ -45,7 +45,7 @@ func (a *Analyzer) InterArrivals(systems []trace.SystemInfo) InterArrivalResult 
 	var gaps []float64
 	for _, s := range systems {
 		for n := 0; n < s.Nodes; n++ {
-			fs := a.Index.NodeFailures(s.ID, n)
+			fs := a.NodeFailures(s.ID, n)
 			for i := 1; i < len(fs); i++ {
 				gaps = append(gaps, fs[i].Time.Sub(fs[i-1].Time).Hours())
 			}
@@ -58,7 +58,7 @@ func (a *Analyzer) InterArrivals(systems []trace.SystemInfo) InterArrivalResult 
 func (a *Analyzer) SystemInterArrivals(systems []trace.SystemInfo) InterArrivalResult {
 	var gaps []float64
 	for _, s := range systems {
-		fs := a.Index.SystemFailures(s.ID)
+		fs := a.SystemFailures(s.ID)
 		for i := 1; i < len(fs); i++ {
 			gaps = append(gaps, fs[i].Time.Sub(fs[i-1].Time).Hours())
 		}
@@ -116,7 +116,7 @@ func (a *Analyzer) DailyCounts(systems []trace.SystemInfo) []float64 {
 		return nil
 	}
 	counts := make([]float64, days)
-	for _, f := range a.Index.Failures() {
+	for _, f := range a.DS.Failures {
 		if !want[f.System] {
 			continue
 		}
@@ -148,7 +148,7 @@ func (a *Analyzer) DowntimeByCategory(systems []trace.SystemInfo) []DowntimeStat
 		want[s.ID] = true
 	}
 	byCat := make(map[trace.Category][]float64)
-	for _, f := range a.Index.Failures() {
+	for _, f := range a.DS.Failures {
 		if !want[f.System] || f.Downtime <= 0 {
 			continue
 		}
@@ -179,7 +179,7 @@ func (a *Analyzer) Availability(systems []trace.SystemInfo) float64 {
 	if total == 0 {
 		return math.NaN()
 	}
-	for _, f := range a.Index.Failures() {
+	for _, f := range a.DS.Failures {
 		if want[f.System] {
 			down += f.Downtime.Hours()
 		}
@@ -201,7 +201,7 @@ func (a *Analyzer) MTBFHours(systems []trace.SystemInfo) float64 {
 		want[s.ID] = true
 		nodeHours += float64(s.Nodes) * s.Period.Duration().Hours()
 	}
-	for _, f := range a.Index.Failures() {
+	for _, f := range a.DS.Failures {
 		if want[f.System] {
 			count++
 		}

@@ -47,7 +47,7 @@ func (a *Analyzer) AssembleJoint(system int) (*JointVariables, error) {
 		return nil, fmt.Errorf("analysis: system %d temperature summary covers %d of %d nodes", system, len(temps), info.Nodes)
 	}
 	counts := make([]float64, info.Nodes)
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		if f.Node >= 0 && f.Node < info.Nodes {
 			counts[f.Node]++
 		}

@@ -61,7 +61,7 @@ func (a *Analyzer) FollowUpLatency(systems []trace.SystemInfo, anchorPred, targe
 	out := LatencyProfile{Horizon: horizon}
 	for _, s := range systems {
 		for n := 0; n < s.Nodes; n++ {
-			fs := a.Index.NodeFailures(s.ID, n)
+			fs := a.NodeFailures(s.ID, n)
 			for i, f := range fs {
 				if !anchorPred.Match(f) {
 					continue

@@ -29,7 +29,7 @@ type NodeCounts struct {
 func (a *Analyzer) FailuresPerNode(system int) NodeCounts {
 	info, _ := a.DS.System(system)
 	out := NodeCounts{System: system, Counts: make([]int, info.Nodes)}
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		if f.Node >= 0 && f.Node < info.Nodes {
 			out.Counts[f.Node]++
 		}
@@ -88,7 +88,7 @@ func (b Breakdown) Dominant() trace.Category {
 func (a *Analyzer) RootCauseBreakdown(system int, nodeFilter func(int) bool) Breakdown {
 	b := Breakdown{Share: make(map[trace.Category]float64, len(trace.Categories))}
 	counts := make(map[trace.Category]int, len(trace.Categories))
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		if nodeFilter != nil && !nodeFilter(f.Node) {
 			continue
 		}
@@ -138,7 +138,7 @@ func (a *Analyzer) NodeVsRestProb(system, node int, w time.Duration, label strin
 	// Windows with >=1 matching failure, per node.
 	hit := make([]map[int]bool, info.Nodes)
 	perNodeCount := make([]float64, info.Nodes)
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		if !pred.Match(f) || f.Node < 0 || f.Node >= info.Nodes {
 			continue
 		}

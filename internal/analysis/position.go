@@ -39,7 +39,7 @@ func (a *Analyzer) PositionEffects(system int, excludeNode0 bool) (PositionEffec
 	info, _ := a.DS.System(system)
 
 	counts := make([]int, info.Nodes)
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		if f.Node >= 0 && f.Node < info.Nodes {
 			counts[f.Node]++
 		}

@@ -16,7 +16,7 @@ func (a *Analyzer) EnvBreakdown(systems []trace.SystemInfo) map[trace.EnvClass]f
 	}
 	counts := make(map[trace.EnvClass]int)
 	total := 0
-	for _, f := range a.Index.Failures() {
+	for _, f := range a.DS.Failures {
 		if !want[f.System] || f.Category != trace.Environment {
 			continue
 		}
@@ -184,7 +184,7 @@ func (a *Analyzer) MaintenanceAfterPower(systems []trace.SystemInfo, w time.Dura
 		anchor := k.Pred()
 		mi := MaintenanceImpact{Kind: k, Baseline: base}
 		for _, s := range systems {
-			for _, f := range a.Index.SystemFailures(s.ID) {
+			for _, f := range a.SystemFailures(s.ID) {
 				if !anchor.Match(f) {
 					continue
 				}

@@ -41,7 +41,7 @@ func (a *Analyzer) TrainPredictor(systems []trace.SystemInfo, horizon time.Durat
 	for _, cat := range trace.Categories {
 		var prop stats.Proportion
 		for _, s := range systems {
-			for _, f := range a.Index.SystemFailures(s.ID) {
+			for _, f := range a.SystemFailures(s.ID) {
 				if f.Category != cat || !f.Time.Before(cut[s.ID]) {
 					continue
 				}
@@ -51,7 +51,7 @@ func (a *Analyzer) TrainPredictor(systems []trace.SystemInfo, horizon time.Durat
 				}
 				prop.Trials++
 				iv := trace.Interval{Start: f.Time.Add(time.Nanosecond), End: end}
-				if a.Index.NodeAny(s.ID, f.Node, iv, nil) {
+				if a.nodeAny(s.ID, f.Node, iv) {
 					prop.Successes++
 				}
 			}
@@ -127,7 +127,7 @@ func (a *Analyzer) Evaluate(p *Predictor, systems []trace.SystemInfo, split floa
 	var ev Evaluation
 	base := 0
 	for _, s := range systems {
-		for _, f := range a.Index.SystemFailures(s.ID) {
+		for _, f := range a.SystemFailures(s.ID) {
 			if f.Time.Before(cut[s.ID]) {
 				continue
 			}
@@ -136,7 +136,7 @@ func (a *Analyzer) Evaluate(p *Predictor, systems []trace.SystemInfo, split floa
 				continue
 			}
 			iv := trace.Interval{Start: f.Time.Add(time.Nanosecond), End: end}
-			actual := a.Index.NodeAny(s.ID, f.Node, iv, nil)
+			actual := a.nodeAny(s.ID, f.Node, iv)
 			predicted := p.Predict(f)
 			ev.Total++
 			if actual {

@@ -66,7 +66,7 @@ func (a *Analyzer) SpaceTime(system int) SpaceTimeResult {
 	}
 	byDayNodes := make(map[key]map[int]bool)
 	byClsNodeCount := make(map[trace.EnvClass]map[int]int)
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		cls, ok := classOf(f)
 		if !ok {
 			continue

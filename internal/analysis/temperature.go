@@ -189,7 +189,7 @@ func (a *Analyzer) TemperatureRegressions(system int) ([]TempRegressionResult, e
 	var out []TempRegressionResult
 	for _, tgt := range targets {
 		counts := make([]float64, info.Nodes)
-		for _, f := range a.Index.SystemFailures(system) {
+		for _, f := range a.SystemFailures(system) {
 			if tgt.pred.Match(f) && f.Node >= 0 && f.Node < info.Nodes {
 				counts[f.Node]++
 			}

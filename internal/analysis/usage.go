@@ -41,7 +41,7 @@ func (a *Analyzer) UsageVsFailures(system int) UsageResult {
 	info, _ := a.DS.System(system)
 	out := UsageResult{System: system}
 	counts := make([]int, info.Nodes)
-	for _, f := range a.Index.SystemFailures(system) {
+	for _, f := range a.SystemFailures(system) {
 		if f.Node >= 0 && f.Node < info.Nodes {
 			counts[f.Node]++
 		}

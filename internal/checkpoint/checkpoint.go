@@ -144,7 +144,7 @@ func Replay(period trace.Interval, failureTimes []time.Time, p Policy, cost time
 
 // ReplayNodes replays every node of the given systems against its failure
 // history and returns the aggregate. The failures function supplies each
-// node's sorted failure times (typically Index.NodeFailures mapped to
+// node's sorted failure times (typically Analyzer.NodeFailures mapped to
 // times).
 func ReplayNodes(systems []trace.SystemInfo, failures func(system, node int) []time.Time, p Policy, cost time.Duration) (Result, error) {
 	var agg Result

@@ -23,7 +23,7 @@ func (s *Suite) ExtOverview() Result {
 	}
 	for _, info := range s.A.DS.Systems {
 		one := []trace.SystemInfo{info}
-		fails := float64(len(s.A.Index.SystemFailures(info.ID)))
+		fails := float64(len(s.A.SystemFailures(info.ID)))
 		nodeYears := info.NodeDays() / 365.25
 		procYears := nodeYears * float64(info.ProcsPerNode)
 		tbl.AddRow(

@@ -68,13 +68,20 @@ func TestDisableTriggeringReducesClustering(t *testing.T) {
 	// Measure day-level clustering: fraction of failures whose node fails
 	// again the next day.
 	cluster := func(ds *trace.Dataset) float64 {
-		ix := trace.NewIndex(ds.Failures)
+		byNode := make(map[trace.NodeKey][]trace.Failure)
+		for _, f := range ds.Failures {
+			k := trace.NodeKey{System: f.System, Node: f.Node}
+			byNode[k] = append(byNode[k], f)
+		}
 		hits, n := 0, 0
 		for _, f := range ds.Failures {
 			n++
 			iv := trace.Interval{Start: f.Time.Add(1), End: f.Time.Add(trace.Day)}
-			if ix.NodeAny(f.System, f.Node, iv, nil) {
-				hits++
+			for _, g := range byNode[trace.NodeKey{System: f.System, Node: f.Node}] {
+				if iv.Contains(g.Time) {
+					hits++
+					break
+				}
 			}
 		}
 		if n == 0 {

@@ -102,8 +102,8 @@ func (e *versionRegression) Error() string {
 
 // TestRebuildFallbackUnderConcurrentSnapshotReaders drives the out-of-order
 // append path exclusively — every batch lands mid-period, so every append
-// takes the full analyzer-rebuild fallback — while readers hold pinned
-// snapshots across those rebuilds. Run under -race by the chaos gate, it
+// re-merges the log and rebuilds the touched systems' indexes — while
+// readers hold pinned snapshots across those rebuilds. Run under -race by the chaos gate, it
 // pins snapshot immutability through the rebuild path specifically: a
 // pinned snapshot's version, event count and query answers must not change
 // no matter how many rebuilds the store performs behind it.

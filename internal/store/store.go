@@ -47,12 +47,12 @@ func (s *Snapshot) Analyzer() *analysis.Analyzer { return s.an }
 // Events returns the number of failure events in the snapshot.
 func (s *Snapshot) Events() int { return len(s.ds.Failures) }
 
-// Rebuilds returns how many rebuild-fallback appends are in this snapshot's
-// lineage. Between two snapshots with equal Rebuilds, the failure log only
-// grew at the tail — the older snapshot's failures occupy the same leading
-// positions in the newer one — so incremental consumers (the correlation
-// miner) can process just the tail; a changed count means positions moved
-// and derived state must be rebuilt from scratch.
+// Rebuilds returns how many late (out-of-order) appends are in this
+// snapshot's lineage. Between two snapshots with equal Rebuilds, the
+// failure log only grew at the tail — the older snapshot's failures occupy
+// the same leading positions in the newer one — so incremental consumers
+// (the correlation miner) can process just the tail; a changed count means
+// positions moved and derived state must be rebuilt from scratch.
 func (s *Snapshot) Rebuilds() uint64 { return s.rebuilds }
 
 // Store is the versioned, copy-on-write owner of the canonical event log.
@@ -65,7 +65,7 @@ type Store struct {
 
 	appends  atomic.Uint64 // batches applied
 	appended atomic.Uint64 // events applied
-	rebuilds atomic.Uint64 // appends that forced a full analyzer rebuild
+	rebuilds atomic.Uint64 // late appends, which moved stored failures
 }
 
 // New builds a store seeded with ds, normalizing its record order first
@@ -90,8 +90,9 @@ func (st *Store) Version() uint64 { return st.Snapshot().version }
 // Appends returns the number of batches applied since New.
 func (st *Store) Appends() uint64 { return st.appends.Load() }
 
-// Rebuilds returns how many of those appends forced a full analyzer rebuild
-// because an event predated the newest failure already stored.
+// Rebuilds returns how many of those appends were late: an event predated
+// the newest failure already stored, so the failure log was re-merged and
+// the touched systems' indexes rebuilt.
 func (st *Store) Rebuilds() uint64 { return st.rebuilds.Load() }
 
 // EventsAppended returns the number of events applied since New, excluding
@@ -131,8 +132,9 @@ func validateEvent(ds *trace.Dataset, f trace.Failure) error {
 // Events at or after the newest stored failure take the incremental path:
 // the failure log and indexes are extended in place (amortized O(log n) per
 // event) under the writer lock, invisible to pinned snapshots. A batch with
-// older events falls back to a merge and full rebuild — still correct, just
-// slower. Each system's measurement period is widened to cover its new
+// older events is merged into a fresh failure log, and the analyzer rebuilds
+// the index of each system the batch reaches back into — still correct,
+// just slower. Each system's measurement period is widened to cover its new
 // events, so windowed analyses count them instead of clipping them away.
 func (st *Store) Append(batch []trace.Failure) (*Snapshot, error) {
 	if len(batch) == 0 {
@@ -163,14 +165,10 @@ func (st *Store) Append(batch []trace.Failure) (*Snapshot, error) {
 		}
 	}
 	merged, inOrder := mergeDataset(cur.ds, sorted)
-	var an *analysis.Analyzer
-	if inOrder {
-		an = cur.an.Append(merged, sorted)
-	} else {
-		an = analysis.New(merged)
+	if !inOrder {
 		st.rebuilds.Add(1)
 	}
-	next := &Snapshot{version: cur.version + 1, rebuilds: st.rebuilds.Load(), ds: merged, an: an}
+	next := &Snapshot{version: cur.version + 1, rebuilds: st.rebuilds.Load(), ds: merged, an: cur.an.Append(merged, sorted)}
 	st.cur.Store(next)
 	st.appends.Add(1)
 	st.appended.Add(uint64(len(sorted)))

@@ -375,3 +375,98 @@ func TestAppendChainCondProbMatchesNaive(t *testing.T) {
 		t.Fatal("seeded chain never forced a rebuild")
 	}
 }
+
+// TestLateAppendChainMatchesRebuild runs seeded chains that mix tail and
+// late batches through the one analyzer advance path and, after every
+// append, checks the snapshot against analysis.New over the same merged
+// dataset: CondProb bit for bit (and against CondProbNaive), every
+// system's and node's failure timeline element by element (including a
+// system and nodes the catalog does not hold, seeded before the chain), and
+// Rebuilds counting exactly the late batches.
+func TestLateAppendChainMatchesRebuild(t *testing.T) {
+	for _, seed := range []int64{41, 42, 43} {
+		ds := genDataset(t, seed)
+		// Failures validation would reject on ingest: an uncatalogued
+		// system and nodes outside [0, Nodes).
+		s0 := ds.Systems[0]
+		mid := s0.Period.Start.Add(s0.Period.Duration() / 3)
+		ds.Failures = append(ds.Failures,
+			trace.Failure{System: 9999, Node: 1, Time: mid, Category: trace.Network},
+			trace.Failure{System: s0.ID, Node: -1, Time: mid, Category: trace.Human},
+			trace.Failure{System: s0.ID, Node: s0.Nodes + 2, Time: mid.Add(time.Hour), Category: trace.Network})
+		st, err := store.New(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		late := uint64(0)
+		for step := 0; step < 10; step++ {
+			cur := st.Snapshot().Dataset()
+			var batch []trace.Failure
+			switch rng.Intn(3) {
+			case 0:
+				batch = batchInside(cur, 1+rng.Intn(8))
+			case 1:
+				batch = batchAfter(cur, 1+rng.Intn(20), time.Duration(1+rng.Intn(90))*time.Minute)
+			default:
+				// Ties: events at the exact times of a stored mid-log
+				// failure (late) or of the newest one (in order).
+				at := cur.Failures[len(cur.Failures)-1].Time
+				if rng.Intn(2) == 0 {
+					at = cur.Failures[rng.Intn(len(cur.Failures))].Time
+				}
+				batch = []trace.Failure{
+					{System: s0.ID, Node: 2, Time: at, Category: trace.Software, SW: trace.OS},
+					{System: s0.ID, Node: 0, Time: at, Category: trace.Hardware, HW: trace.CPU},
+					{System: s0.ID, Node: 0, Time: at, Category: trace.Hardware, HW: trace.Memory},
+				}
+			}
+			for _, f := range batch {
+				if f.Time.Before(cur.Failures[len(cur.Failures)-1].Time) {
+					late++
+					break
+				}
+			}
+			snap, err := st.Append(batch)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if snap.Rebuilds() != late || st.Rebuilds() != late {
+				t.Fatalf("seed %d step %d: Rebuilds = %d (store %d), want %d late batches",
+					seed, step, snap.Rebuilds(), st.Rebuilds(), late)
+			}
+			got, merged := snap.Analyzer(), snap.Dataset()
+			want := analysis.New(merged)
+			ids := append(merged.SystemIDs(), 9999, -7)
+			for _, id := range ids {
+				if g, w := got.SystemFailures(id), merged.SystemFailures(id); !sameEvents(g, w) || !sameEvents(g, want.SystemFailures(id)) {
+					t.Fatalf("seed %d step %d: SystemFailures(%d) diverged from the merged log", seed, step, id)
+				}
+			}
+			for _, node := range []int{-1, 0, 1, 3, s0.Nodes + 2} {
+				if !sameEvents(got.NodeFailures(s0.ID, node), want.NodeFailures(s0.ID, node)) {
+					t.Fatalf("seed %d step %d: NodeFailures(%d, %d) diverged from rebuild", seed, step, s0.ID, node)
+				}
+			}
+			sys := merged.Systems
+			for _, scope := range []analysis.Scope{analysis.ScopeNode, analysis.ScopeRack, analysis.ScopeSystem} {
+				g := got.CondProb(sys, trace.CategoryPred(trace.Hardware), nil, trace.Week, scope)
+				if w := want.CondProb(sys, trace.CategoryPred(trace.Hardware), nil, trace.Week, scope); !bitEqual(g, w) {
+					t.Fatalf("seed %d step %d: CondProb %v diverged from rebuild:\n%+v\n%+v", seed, step, scope, g, w)
+				}
+				if n := got.CondProbNaive(sys, trace.CategoryPred(trace.Hardware), nil, trace.Week, scope); !bitEqual(g, n) {
+					t.Fatalf("seed %d step %d: CondProb %v diverged from naive:\n%+v\n%+v", seed, step, scope, g, n)
+				}
+			}
+		}
+		if late == 0 || late == 10 {
+			t.Fatalf("seed %d: chain had %d late batches of 10, want a mix", seed, late)
+		}
+	}
+}
+
+// sameEvents compares two failure lists element by element, nil and empty
+// alike.
+func sameEvents(a, b []trace.Failure) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -10,202 +9,6 @@ import (
 type NodeKey struct {
 	System int
 	Node   int
-}
-
-// Index provides time-ordered access to a failure log by node and by
-// system, with binary-search window queries. It is the workhorse behind the
-// conditional-probability analyses: "did node n (or its rack, or its
-// system) see a failure matching pred within window iv?".
-//
-// The failures slice must be sorted by time (Dataset.Sort does this); Index
-// keeps references, not copies.
-type Index struct {
-	failures []Failure
-	byNode   map[NodeKey][]int
-	bySystem map[int][]int
-
-	// extended is claimed (once, by CAS) by the first Append so only one
-	// successor may grow this index's position lists into their spare
-	// capacity. Readers only look at the first len elements they were
-	// published with, so tail growth by the unique claim holder is safe;
-	// later Appends on the same index clip capacity and reallocate instead.
-	extended atomic.Bool
-}
-
-// NewIndex builds an index over failures, which must be sorted by time.
-func NewIndex(failures []Failure) *Index {
-	ix := &Index{
-		failures: failures,
-		byNode:   make(map[NodeKey][]int),
-		bySystem: make(map[int][]int),
-	}
-	for i, f := range failures {
-		k := NodeKey{f.System, f.Node}
-		ix.byNode[k] = append(ix.byNode[k], i)
-		ix.bySystem[f.System] = append(ix.bySystem[f.System], i)
-	}
-	return ix
-}
-
-// Append returns a new Index over failures, an extension of the slice this
-// index was built on: the first ix.Len() elements must be the events already
-// indexed (normally the same backing array with new events appended at the
-// tail). Only the new tail is indexed — O(tail) plus a copy of the two
-// posting maps — and the old index is never mutated. The first Append on an
-// index wins its extension claim and may grow the shared position lists into
-// spare capacity; any later Append on the same index clips capacity so
-// growth reallocates instead of scribbling over arrays the winner owns. The
-// resulting index is exactly NewIndex(failures) for a time-sorted extension,
-// which callers already guarantee for NewIndex.
-func (ix *Index) Append(failures []Failure) *Index {
-	if len(failures) < len(ix.failures) {
-		return NewIndex(failures)
-	}
-	inPlace := ix.extended.CompareAndSwap(false, true)
-	nx := &Index{
-		failures: failures,
-		byNode:   make(map[NodeKey][]int, len(ix.byNode)+8),
-		bySystem: make(map[int][]int, len(ix.bySystem)+1),
-	}
-	for k, v := range ix.byNode {
-		if !inPlace {
-			v = v[:len(v):len(v)]
-		}
-		nx.byNode[k] = v
-	}
-	for k, v := range ix.bySystem {
-		if !inPlace {
-			v = v[:len(v):len(v)]
-		}
-		nx.bySystem[k] = v
-	}
-	for i := len(ix.failures); i < len(failures); i++ {
-		f := failures[i]
-		k := NodeKey{f.System, f.Node}
-		nx.byNode[k] = append(nx.byNode[k], i)
-		nx.bySystem[f.System] = append(nx.bySystem[f.System], i)
-	}
-	return nx
-}
-
-// Len returns the number of indexed failures.
-func (ix *Index) Len() int { return len(ix.failures) }
-
-// Failures returns the underlying time-sorted failure slice. Callers must
-// not modify it.
-func (ix *Index) Failures() []Failure { return ix.failures }
-
-// NodeCount returns the number of failures recorded for a node.
-func (ix *Index) NodeCount(system, node int) int {
-	return len(ix.byNode[NodeKey{system, node}])
-}
-
-// NodeFailures returns the failures of a node in time order. The returned
-// slice is freshly allocated.
-func (ix *Index) NodeFailures(system, node int) []Failure {
-	idxs := ix.byNode[NodeKey{system, node}]
-	out := make([]Failure, len(idxs))
-	for i, j := range idxs {
-		out[i] = ix.failures[j]
-	}
-	return out
-}
-
-// SystemFailures returns the failures of a system in time order. The
-// returned slice is freshly allocated.
-func (ix *Index) SystemFailures(system int) []Failure {
-	idxs := ix.bySystem[system]
-	out := make([]Failure, len(idxs))
-	for i, j := range idxs {
-		out[i] = ix.failures[j]
-	}
-	return out
-}
-
-// timeRange returns the half-open [lo,hi) positions of idxs whose failure
-// times fall inside iv.
-func (ix *Index) timeRange(idxs []int, iv Interval) (int, int) {
-	lo := sort.Search(len(idxs), func(i int) bool {
-		return !ix.failures[idxs[i]].Time.Before(iv.Start)
-	})
-	hi := sort.Search(len(idxs), func(i int) bool {
-		return !ix.failures[idxs[i]].Time.Before(iv.End)
-	})
-	return lo, hi
-}
-
-// NodeAny reports whether the node has at least one failure matching pred
-// inside iv.
-func (ix *Index) NodeAny(system, node int, iv Interval, pred Pred) bool {
-	idxs := ix.byNode[NodeKey{system, node}]
-	lo, hi := ix.timeRange(idxs, iv)
-	for i := lo; i < hi; i++ {
-		if pred.Match(ix.failures[idxs[i]]) {
-			return true
-		}
-	}
-	return false
-}
-
-// NodeCountIn returns the number of failures of the node matching pred
-// inside iv.
-func (ix *Index) NodeCountIn(system, node int, iv Interval, pred Pred) int {
-	idxs := ix.byNode[NodeKey{system, node}]
-	lo, hi := ix.timeRange(idxs, iv)
-	n := 0
-	for i := lo; i < hi; i++ {
-		if pred.Match(ix.failures[idxs[i]]) {
-			n++
-		}
-	}
-	return n
-}
-
-// NodesAny reports whether any of the listed nodes has a failure matching
-// pred inside iv. Used for rack-level queries with the node's rack-mates.
-func (ix *Index) NodesAny(system int, nodes []int, iv Interval, pred Pred) bool {
-	for _, n := range nodes {
-		if ix.NodeAny(system, n, iv, pred) {
-			return true
-		}
-	}
-	return false
-}
-
-// SystemAnyExcluding reports whether any node of the system other than
-// exclude has a failure matching pred inside iv. Pass exclude < 0 to
-// consider every node.
-func (ix *Index) SystemAnyExcluding(system, exclude int, iv Interval, pred Pred) bool {
-	idxs := ix.bySystem[system]
-	lo, hi := ix.timeRange(idxs, iv)
-	for i := lo; i < hi; i++ {
-		f := ix.failures[idxs[i]]
-		if f.Node == exclude {
-			continue
-		}
-		if pred.Match(f) {
-			return true
-		}
-	}
-	return false
-}
-
-// SystemCountIn returns the number of failures in the system matching pred
-// inside iv, excluding node exclude (pass exclude < 0 to count all nodes).
-func (ix *Index) SystemCountIn(system, exclude int, iv Interval, pred Pred) int {
-	idxs := ix.bySystem[system]
-	lo, hi := ix.timeRange(idxs, iv)
-	n := 0
-	for i := lo; i < hi; i++ {
-		f := ix.failures[idxs[i]]
-		if f.Node == exclude {
-			continue
-		}
-		if pred.Match(f) {
-			n++
-		}
-	}
-	return n
 }
 
 // JobIndex provides per-node interval queries over a job log: how many jobs

@@ -5,93 +5,6 @@ import (
 	"time"
 )
 
-func indexedFailures() []Failure {
-	return []Failure{
-		{System: 1, Node: 0, Time: ts(0), Category: Hardware, HW: Memory},
-		{System: 1, Node: 0, Time: ts(10), Category: Software, SW: DST},
-		{System: 1, Node: 1, Time: ts(5), Category: Network},
-		{System: 1, Node: 2, Time: ts(20), Category: Hardware, HW: CPU},
-		{System: 2, Node: 0, Time: ts(7), Category: Environment, Env: UPS},
-	}
-}
-
-func sortedIndex() *Index {
-	ds := &Dataset{Failures: indexedFailures()}
-	ds.Sort()
-	return NewIndex(ds.Failures)
-}
-
-func TestIndexCounts(t *testing.T) {
-	ix := sortedIndex()
-	if ix.Len() != 5 {
-		t.Fatalf("len = %d", ix.Len())
-	}
-	if ix.NodeCount(1, 0) != 2 || ix.NodeCount(1, 1) != 1 || ix.NodeCount(9, 9) != 0 {
-		t.Error("node counts wrong")
-	}
-	fs := ix.NodeFailures(1, 0)
-	if len(fs) != 2 || !fs[0].Time.Before(fs[1].Time) {
-		t.Error("node failures should be time ordered")
-	}
-	sys := ix.SystemFailures(1)
-	if len(sys) != 4 {
-		t.Errorf("system failures = %d", len(sys))
-	}
-}
-
-func TestIndexWindows(t *testing.T) {
-	ix := sortedIndex()
-	// Window [ts(0), ts(6)) contains node0@0 and node1@5.
-	iv := Interval{Start: ts(0), End: ts(6)}
-	if !ix.NodeAny(1, 0, iv, nil) {
-		t.Error("node 0 has a failure in window")
-	}
-	if !ix.NodeAny(1, 1, iv, nil) {
-		t.Error("node 1 has a failure in window")
-	}
-	if ix.NodeAny(1, 2, iv, nil) {
-		t.Error("node 2 has no failure in window")
-	}
-	// Right-open: ts(5) excluded when End = ts(5).
-	if ix.NodeAny(1, 1, Interval{Start: ts(0), End: ts(5)}, nil) {
-		t.Error("window end must be exclusive")
-	}
-	// Predicate filter.
-	if ix.NodeAny(1, 0, iv, CategoryPred(Software)) {
-		t.Error("node 0's window failure is HW, not SW")
-	}
-	if n := ix.NodeCountIn(1, 0, Interval{Start: ts(0), End: ts(24)}, nil); n != 2 {
-		t.Errorf("NodeCountIn = %d", n)
-	}
-	if n := ix.NodeCountIn(1, 0, Interval{Start: ts(0), End: ts(24)}, HWPred(Memory)); n != 1 {
-		t.Errorf("NodeCountIn memory = %d", n)
-	}
-}
-
-func TestIndexSystemQueries(t *testing.T) {
-	ix := sortedIndex()
-	iv := Interval{Start: ts(0), End: ts(24)}
-	if !ix.SystemAnyExcluding(1, 0, iv, nil) {
-		t.Error("system 1 has failures on other nodes")
-	}
-	// Excluding every failing node leaves nothing in a narrow window.
-	if ix.SystemAnyExcluding(1, 1, Interval{Start: ts(4), End: ts(6)}, nil) {
-		t.Error("only node 1 fails in that window")
-	}
-	if n := ix.SystemCountIn(1, -1, iv, nil); n != 4 {
-		t.Errorf("SystemCountIn = %d", n)
-	}
-	if n := ix.SystemCountIn(1, 0, iv, nil); n != 2 {
-		t.Errorf("SystemCountIn excluding node 0 = %d", n)
-	}
-	if !ix.NodesAny(1, []int{1, 2}, iv, CategoryPred(Network)) {
-		t.Error("NodesAny should find node 1's network failure")
-	}
-	if ix.NodesAny(1, []int{2}, iv, CategoryPred(Network)) {
-		t.Error("node 2 has no network failure")
-	}
-}
-
 func TestPredHelpers(t *testing.T) {
 	f := Failure{Category: Hardware, HW: Fan}
 	if !HWPred(Fan).Match(f) || HWPred(CPU).Match(f) {

@@ -57,66 +57,6 @@ func TestFailureCSVRoundtripProperty(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesNaiveScan cross-checks every Index window query against a
-// brute-force scan on random data.
-func TestIndexMatchesNaiveScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(200)
-		fs := make([]Failure, n)
-		for i := range fs {
-			fs[i] = randomFailure(rng, 3, 16)
-		}
-		ds := &Dataset{Failures: fs}
-		ds.Sort()
-		ix := NewIndex(ds.Failures)
-
-		iv := Interval{
-			Start: ts(rng.Intn(10000)),
-			End:   ts(rng.Intn(10000)),
-		}
-		if iv.End.Before(iv.Start) {
-			iv.Start, iv.End = iv.End, iv.Start
-		}
-		var pred Pred
-		if rng.Intn(2) == 0 {
-			pred = CategoryPred(Categories[rng.Intn(len(Categories))])
-		}
-		system := 1 + rng.Intn(3)
-		node := rng.Intn(16)
-
-		// Naive references.
-		naiveAny, naiveCount := false, 0
-		naiveSysAny, naiveSysCount := false, 0
-		exclude := rng.Intn(16)
-		for _, f := range ds.Failures {
-			if !iv.Contains(f.Time) || !pred.Match(f) {
-				continue
-			}
-			if f.System == system && f.Node == node {
-				naiveAny = true
-				naiveCount++
-			}
-			if f.System == system && f.Node != exclude {
-				naiveSysAny = true
-				naiveSysCount++
-			}
-		}
-		if got := ix.NodeAny(system, node, iv, pred); got != naiveAny {
-			t.Fatalf("trial %d: NodeAny = %v, naive %v", trial, got, naiveAny)
-		}
-		if got := ix.NodeCountIn(system, node, iv, pred); got != naiveCount {
-			t.Fatalf("trial %d: NodeCountIn = %d, naive %d", trial, got, naiveCount)
-		}
-		if got := ix.SystemAnyExcluding(system, exclude, iv, pred); got != naiveSysAny {
-			t.Fatalf("trial %d: SystemAnyExcluding = %v, naive %v", trial, got, naiveSysAny)
-		}
-		if got := ix.SystemCountIn(system, exclude, iv, pred); got != naiveSysCount {
-			t.Fatalf("trial %d: SystemCountIn = %d, naive %d", trial, got, naiveSysCount)
-		}
-	}
-}
-
 // TestJobIndexUtilizationBounds checks utilization stays in [0,1] for
 // arbitrary job sets and that busy time never exceeds the period.
 func TestJobIndexUtilizationBounds(t *testing.T) {

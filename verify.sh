@@ -16,6 +16,9 @@ go build ./...
 # here so an API change cannot break the benchmark unnoticed.
 (cd "$dir/bench" && go vet ./... && go build -o /dev/null .)
 go test -race ./...
+# The bench module's tests, among them the traced-pass check that compares
+# the server's answers with the harness layer stack's.
+(cd "$dir/bench" && go test -race ./...)
 
 # Bench smoke: every benchmark must still compile and run one iteration.
 go test -bench=. -benchtime=1x -run='^$' ./...
