@@ -193,9 +193,12 @@ func parseWindow(s string) (time.Duration, error) {
 		return hpcfail.Week, nil
 	case "month":
 		return hpcfail.Month, nil
-	default:
-		return time.ParseDuration(s)
 	}
+	w, err := time.ParseDuration(s)
+	if err == nil && w <= 0 {
+		err = fmt.Errorf("window %q is not positive", s)
+	}
+	return w, err
 }
 
 func parseScope(s string) (hpcfail.Scope, error) {

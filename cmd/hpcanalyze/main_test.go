@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/hpcfail/hpcfail"
+	"github.com/hpcfail/hpcfail/internal/cli"
 )
 
 func testData(t *testing.T) string {
@@ -78,5 +79,17 @@ func TestParseWindow(t *testing.T) {
 	}
 	if w, err := parseWindow("90m"); err != nil || w != 90*time.Minute {
 		t.Error("duration window")
+	}
+}
+
+// TestNonPositiveWindowRejected: a window that cannot hold a follow-up is
+// a plain error (exit 1, like an unparsable one), not a panic or a NaN
+// answer.
+func TestNonPositiveWindowRejected(t *testing.T) {
+	dir := testData(t)
+	for _, w := range []string{"0s", "-24h", "abc"} {
+		if code := cli.Run("hpcanalyze", []string{"-data", dir, "-window", w}, run); code != cli.CodeError {
+			t.Errorf("-window %s: exit %d, want %d", w, code, cli.CodeError)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -85,6 +86,18 @@ func finishCond(r *CondResult) {
 	}
 }
 
+// emptyCond is the zero-trial result a non-positive window answers with.
+func emptyCond(w time.Duration, scope Scope) CondResult {
+	res := CondResult{Window: w, Scope: scope}
+	finishCond(&res)
+	return res
+}
+
+// errWindow reports a window that cannot hold a follow-up failure.
+func errWindow(w time.Duration) error {
+	return fmt.Errorf("analysis: window %v is not positive", w)
+}
+
 // BaselineNodeProb estimates the probability that a random node of the
 // given systems experiences at least one failure matching pred within a
 // random window of length w: each system's measurement period is cut into
@@ -93,8 +106,12 @@ func finishCond(r *CondResult) {
 // scan it must agree with. A cell's window index is (offset + base - start)
 // / w on the integer timeline, the naive scan's truncating Duration
 // division. Window indices arrive nondecreasing per node, so one remembered
-// index per node deduplicates its cells.
+// index per node deduplicates its cells. A non-positive w cuts no windows:
+// the result is zero trials.
 func (a *Analyzer) BaselineNodeProb(systems []trace.SystemInfo, w time.Duration, pred trace.Pred) stats.Proportion {
+	if w <= 0 {
+		return stats.Proportion{}
+	}
 	if a.didx == nil {
 		return a.BaselineNodeProbNaive(systems, w, pred)
 	}
@@ -148,6 +165,9 @@ func (a *Analyzer) BaselineNodeProbNaive(systems []trace.SystemInfo, w time.Dura
 
 // baseline is BaselineNodeProbNaive over the scan.
 func (sc *failureScan) baseline(systems []trace.SystemInfo, w time.Duration, pred trace.Pred) stats.Proportion {
+	if w <= 0 {
+		return stats.Proportion{}
+	}
 	successes, trials := 0, 0
 	for _, s := range systems {
 		nw := int(s.Period.Duration() / w)
@@ -187,7 +207,9 @@ func (sc *failureScan) baseline(systems []trace.SystemInfo, w time.Duration, pre
 //     per-node probability against the random-week probability.
 //   - ScopeSystem: every (anchor, other-node) pair is a trial.
 //
-// Systems without layouts contribute no rack-scope trials.
+// Systems without layouts contribute no rack-scope trials. A non-positive
+// w holds no follow-up, so the answer is the zero-trial result (CondProbCtx
+// reports it as an error).
 func (a *Analyzer) CondProb(systems []trace.SystemInfo, anchorPred, targetPred trace.Pred, w time.Duration, scope Scope) CondResult {
 	res, _ := a.CondProbCtx(context.Background(), systems, anchorPred, targetPred, w, scope)
 	return res
@@ -203,8 +225,11 @@ func (a *Analyzer) CondProb(systems []trace.SystemInfo, anchorPred, targetPred t
 // over the anchor class's posting list (clipped to the period by one binary
 // search) and the target class's, counting the targets inside each anchor's
 // window per node (see sweep). CondProbNaiveCtx is the reference scan the
-// sweep must agree with bit for bit.
+// sweep must agree with bit for bit. A non-positive w is an error.
 func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, anchorPred, targetPred trace.Pred, w time.Duration, scope Scope) (CondResult, error) {
+	if w <= 0 {
+		return emptyCond(w, scope), errWindow(w)
+	}
 	if a.didx == nil {
 		return a.CondProbNaiveCtx(ctx, systems, anchorPred, targetPred, w, scope)
 	}
@@ -382,8 +407,12 @@ func (a *Analyzer) CondProbNaive(systems []trace.SystemInfo, anchorPred, targetP
 // scan of every system's failures with per-anchor probes. It is retained
 // for differential tests and benchmarks against the indexed path and must
 // stay semantically frozen. It reads only DS (see failureScan), so it
-// checks the dataset index instead of sharing its answers.
+// checks the dataset index instead of sharing its answers. A non-positive
+// w is an error, as for CondProbCtx.
 func (a *Analyzer) CondProbNaiveCtx(ctx context.Context, systems []trace.SystemInfo, anchorPred, targetPred trace.Pred, w time.Duration, scope Scope) (CondResult, error) {
+	if w <= 0 {
+		return emptyCond(w, scope), errWindow(w)
+	}
 	res := CondResult{Window: w, Scope: scope}
 	sc := newFailureScan(a.DS, systems)
 	res.Baseline = sc.baseline(systems, w, targetPred)

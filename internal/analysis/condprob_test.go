@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/layout"
+	"github.com/hpcfail/hpcfail/internal/stats"
 	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
@@ -231,5 +233,42 @@ func TestCondResultSignificance(t *testing.T) {
 	}
 	if !r.CondCI.Contains(r.Conditional.P()) {
 		t.Error("CI should contain the point estimate")
+	}
+}
+
+// TestNonPositiveWindow: a window of zero or negative length holds no
+// follow-up. Every path and scope answers the same zero-trial result
+// without panicking, the Ctx variants report an error, and the baselines
+// count no trials.
+func TestNonPositiveWindow(t *testing.T) {
+	ds := craft([]trace.Failure{hwAt(0, 10), swAt(0, 11), hwAt(1, 20), swAt(2, 20), swAt(3, 40)})
+	a := New(ds)
+	for _, w := range []time.Duration{0, -trace.Day} {
+		for _, scope := range []Scope{ScopeNode, ScopeRack, ScopeSystem} {
+			idx := a.CondProb(ds.Systems, nil, nil, w, scope)
+			naive := a.CondProbNaive(ds.Systems, nil, nil, w, scope)
+			for name, r := range map[string]CondResult{"indexed": idx, "naive": naive} {
+				if r.Conditional.Trials != 0 || r.Baseline.Trials != 0 || r.Window != w || r.Scope != scope {
+					t.Errorf("w=%v %s %s: %+v, want the zero-trial result", w, scope, name, r)
+				}
+			}
+			if idx.Conditional != naive.Conditional || idx.Baseline != naive.Baseline {
+				t.Errorf("w=%v %s: indexed %+v/%+v != naive %+v/%+v", w, scope,
+					idx.Conditional, idx.Baseline, naive.Conditional, naive.Baseline)
+			}
+			ctx := context.Background()
+			if _, err := a.CondProbCtx(ctx, ds.Systems, nil, nil, w, scope); err == nil {
+				t.Errorf("w=%v %s: CondProbCtx accepted the window", w, scope)
+			}
+			if _, err := a.CondProbNaiveCtx(ctx, ds.Systems, nil, nil, w, scope); err == nil {
+				t.Errorf("w=%v %s: CondProbNaiveCtx accepted the window", w, scope)
+			}
+		}
+		if p := a.BaselineNodeProb(ds.Systems, w, nil); p != (stats.Proportion{}) {
+			t.Errorf("w=%v: BaselineNodeProb = %+v", w, p)
+		}
+		if p := a.BaselineNodeProbNaive(ds.Systems, w, nil); p != (stats.Proportion{}) {
+			t.Errorf("w=%v: BaselineNodeProbNaive = %+v", w, p)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -238,8 +237,9 @@ type JournalConfig struct {
 	// WAL configures the log (Dir required). Policy/Interval/SegmentBytes
 	// pass through to wal.Open.
 	WAL wal.Options
-	// FS is the filesystem the journal's snapshot machinery (and, unless
-	// WAL.FS overrides it, the log) runs over. Nil means the real disk.
+	// FS is the filesystem the journal's snapshot machinery and recovery
+	// reads (and, unless WAL.FS overrides it, the log) run over. Nil means
+	// the real disk.
 	// Fault-injection and crash-sweep tests substitute an iofault.MemFS or
 	// iofault.Inject here.
 	FS iofault.FS
@@ -297,10 +297,13 @@ type Journal struct {
 	lastSnap time.Time
 }
 
-// OpenJournal opens (or creates) the durable state under cfg.WAL.Dir,
-// restores the newest snapshot into the engine, replays the WAL tail, and
-// returns the journal ready for Observe. The engine must be freshly built
-// (no events observed) or recovery equivalence is lost.
+// OpenJournal opens (or creates) the durable state under cfg.WAL.Dir and
+// returns the journal ready for Observe. Recovery is a failover onto the
+// journal's own directory: a Standby restores the newest snapshot into the
+// engine, its follower replays the WAL tail, and Promote opens the log for
+// writing — one path for recovery and failover, with the store receiving
+// the snapshot's actives and the tail as one batch. The engine must be
+// freshly built (no events observed) or recovery equivalence is lost.
 func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 	var stats RecoveryStats
 	if cfg.Engine == nil {
@@ -309,10 +312,6 @@ func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 	if cfg.WAL.Dir == "" {
 		return nil, stats, errors.New("risk: journal needs a WAL directory")
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	// One filesystem for everything under the WAL dir: cfg.FS wins, else the
 	// WAL's own FS (so injecting at either layer injects both), else disk.
 	fsys := cfg.FS
@@ -320,9 +319,6 @@ func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 		fsys = cfg.WAL.FS
 	}
 	fsys = iofault.Or(fsys)
-	if cfg.WAL.FS == nil {
-		cfg.WAL.FS = fsys
-	}
 
 	// Sweep snapshot temp files stranded by a crash mid-write: they are
 	// never valid state (the rename is what commits a snapshot) and on a
@@ -337,89 +333,15 @@ func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 		}
 	}
 
-	snapPath := filepath.Join(cfg.WAL.Dir, SnapshotFile)
-	var applied uint64
-	snap, walApplied, err := ReadSnapshotFileFS(fsys, snapPath)
-	switch {
-	case err == nil:
-		if err := cfg.Engine.Restore(snap); err != nil {
-			return nil, stats, err
-		}
-		applied = walApplied
-		stats.SnapshotLoaded = true
-		stats.SnapshotEvents = len(snap.Active)
-		stats.SnapshotWALPos = walApplied
-	case errors.Is(err, os.ErrNotExist):
-		// Cold start: replay the whole log.
-	default:
-		return nil, stats, err
-	}
-
-	log, err := wal.Open(cfg.WAL)
+	sb, err := NewStandby(StandbyConfig{Dir: cfg.WAL.Dir, Engine: cfg.Engine, Store: cfg.Store, FS: fsys})
 	if err != nil {
 		return nil, stats, err
 	}
-	// The snapshot position and the surviving log must agree before any
-	// replay: both mismatches below mean acknowledged events are gone (a
-	// truncated, tampered, or mixed-up WAL directory), and starting anyway
-	// would compound the loss — new appends would land at indices a future
-	// replay-from-applied silently skips.
-	if applied > log.Count() {
-		log.Close()
-		return nil, stats, fmt.Errorf("risk: snapshot %s covers %d WAL records but the log holds only %d — refusing to start over a WAL that lost acknowledged events", snapPath, applied, log.Count())
-	}
-	if first := log.First(); applied < first {
-		log.Close()
-		return nil, stats, fmt.Errorf("risk: WAL begins at record %d but snapshot %s covers only %d — records %d..%d are missing, refusing to start", first, snapPath, applied, applied, first-1)
-	}
-	// recovered collects every event the engine accepted — the snapshot's
-	// active set plus the replayed WAL tail — so the dataset store can be
-	// brought to the same cut in one batched append. Events the engine's
-	// retention already dropped before the snapshot exist nowhere else and
-	// are gone for the store too; see DESIGN.md §5e for why that asymmetry
-	// is accepted.
-	var recovered []trace.Failure
-	if cfg.Store != nil && stats.SnapshotLoaded {
-		recovered = append(recovered, snap.Active...)
-	}
-	err = log.Replay(applied, func(idx uint64, payload []byte) error {
-		f, derr := DecodeEvent(payload)
-		if derr != nil {
-			stats.Skipped++
-			return nil
-		}
-		if oerr := cfg.Engine.Observe(f); oerr != nil {
-			stats.Skipped++
-			return nil
-		}
-		if cfg.Store != nil {
-			recovered = append(recovered, f)
-		}
-		stats.Replayed++
-		return nil
-	})
-	if err != nil {
-		log.Close()
-		return nil, stats, err
-	}
-	if len(recovered) > 0 {
-		if _, err := cfg.Store.Append(recovered); err != nil {
-			log.Close()
-			return nil, stats, fmt.Errorf("risk: applying recovered events to dataset store: %w", err)
-		}
-		stats.StoreApplied = len(recovered)
-	}
-	return &Journal{
-		engine:   cfg.Engine,
-		log:      log,
-		store:    cfg.Store,
-		fs:       fsys,
-		dir:      cfg.WAL.Dir,
-		snapPath: snapPath,
-		policy:   cfg.SnapshotPolicy,
-		now:      now,
-		lastSnap: now(),
-	}, stats, nil
+	j, err := sb.Promote(cfg.SnapshotPolicy, cfg.WAL, cfg.Now)
+	swept := stats.TempsSwept
+	stats = sb.rec
+	stats.TempsSwept = swept
+	return j, stats, err
 }
 
 // Engine returns the journaled engine (for scoring reads).

@@ -3,6 +3,8 @@
 // segments through a wal.Follower, so promotion on leader death is O(tail):
 // drain the last few durable records, open the log for writing, and attach
 // a Journal — no full replay, no snapshot restore on the failover path.
+// Leader recovery is the same sequence with nothing warmed up yet:
+// OpenJournal builds a standby over its own directory and promotes it.
 // Records cross from the follower to the apply loop in the ship-batch wire
 // format (wal.EncodeShipBatch / DecodeShipBatch), the same frames a
 // cross-machine replica would receive, so the replication stream is
@@ -46,7 +48,9 @@ type StandbyConfig struct {
 
 // Standby is a warm replica of one shard's engine state. Methods are safe
 // for concurrent use; the catchup loop, lag probes and promotion serialize
-// on one mutex.
+// on one mutex. It is also how a leader recovers: OpenJournal promotes a
+// standby over the journal's own directory, so the follower is the one
+// path that turns WAL records into engine and store state.
 type Standby struct {
 	mu       sync.Mutex
 	dir      string
@@ -55,19 +59,19 @@ type Standby struct {
 	st       *store.Store
 	follower *wal.Follower
 	batchMax int
-	applied  uint64 // WAL records applied (== follower position)
-	skipped  uint64 // records the engine rejected on replay
-	warm     bool   // true once a catchup has fully drained the durable tail
-	resync   bool   // replication hit wal.ErrGap; the standby must be rebuilt
-	promoted bool   // true after Promote; the standby is consumed
+	applied  uint64          // WAL records applied (== follower position)
+	rec      RecoveryStats   // snapshot restore, replay, skip and store counters
+	queue    []trace.Failure // accepted events not yet handed to the store
+	warm     bool            // true once a catchup has fully drained the durable tail
+	resync   bool            // replication hit wal.ErrGap; the standby must be rebuilt
+	promoted bool            // true after Promote; the standby is consumed
 }
 
 // NewStandby opens a standby over a leader's WAL directory. When the
 // directory holds a snapshot (the leader compacted at some point before
-// this standby started), it is restored first — engine state plus, with a
-// store configured, the snapshot's active events as one batch — and the
-// follower starts after the records it covers, exactly mirroring the
-// leader's own recovery sequence.
+// this standby started), its engine state is restored first and, with a
+// store configured, its active events are queued for the first catchup's
+// store append; the follower starts after the records it covers.
 func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("risk: standby needs an engine")
@@ -88,12 +92,13 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 		if rerr := cfg.Engine.Restore(snap); rerr != nil {
 			return nil, rerr
 		}
-		if cfg.Store != nil && len(snap.Active) > 0 {
-			if _, aerr := cfg.Store.Append(snap.Active); aerr != nil {
-				return nil, fmt.Errorf("risk: standby applying snapshot to store: %w", aerr)
-			}
+		if cfg.Store != nil {
+			s.queue = snap.Active
 		}
 		s.applied = walApplied
+		s.rec.SnapshotLoaded = true
+		s.rec.SnapshotEvents = len(snap.Active)
+		s.rec.SnapshotWALPos = walApplied
 	case errors.Is(err, os.ErrNotExist):
 		// Cold start: replay the whole log.
 	default:
@@ -144,7 +149,7 @@ func (s *Standby) Warm() bool {
 func (s *Standby) Skipped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.skipped
+	return uint64(s.rec.Skipped)
 }
 
 // ResyncNeeded reports whether replication hit a compaction gap
@@ -181,44 +186,60 @@ func (s *Standby) Catchup() (int, error) {
 	if s.promoted {
 		return 0, errors.New("risk: standby already promoted")
 	}
+	return s.drain()
+}
+
+// drain applies ship batches until the follower is caught up or fails, then
+// hands every event the engine accepted to the store as one append — on the
+// error paths too, so engine and store never disagree. Callers hold s.mu.
+func (s *Standby) drain() (int, error) {
 	total := 0
+	var err error
 	for {
-		n, err := s.catchupBatch()
+		var n int
+		n, err = s.catchupBatch()
 		total += n
-		if err != nil {
-			if errors.Is(err, wal.ErrGap) {
-				// The leader compacted past our position: flag the terminal
-				// resync condition so supervisors report it distinctly
-				// instead of retrying into the same wall forever.
-				s.resync = true
-				s.warm = false
-			}
-			return total, err
-		}
-		if n == 0 {
-			s.warm = true
-			return total, nil
+		if err != nil || n == 0 {
+			break
 		}
 	}
+	if len(s.queue) > 0 {
+		batch := s.queue
+		s.queue = nil
+		if _, aerr := s.st.Append(batch); aerr != nil {
+			err = errors.Join(err, fmt.Errorf("risk: standby applying to store: %w", aerr))
+		} else {
+			s.rec.StoreApplied += len(batch)
+		}
+	}
+	switch {
+	case errors.Is(err, wal.ErrGap):
+		// The leader compacted past our position: flag the terminal resync
+		// condition so supervisors report it distinctly instead of retrying
+		// into the same wall forever.
+		s.resync = true
+		s.warm = false
+	case err == nil:
+		s.warm = true
+	}
+	return total, err
 }
 
 // catchupBatch ships and applies one bounded batch: read up to batchMax
 // records from the follower, frame them as a ship batch, decode, apply.
 // Encode/decode on every batch keeps the wire format load-bearing: a
 // framing bug fails replication tests here, not on the first real network
-// deployment. Callers hold s.mu.
+// deployment. Records the follower yielded before a read error are still
+// applied, since its position has moved past them. Callers hold s.mu.
 func (s *Standby) catchupBatch() (int, error) {
 	first := s.follower.Position()
 	var payloads [][]byte
-	n, err := s.follower.Next(s.batchMax, func(idx uint64, payload []byte) error {
+	n, rerr := s.follower.Next(s.batchMax, func(idx uint64, payload []byte) error {
 		payloads = append(payloads, append([]byte(nil), payload...))
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
 	if n == 0 {
-		return 0, nil
+		return 0, rerr
 	}
 	frame, err := wal.EncodeShipBatch(first, payloads)
 	if err != nil {
@@ -231,30 +252,23 @@ func (s *Standby) catchupBatch() (int, error) {
 	if gotFirst != first || len(gotPayloads) != len(payloads) {
 		return 0, fmt.Errorf("risk: standby ship round-trip mismatch (first %d->%d, count %d->%d)", first, gotFirst, len(payloads), len(gotPayloads))
 	}
-	var batch []trace.Failure
 	for _, p := range gotPayloads {
+		s.applied++
 		f, derr := DecodeEvent(p)
 		if derr != nil {
-			s.skipped++
-			s.applied++
+			s.rec.Skipped++
 			continue
 		}
 		if oerr := s.engine.Observe(f); oerr != nil {
-			s.skipped++
-			s.applied++
+			s.rec.Skipped++
 			continue
 		}
 		if s.st != nil {
-			batch = append(batch, f)
+			s.queue = append(s.queue, f)
 		}
-		s.applied++
+		s.rec.Replayed++
 	}
-	if len(batch) > 0 {
-		if _, err := s.st.Append(batch); err != nil {
-			return 0, fmt.Errorf("risk: standby applying to store: %w", err)
-		}
-	}
-	return n, nil
+	return n, rerr
 }
 
 // Promote turns the warm standby into the shard's leader after the old
@@ -265,13 +279,13 @@ func (s *Standby) catchupBatch() (int, error) {
 // since the last Catchup), not O(log). The standby is consumed; further
 // Catchup or Promote calls fail.
 func (s *Standby) Promote(policy checkpoint.Policy, opts wal.Options, now func() time.Time) (*Journal, error) {
-	if _, err := s.Catchup(); err != nil {
-		return nil, fmt.Errorf("risk: promote: final catchup: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted {
 		return nil, errors.New("risk: standby already promoted")
+	}
+	if _, err := s.drain(); err != nil {
+		return nil, fmt.Errorf("risk: promote: final catchup: %w", err)
 	}
 	if now == nil {
 		now = time.Now
@@ -284,36 +298,16 @@ func (s *Standby) Promote(policy checkpoint.Policy, opts wal.Options, now func()
 	if err != nil {
 		return nil, fmt.Errorf("risk: promote: %w", err)
 	}
-	if log.Count() < s.applied {
+	// Records appended between the final catchup and Open cannot exist (the
+	// leader is dead), but a race with a still-twitching leader is cheap to
+	// close: drain whatever the opened log holds past our position.
+	if _, err := s.drain(); err != nil {
 		log.Close()
-		return nil, fmt.Errorf("risk: promote: WAL holds %d records but standby applied %d — refusing to lead over a log that lost acknowledged events", log.Count(), s.applied)
+		return nil, fmt.Errorf("risk: promote: %w", err)
 	}
-	// Records appended between the final catchup and here cannot exist (the
-	// leader is dead), but a final-catchup race with a still-twitching
-	// leader is cheap to close: replay whatever Open sees past our position.
-	if log.Count() > s.applied {
-		err := log.Replay(s.applied, func(idx uint64, payload []byte) error {
-			f, derr := DecodeEvent(payload)
-			if derr != nil {
-				s.skipped++
-				return nil
-			}
-			if oerr := s.engine.Observe(f); oerr != nil {
-				s.skipped++
-				return nil
-			}
-			if s.st != nil {
-				if _, aerr := s.st.Append([]trace.Failure{f}); aerr != nil {
-					return fmt.Errorf("risk: promote: applying to store: %w", aerr)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		s.applied = log.Count()
+	if c := log.Count(); c != s.applied {
+		log.Close()
+		return nil, fmt.Errorf("risk: promote: WAL holds %d records but standby applied %d — refusing to lead over a log that lost acknowledged events", c, s.applied)
 	}
 	s.promoted = true
 	return &Journal{

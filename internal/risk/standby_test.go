@@ -2,10 +2,14 @@ package risk
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/checkpoint"
+	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/wal"
 )
 
@@ -295,5 +299,215 @@ func TestStandbyResyncNeededAfterGap(t *testing.T) {
 	}
 	if got, want := snapJSON(t, rebuilt.Engine()), snapJSON(t, leader.Engine()); got != want {
 		t.Fatalf("rebuilt standby diverged from leader:\n%s\n%s", got, want)
+	}
+}
+
+// crashMidRotation runs a journaled leader with a store over dir for the
+// given events (small segments, so the log spans several), lets a standby
+// with its own store catch up, kills the leader, and then leaves the torn
+// start of the next segment a rotation would have made: stub bytes shorter
+// than a header. It returns the caught-up standby.
+func crashMidRotation(t *testing.T, dir string, events int, stub []byte) *Standby {
+	t.Helper()
+	st, err := store.New(historyDS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, _, err := OpenJournal(JournalConfig{
+		Engine: testEngine(t),
+		Store:  st,
+		WAL:    wal.Options{Dir: dir, SegmentBytes: 256},
+	})
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	sst, err := store.New(historyDS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewStandby(StandbyConfig{Dir: dir, Engine: testEngine(t), Store: sst, BatchMax: 5})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	for _, f := range liveEvents(events) {
+		if err := leader.Observe(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sb.Catchup(); err != nil {
+		t.Fatalf("Catchup: %v", err)
+	}
+	segs := leader.WALSegments()
+	if segs < 2 {
+		t.Fatalf("leader wrote %d segments, the test needs a rotated log", segs)
+	}
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("segments: %v, %v", names, err)
+	}
+	var seq int
+	if _, err := fmt.Sscanf(filepath.Base(names[len(names)-1]), "wal-%08d.seg", &seq); err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", seq+1))
+	if err := os.WriteFile(next, stub, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return sb
+}
+
+// TestRecoveryAfterCrashMidRotation: a crash in the middle of a rotation
+// leaves a newest segment shorter than its header. It holds no records, so
+// promoting a caught-up standby and reopening the journal must both recover
+// every event, each with one store append.
+func TestRecoveryAfterCrashMidRotation(t *testing.T) {
+	const n = 12
+	twin := testEngine(t)
+	for _, f := range liveEvents(n) {
+		if err := twin.Observe(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := snapJSON(t, twin)
+	check := func(t *testing.T, j *Journal, st *store.Store) {
+		t.Helper()
+		if j.WALCount() != n {
+			t.Fatalf("WALCount = %d, want %d", j.WALCount(), n)
+		}
+		if got := snapJSON(t, j.Engine()); got != want {
+			t.Fatalf("recovered engine != twin of %d events:\n%s\n%s", n, got, want)
+		}
+		if st.EventsAppended() != n || st.Appends() != 1 {
+			t.Fatalf("store: %d events in %d appends, want %d in 1", st.EventsAppended(), st.Appends(), n)
+		}
+		// The recovered leader writes after the dead one's last record.
+		if err := j.Observe(liveEvents(n + 1)[n]); err != nil {
+			t.Fatalf("post-recovery Observe: %v", err)
+		}
+	}
+	for _, size := range []int{0, 5} {
+		stub := []byte("hpcwal01")[:size]
+		t.Run(fmt.Sprintf("promote-stub%d", size), func(t *testing.T) {
+			sb := crashMidRotation(t, t.TempDir(), n, stub)
+			j, err := sb.Promote(nil, wal.Options{SegmentBytes: 256}, nil)
+			if err != nil {
+				t.Fatalf("Promote: %v", err)
+			}
+			defer j.Close()
+			check(t, j, j.Store())
+		})
+		t.Run(fmt.Sprintf("open-stub%d", size), func(t *testing.T) {
+			dir := t.TempDir()
+			crashMidRotation(t, dir, n, stub)
+			st, err := store.New(historyDS())
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, stats, err := OpenJournal(JournalConfig{
+				Engine: testEngine(t),
+				Store:  st,
+				WAL:    wal.Options{Dir: dir, SegmentBytes: 256},
+			})
+			if err != nil {
+				t.Fatalf("OpenJournal: %v", err)
+			}
+			defer j.Close()
+			if stats.Replayed != n || stats.StoreApplied != n {
+				t.Fatalf("stats = %+v, want %d replayed and applied", stats, n)
+			}
+			check(t, j, st)
+		})
+	}
+
+	// A directory whose only file is a stub is an empty log to both paths.
+	stubOnly := func(t *testing.T) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	t.Run("stub-only-open", func(t *testing.T) {
+		j, stats, err := OpenJournal(JournalConfig{Engine: testEngine(t), WAL: wal.Options{Dir: stubOnly(t)}})
+		if err != nil {
+			t.Fatalf("OpenJournal: %v", err)
+		}
+		defer j.Close()
+		if j.WALCount() != 0 || stats.Replayed != 0 {
+			t.Fatalf("WALCount = %d, stats = %+v, want an empty log", j.WALCount(), stats)
+		}
+	})
+	t.Run("stub-only-promote", func(t *testing.T) {
+		dir := stubOnly(t)
+		sb, err := NewStandby(StandbyConfig{Dir: dir, Engine: testEngine(t)})
+		if err != nil {
+			t.Fatalf("NewStandby: %v", err)
+		}
+		j, err := sb.Promote(nil, wal.Options{}, nil)
+		if err != nil {
+			t.Fatalf("Promote: %v", err)
+		}
+		defer j.Close()
+		if j.WALCount() != 0 || sb.Applied() != 0 {
+			t.Fatalf("WALCount = %d, Applied = %d, want an empty log", j.WALCount(), sb.Applied())
+		}
+	})
+}
+
+// TestStandbyCatchupErrorKeepsStoreWithEngine: when the follower fails
+// part-way through a drain (here a corrupt header on the newest segment),
+// the records it yielded before the failure are applied — its position has
+// moved past them — and the store receives exactly what the engine
+// accepted, so the two never disagree.
+func TestStandbyCatchupErrorKeepsStoreWithEngine(t *testing.T) {
+	dir := t.TempDir()
+	leader, _, err := OpenJournal(JournalConfig{Engine: testEngine(t), WAL: wal.Options{Dir: dir, SegmentBytes: 256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range liveEvents(12) {
+		if err := leader.Observe(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(names) < 2 {
+		t.Fatalf("segments: %v, %v; the test needs a rotated log", names, err)
+	}
+	newest, err := os.OpenFile(names[len(names)-1], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newest.WriteAt([]byte("XXXXXXXX"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := newest.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.New(historyDS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewStandby(StandbyConfig{Dir: dir, Engine: testEngine(t), Store: st, BatchMax: 100})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	if _, err := sb.Catchup(); err == nil {
+		t.Fatal("Catchup read past a segment with a corrupt header")
+	}
+	applied, observed := sb.Applied(), sb.Engine().Snapshot().Observed
+	if applied == 0 || observed != applied || st.EventsAppended() != applied {
+		t.Fatalf("after a failed drain: applied %d, engine observed %d, store holds %d; want equal and non-zero",
+			applied, observed, st.EventsAppended())
+	}
+	if sb.Warm() {
+		t.Fatal("a failed drain left the standby warm")
 	}
 }

@@ -157,3 +157,45 @@ func TestJournalRecoveryAfterCheckpointRebuildsStore(t *testing.T) {
 		t.Fatalf("recovered store has %d events, want %d", got, want)
 	}
 }
+
+// BenchmarkOpenJournalStoreRecovery times leader recovery with a dataset
+// store over a 50k-record WAL and no snapshot: the follower replays every
+// record into the engine and the store takes them as one batch.
+func BenchmarkOpenJournalStoreRecovery(b *testing.B) {
+	const records = 50000
+	dir := b.TempDir()
+	log, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range liveEvents(records) {
+		if _, err := log.Append(EncodeEvent(f)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := testEngine(b)
+		st, err := store.New(historyDS())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		j, stats, err := OpenJournal(JournalConfig{Engine: eng, Store: st, WAL: wal.Options{Dir: dir}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if stats.Replayed != records || stats.StoreApplied != records {
+			b.Fatalf("stats = %+v, want %d replayed and applied", stats, records)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

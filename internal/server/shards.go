@@ -761,27 +761,21 @@ func newFabric(cfg Config, w time.Duration, now func() time.Time, logf func(stri
 			miner:   correlate.NewMiner(st, cfg.CorrelationWindows...),
 		}
 		if cfg.Standby && cfg.ShardWAL.Dir != "" {
-			// The standby gets its own dataset copy and engine over the same
-			// boot partition; it replays the leader's WAL through the
-			// follower, so promotion reproduces the leader's state.
-			sds := ds.FilterSystems(ids[i]...)
-			sc := risk.StandbyConfig{Dir: f.walOptsOf(i).Dir, FS: cfg.ShardWAL.FS}
-			if cfg.FrozenDataset {
-				sengine, err := risk.FromDataset(sds, w)
-				if err != nil {
-					return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
-				}
-				sc.Engine = sengine
-			} else {
-				sst, err := store.New(sds)
-				if err != nil {
-					return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
-				}
-				sengine, err := risk.FromAnalyzer(sst.Snapshot().Analyzer(), w)
-				if err != nil {
-					return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
-				}
-				sc.Engine = sengine
+			// The standby gets its own dataset copy, store and engine over the
+			// same boot partition, built as the leader's are; it replays the
+			// leader's WAL through the follower, so promotion reproduces the
+			// leader's state. Like the leader, it feeds its store only when
+			// the dataset is live.
+			sst, err := store.New(ds.FilterSystems(ids[i]...))
+			if err != nil {
+				return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
+			}
+			sengine, err := risk.FromAnalyzer(sst.Snapshot().Analyzer(), w)
+			if err != nil {
+				return nil, fmt.Errorf("server: shard %d standby: %w", i, err)
+			}
+			sc := risk.StandbyConfig{Dir: f.walOptsOf(i).Dir, FS: cfg.ShardWAL.FS, Engine: sengine}
+			if !cfg.FrozenDataset {
 				sc.Store = sst
 			}
 			if sh.standby, err = risk.NewStandby(sc); err != nil {

@@ -25,7 +25,7 @@ func openMem(t *testing.T, opts Options) (*iofault.MemFS, *Log) {
 	return m, l
 }
 
-// replayAll reopens the log read-only and returns every surviving payload.
+// recoverPayloads reopens the log and returns every surviving payload.
 func recoverPayloads(t *testing.T, fsys iofault.FS) []string {
 	t.Helper()
 	l, err := Open(Options{Dir: "/wal", FS: fsys})
@@ -33,14 +33,7 @@ func recoverPayloads(t *testing.T, fsys iofault.FS) []string {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l.Close()
-	var got []string
-	if err := l.Replay(0, func(idx uint64, payload []byte) error {
-		got = append(got, string(payload))
-		return nil
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	return got
+	return replayAll(t, l, 0)
 }
 
 // TestFsyncGatePoisonsLog is the satellite-1 regression: a failed fsync
@@ -115,8 +108,7 @@ func TestAppendENOSPCRollsBackAndRecovers(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	var got []string
-	l2.Replay(0, func(_ uint64, p []byte) error { got = append(got, string(p)); return nil })
+	got := replayAll(t, l2, 0)
 	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
 		t.Fatalf("recovered %q, want [a c]", got)
 	}
@@ -150,8 +142,7 @@ func TestAppendShortWriteRollsBack(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	var got []string
-	l2.Replay(0, func(_ uint64, p []byte) error { got = append(got, string(p)); return nil })
+	got := replayAll(t, l2, 0)
 	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
 		t.Fatalf("recovered %q, want [first second]", got)
 	}
@@ -200,8 +191,7 @@ func TestRotateENOSPCReattachesTail(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	var got []string
-	l2.Replay(0, func(_ uint64, p []byte) error { got = append(got, string(p)); return nil })
+	got := replayAll(t, l2, 0)
 	if len(got) != len(appended) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(appended))
 	}

@@ -46,22 +46,24 @@ func OpenFollower(dir string) (*Follower, error) {
 // OpenFollowerFS is OpenFollower over an explicit filesystem (nil means
 // the real disk); the follower must read through the same FS the leader
 // writes through, or fault-injection tests would tail a log that does not
-// exist.
+// exist. Only the oldest segment's header is read: the follower stands on
+// that segment's first record and checks every later segment's start as it
+// steps into it, the same chain Open verifies.
 func OpenFollowerFS(fsys iofault.FS, dir string) (*Follower, error) {
 	if dir == "" {
 		return nil, errors.New("wal: follower needs a directory")
 	}
 	f := &Follower{dir: dir, fs: iofault.Or(fsys)}
-	names, err := segmentFiles(f.fs, dir)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	names, err := f.segmentList()
+	if err != nil {
 		return nil, err
 	}
 	if len(names) > 0 {
-		first, _, _, err := scanSegment(f.fs, filepath.Join(dir, names[0]))
+		first, err := readSegmentFirst(f.fs, filepath.Join(dir, names[0]))
 		if err != nil {
-			return nil, fmt.Errorf("wal: follower: %s: %w", names[0], err)
+			return nil, err
 		}
-		f.pos = first
+		f.pos, f.seg, f.off = first, names[0], int64(headerSize)
 	}
 	return f, nil
 }
@@ -81,7 +83,11 @@ func (f *Follower) Seek(pos uint64) {
 }
 
 // segmentList reads the directory and returns segment basenames ascending.
-// A directory that does not exist yet reads as empty.
+// A directory that does not exist yet reads as empty. A newest segment
+// shorter than a header holds no records — a rotation that crashed (or is
+// still running) before its header landed — so it is left out, exactly as
+// Open discards it; a short segment with successors stays in the list and
+// fails its header read.
 func (f *Follower) segmentList() ([]string, error) {
 	names, err := segmentFiles(f.fs, f.dir)
 	if err != nil {
@@ -89,6 +95,16 @@ func (f *Follower) segmentList() ([]string, error) {
 			return nil, nil
 		}
 		return nil, err
+	}
+	if n := len(names); n > 0 {
+		// A segment gone since the listing was a stub Open discarded.
+		fi, err := f.fs.Stat(filepath.Join(f.dir, names[n-1]))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("wal: follower: %w", err)
+		}
+		if err != nil || fi.Size() < int64(headerSize) {
+			names = names[:n-1]
+		}
 	}
 	return names, nil
 }

@@ -4,15 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"testing"
+
+	"github.com/hpcfail/hpcfail/internal/iofault"
 )
 
 // fuzzSegment builds a well-formed segment image for the seed corpus.
 func fuzzSegment(payloads ...[]byte) []byte {
+	return fuzzSegmentAt(0, payloads...)
+}
+
+// fuzzSegmentAt is fuzzSegment with the given first-record index.
+func fuzzSegmentAt(first uint64, payloads ...[]byte) []byte {
 	var b bytes.Buffer
 	b.WriteString(magic)
-	var first [8]byte
-	b.Write(first[:])
+	b.Write(binary.BigEndian.AppendUint64(nil, first))
 	for _, p := range payloads {
 		var frame [frameSize]byte
 		binary.BigEndian.PutUint32(frame[:4], uint32(len(p)))
@@ -26,7 +33,10 @@ func fuzzSegment(payloads ...[]byte) []byte {
 // FuzzWALReplay throws arbitrary bytes at the replay path. Invariants:
 // never panics, always terminates, and any well-formed record prefix is
 // recovered intact — appending garbage after a valid segment image must
-// not change what replays.
+// not change what replays. Differentially, the bytes also become the newest
+// segment after a valid sealed one: Open fails exactly when a follower
+// draining the directory fails, and otherwise the follower yields exactly
+// the records Open counts.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -37,6 +47,9 @@ func FuzzWALReplay(f *testing.F) {
 	huge := fuzzSegment([]byte("x"))
 	binary.BigEndian.PutUint32(huge[headerSize:], MaxRecord+1) // oversize length field
 	f.Add(huge)
+	f.Add(fuzzSegmentAt(uint64(len(fuzzSealed)), []byte("three")))
+	f.Add(append(fuzzSegmentAt(uint64(len(fuzzSealed))), 0x00, 0x00))
+	f.Add([]byte(magic)[:5])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var records [][]byte
@@ -69,5 +82,72 @@ func FuzzWALReplay(f *testing.F) {
 		if second != n {
 			t.Fatalf("re-encoded replay = %d records, want %d", second, n)
 		}
+
+		checkFollowerMatchesOpen(t, data, records)
 	})
+}
+
+// fuzzSealed is the sealed first segment the differential check writes
+// the fuzz bytes after.
+var fuzzSealed = [][]byte{[]byte("one"), []byte("two")}
+
+// checkFollowerMatchesOpen writes data as the newest segment after a valid
+// sealed segment holding fuzzSealed, drains a follower over the directory,
+// then opens the log there (Open repairs the tail, so the follower reads
+// first). records are data's valid prefix as ReplayBytes yields it.
+func checkFollowerMatchesOpen(t *testing.T, data []byte, records [][]byte) {
+	t.Helper()
+	fs := iofault.NewMemFS()
+	if err := fs.MkdirAll("/wal", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, img := range map[string][]byte{
+		"/wal/wal-00000001.seg": fuzzSegment(fuzzSealed...),
+		"/wal/wal-00000002.seg": data,
+	} {
+		f, err := fs.OpenFile(name, os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(img); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var followed [][]byte
+	fol, ferr := OpenFollowerFS(fs, "/wal")
+	if ferr == nil {
+		_, ferr = fol.Next(0, func(idx uint64, p []byte) error {
+			if idx != uint64(len(followed)) {
+				t.Fatalf("follower yielded index %d, want %d", idx, len(followed))
+			}
+			followed = append(followed, append([]byte(nil), p...))
+			return nil
+		})
+	}
+	l, oerr := Open(Options{Dir: "/wal", FS: fs})
+	if (ferr != nil) != (oerr != nil) {
+		t.Fatalf("follower error %v, Open error %v: they must fail together", ferr, oerr)
+	}
+	if oerr != nil {
+		return
+	}
+	defer l.Close()
+	if uint64(len(followed)) != l.Count() {
+		t.Fatalf("follower yielded %d records, Open counts %d", len(followed), l.Count())
+	}
+	want := append(append([][]byte(nil), fuzzSealed...), records...)
+	if len(data) < headerSize {
+		want = fuzzSealed // a stub newest segment holds no records
+	}
+	if len(followed) != len(want) {
+		t.Fatalf("follower yielded %d records, want %d", len(followed), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(followed[i], want[i]) {
+			t.Fatalf("follower record %d = %q, want %q", i, followed[i], want[i])
+		}
+	}
 }

@@ -13,7 +13,8 @@
 // newest segment and rotate once it exceeds the size bound. On open, the
 // final segment's torn tail (a record cut short by a crash mid-write) is
 // detected by the framing checks and truncated away; records before the
-// tear are kept. Replay iterates every surviving record in append order.
+// tear are kept. A Follower (follower.go) is the one reader of records: it
+// iterates every surviving record in append order.
 //
 // Three fsync policies trade durability for ingest throughput:
 //
@@ -557,45 +558,6 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Replay calls fn for every record with global index >= from, in append
-// order, passing the index and payload. The payload slice is reused between
-// calls; fn must copy it to retain it. Replay stops early and returns fn's
-// first non-nil error.
-func (l *Log) Replay(from uint64, fn func(idx uint64, payload []byte) error) error {
-	var buf []byte
-	for _, seg := range l.segs {
-		if seg.first+seg.n <= from {
-			continue
-		}
-		f, err := iofault.Open(l.fs, seg.path)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		var hdr [headerSize]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: %s: short header: %w", seg.path, err)
-		}
-		idx := seg.first
-		for {
-			payload, ok := readRecord(f, buf)
-			if !ok {
-				break
-			}
-			buf = payload
-			if idx >= from {
-				if err := fn(idx, payload); err != nil {
-					f.Close()
-					return err
-				}
-			}
-			idx++
-		}
-		f.Close()
-	}
-	return nil
-}
-
 // Compact removes whole segments every record of which has index < upTo —
 // typically the records covered by a durable snapshot. The newest segment
 // is always kept (it is the append target). Compaction never splits a
@@ -614,9 +576,9 @@ func (l *Log) Compact(upTo uint64) error {
 // ReplayBytes iterates the valid record prefix of one raw segment image
 // (header plus framed records), calling fn for each payload. It never
 // panics on arbitrary input and always terminates: the first framing or
-// checksum violation ends the iteration, mirroring what Open+Replay
-// recover from a real file. It reports how many records were yielded.
-// The fuzz harness drives this directly.
+// checksum violation ends the iteration, mirroring what Open keeps and a
+// Follower yields from a real file. It reports how many records were
+// yielded. The fuzz harness drives this directly.
 func ReplayBytes(data []byte, fn func(payload []byte) error) (int, error) {
 	if len(data) < headerSize || string(data[:len(magic)]) != magic {
 		return 0, nil

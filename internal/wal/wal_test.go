@@ -33,10 +33,19 @@ func appendN(t *testing.T, l *Log, from, n int) {
 	}
 }
 
+// replayAll reads every record of l's directory from index from on
+// through a follower, the log's one record reader.
 func replayAll(t *testing.T, l *Log, from uint64) []string {
 	t.Helper()
+	f, err := OpenFollowerFS(l.fs, l.dir)
+	if err != nil {
+		t.Fatalf("OpenFollowerFS: %v", err)
+	}
+	if from > f.Position() {
+		f.Seek(from)
+	}
 	var got []string
-	err := l.Replay(from, func(idx uint64, payload []byte) error {
+	_, err = f.Next(0, func(idx uint64, payload []byte) error {
 		if want := uint64(len(got)) + from; idx != want {
 			t.Fatalf("replay index %d, want %d", idx, want)
 		}
@@ -44,7 +53,7 @@ func replayAll(t *testing.T, l *Log, from uint64) []string {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("follower Next: %v", err)
 	}
 	return got
 }
