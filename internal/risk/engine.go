@@ -206,23 +206,6 @@ func pruneBefore(evs []trace.Failure, cutoff time.Time) []trace.Failure {
 	return append(evs[:0], evs[i:]...)
 }
 
-// Decay slides every system's window forward to now, pruning events that
-// can no longer contribute to any score. Scoring already ignores expired
-// events, so Decay is a memory bound, not a correctness requirement.
-func (e *Engine) Decay(now time.Time) {
-	cutoff := now.Add(-e.window)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for id, evs := range e.events {
-		pruned := pruneBefore(evs, cutoff)
-		if len(pruned) == 0 {
-			delete(e.events, id)
-		} else {
-			e.events[id] = pruned
-		}
-	}
-}
-
 // LastEvent returns the newest accepted event time (zero before any
 // event) — the "last failure" input to snapshot-spacing policies.
 func (e *Engine) LastEvent() time.Time {

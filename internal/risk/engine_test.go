@@ -253,7 +253,7 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestDecayPrunesAndSnapshotCounts(t *testing.T) {
+func TestSnapshotCountsAndLag(t *testing.T) {
 	e := testEngine(t)
 	now := day(100)
 	for i := 0; i < 3; i++ {
@@ -270,10 +270,6 @@ func TestDecayPrunesAndSnapshotCounts(t *testing.T) {
 	}
 	if lag := e.Lag(now.Add(3 * time.Hour)); lag != time.Hour {
 		t.Errorf("lag = %v, want 1h", lag)
-	}
-	e.Decay(now.Add(2 * trace.Week))
-	if snap := e.Snapshot(); len(snap.Active) != 0 {
-		t.Errorf("decay left %d events", len(snap.Active))
 	}
 }
 
@@ -327,7 +323,7 @@ func TestCombineBounds(t *testing.T) {
 }
 
 // TestConcurrentObserveScoreSnapshot exercises the engine under the race
-// detector: writers feed events while readers score, snapshot and decay.
+// detector: writers feed events while readers score and snapshot.
 func TestConcurrentObserveScoreSnapshot(t *testing.T) {
 	e := testEngine(t)
 	now := day(100)
@@ -362,9 +358,6 @@ func TestConcurrentObserveScoreSnapshot(t *testing.T) {
 				}
 				_ = e.Snapshot()
 				_ = e.TopK(2, now)
-				if i%50 == 0 {
-					e.Decay(now.Add(time.Duration(i) * time.Minute))
-				}
 			}
 		}()
 	}

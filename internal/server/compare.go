@@ -35,30 +35,19 @@ type ratesQuery struct {
 }
 
 func parseRatesQuery(raw string) (ratesQuery, error) {
-	vals, err := url.ParseQuery(raw)
-	if err != nil {
-		return ratesQuery{}, fmt.Errorf("bad query string: %w", err)
-	}
 	q := ratesQuery{window: trace.Week, scope: analysis.ScopeNode}
-	for key, vs := range vals {
-		if len(vs) != 1 {
-			return ratesQuery{}, fmt.Errorf("parameter %q repeated", key)
-		}
-		v := vs[0]
+	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "window":
-			if q.window, err = parseWindow(v); err != nil {
-				return ratesQuery{}, err
-			}
+			q.window, err = parseWindow(v)
 		case "scope":
-			if q.scope, err = parseScope(v); err != nil {
-				return ratesQuery{}, err
-			}
+			q.scope, err = parseScope(v)
 		default:
-			return ratesQuery{}, fmt.Errorf("unknown parameter %q", key)
+			return unknownParam(key)
 		}
-	}
-	return q, nil
+		return err
+	})
+	return q, err
 }
 
 // rateJSON is an event count normalized per node-year.
@@ -264,18 +253,57 @@ func parseCompareDatasets(vals url.Values) ([]string, error) {
 	return names, nil
 }
 
-// compareVersionsHeader renders the per-dataset pinned versions, in request
-// order, as "a:3,b:5".
-func compareVersionsHeader(names []string, versions map[string]uint64) string {
-	var b strings.Builder
-	for i, name := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s:%d", name, versions[name])
+// compareSides runs both comparative endpoints up to their diff. It parses
+// datasets= (parseCompareDatasets) and hands the remaining parameters to the
+// route's own parser; then, per named dataset in request order, it pins that
+// dataset's server, answers q through body — the strict executor path the
+// standalone route also takes, so each side is bit-identical to querying
+// that dataset alone — and stamps the pinned versions as X-Compare-Versions
+// ("a:3,b:5"). On any failure it writes the error response itself and
+// reports ok == false; otherwise the caller renders its diff table.
+func compareSides[Q any, B interface{ datasetVersion() uint64 }](s *Server, w http.ResponseWriter, r *http.Request,
+	parse func(raw string) (Q, error), body func(ts *Server, ctx context.Context, q Q) (B, error),
+) (names []string, q Q, results map[string]B, ok bool) {
+	vals, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad query string: %w", err))
+		return
 	}
-	return b.String()
+	if names, err = parseCompareDatasets(vals); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	vals.Del("datasets")
+	if q, err = parse(vals.Encode()); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	results = make(map[string]B, len(names))
+	var versions strings.Builder
+	for i, name := range names {
+		ts, release, err := s.acquireTenant(r, name)
+		if err != nil {
+			s.writeTenantError(w, name, err)
+			return
+		}
+		res, err := body(ts, r.Context(), q)
+		release()
+		if err != nil {
+			s.writeBodyError(w, fmt.Errorf("dataset %s: %w", name, err))
+			return
+		}
+		results[name] = res
+		if i > 0 {
+			versions.WriteByte(',')
+		}
+		fmt.Fprintf(&versions, "%s:%d", name, res.datasetVersion())
+	}
+	w.Header().Set("X-Compare-Versions", versions.String())
+	return names, q, results, true
 }
+
+func (b condProbJSON) datasetVersion() uint64 { return b.DatasetVersion }
+func (b ratesJSON) datasetVersion() uint64    { return b.DatasetVersion }
 
 // condProbDiffJSON compares one dataset's condprob result to the baseline
 // (first-named) dataset's.
@@ -313,40 +341,10 @@ func safeRatio(b, a float64) float64 {
 }
 
 func (s *Server) handleCompareCondProb(w http.ResponseWriter, r *http.Request) {
-	vals, err := url.ParseQuery(r.URL.RawQuery)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad query string: %w", err))
+	names, q, results, ok := compareSides(s, w, r, parseCondProbQuery, (*Server).condProbValue)
+	if !ok {
 		return
 	}
-	names, err := parseCompareDatasets(vals)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	vals.Del("datasets")
-	q, err := parseCondProbQuery(vals.Encode())
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	results := make(map[string]condProbJSON, len(names))
-	versions := make(map[string]uint64, len(names))
-	for _, name := range names {
-		ts, release, err := s.acquireTenant(r, name)
-		if err != nil {
-			s.writeTenantError(w, name, err)
-			return
-		}
-		res, err := ts.condProbValue(r.Context(), q)
-		release()
-		if err != nil {
-			s.writeBodyError(w, fmt.Errorf("dataset %s: %w", name, err))
-			return
-		}
-		results[name] = res
-		versions[name] = res.DatasetVersion
-	}
-	w.Header().Set("X-Compare-Versions", compareVersionsHeader(names, versions))
 	base := results[names[0]]
 	diffs := make([]condProbDiffJSON, 0, len(names)-1)
 	for _, name := range names[1:] {
@@ -418,40 +416,10 @@ func ratioSortKey(r float64) float64 {
 }
 
 func (s *Server) handleCompareRates(w http.ResponseWriter, r *http.Request) {
-	vals, err := url.ParseQuery(r.URL.RawQuery)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad query string: %w", err))
+	names, q, results, ok := compareSides(s, w, r, parseRatesQuery, (*Server).ratesBody)
+	if !ok {
 		return
 	}
-	names, err := parseCompareDatasets(vals)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	vals.Del("datasets")
-	q, err := parseRatesQuery(vals.Encode())
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	results := make(map[string]ratesJSON, len(names))
-	versions := make(map[string]uint64, len(names))
-	for _, name := range names {
-		ts, release, err := s.acquireTenant(r, name)
-		if err != nil {
-			s.writeTenantError(w, name, err)
-			return
-		}
-		res, err := ts.ratesBody(r.Context(), q)
-		release()
-		if err != nil {
-			s.writeBodyError(w, fmt.Errorf("dataset %s: %w", name, err))
-			return
-		}
-		results[name] = res
-		versions[name] = res.DatasetVersion
-	}
-	w.Header().Set("X-Compare-Versions", compareVersionsHeader(names, versions))
 	base := results[names[0]]
 	diffs := make([]ratesDiffJSON, 0, len(names)-1)
 	for _, name := range names[1:] {

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
-	"sort"
 	"strconv"
 	"time"
 
@@ -43,56 +41,39 @@ func (q correlationsQuery) Key() string {
 // Defaults are the week window at node scope with the correlate package's
 // rule thresholds; unknown and repeated parameters are rejected.
 func parseCorrelationsQuery(raw string) (correlationsQuery, error) {
-	vals, err := url.ParseQuery(raw)
-	if err != nil {
-		return correlationsQuery{}, fmt.Errorf("bad query string: %w", err)
-	}
 	q := correlationsQuery{
 		window:        trace.Week,
 		scope:         analysis.ScopeNode,
 		minSupport:    correlate.DefaultMinSupport,
 		minConfidence: correlate.DefaultMinConfidence,
 	}
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		vs := vals[key]
-		if len(vs) != 1 {
-			return correlationsQuery{}, fmt.Errorf("parameter %q repeated", key)
-		}
-		v := vs[0]
+	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "window":
-			if q.window, err = parseWindow(v); err != nil {
-				return correlationsQuery{}, err
-			}
+			q.window, err = parseWindow(v)
 		case "scope":
-			if q.scope, err = parseScope(v); err != nil {
-				return correlationsQuery{}, err
-			}
+			q.scope, err = parseScope(v)
 		case "system":
 			q.system, err = strconv.Atoi(v)
 			if err != nil || q.system < 0 {
-				return correlationsQuery{}, fmt.Errorf("bad system %q", v)
+				return fmt.Errorf("bad system %q", v)
 			}
 		case "min_support":
 			q.minSupport, err = strconv.ParseInt(v, 10, 64)
 			if err != nil || q.minSupport < 1 {
-				return correlationsQuery{}, fmt.Errorf("min_support must be a positive integer, got %q", v)
+				return fmt.Errorf("min_support must be a positive integer, got %q", v)
 			}
 		case "min_confidence":
 			q.minConfidence, err = strconv.ParseFloat(v, 64)
 			if err != nil || math.IsNaN(q.minConfidence) || q.minConfidence <= 0 || q.minConfidence > 1 {
-				return correlationsQuery{}, fmt.Errorf("min_confidence must be in (0, 1], got %q", v)
+				return fmt.Errorf("min_confidence must be in (0, 1], got %q", v)
 			}
 		default:
-			return correlationsQuery{}, fmt.Errorf("unknown parameter %q", key)
+			return unknownParam(key)
 		}
-	}
-	return q, nil
+		return err
+	})
+	return q, err
 }
 
 // anomaliesQuery is the parsed form of a /v1/anomalies query.
@@ -109,35 +90,26 @@ func (q anomaliesQuery) Key() string {
 const defaultAnomalyK = 20
 
 func parseAnomaliesQuery(raw string) (anomaliesQuery, error) {
-	vals, err := url.ParseQuery(raw)
-	if err != nil {
-		return anomaliesQuery{}, fmt.Errorf("bad query string: %w", err)
-	}
 	q := anomaliesQuery{k: defaultAnomalyK}
-	for key, vs := range vals {
-		if len(vs) != 1 {
-			return anomaliesQuery{}, fmt.Errorf("parameter %q repeated", key)
-		}
-		v := vs[0]
+	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "system":
 			q.system, err = strconv.Atoi(v)
 			if err != nil || q.system < 0 {
-				return anomaliesQuery{}, fmt.Errorf("bad system %q", v)
+				return fmt.Errorf("bad system %q", v)
 			}
 		case "k":
 			q.k, err = strconv.Atoi(v)
 			if err != nil || q.k < 1 {
-				return anomaliesQuery{}, fmt.Errorf("k must be a positive integer, got %q", v)
+				return fmt.Errorf("k must be a positive integer, got %q", v)
 			}
-			if q.k > maxTopK {
-				q.k = maxTopK
-			}
+			q.k = min(q.k, maxTopK)
 		default:
-			return anomaliesQuery{}, fmt.Errorf("unknown parameter %q", key)
+			return unknownParam(key)
 		}
-	}
-	return q, nil
+		return nil
+	})
+	return q, err
 }
 
 // ruleJSON is one correlation rule on the wire.

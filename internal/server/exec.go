@@ -277,14 +277,31 @@ type gathered struct {
 	errs     []error
 }
 
-// gather fans fn out to the given shards with per-shard deadlines and panic
-// isolation (fabric.call) and returns the surviving parts in shard order
-// (fn receives both the slot k and the shard index i). A down, slow or
+// gather is the one way an uncached read touches shard state: it runs fn
+// against each given shard through fabric.call (panic isolation) and
+// returns the surviving parts in shard order (fn receives both the slot k
+// and the shard index i). A one-slot gather calls fabric.call from the
+// caller's goroutine under the caller's context; only a real scatter spends
+// a goroutine and a per-shard deadline on each shard. A down, slow or
 // panicking shard only fills its error slot; failure decides whether that
 // is a partial answer or a failed one.
 func gather[P any](ctx context.Context, f *fabric, idxs []int, fn func(k, i int, st *store.Store, eng *risk.Engine) (P, uint64, error)) ([]P, gathered) {
 	g := gathered{idxs: idxs, versions: make([]uint64, len(idxs)), errs: make([]error, len(idxs))}
 	parts := make([]P, len(idxs))
+	slot := func(ctx context.Context, k, i int) {
+		g.errs[k] = f.call(ctx, i, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
+			p, v, err := fn(k, i, st, eng)
+			parts[k], g.versions[k] = p, v
+			return err
+		})
+	}
+	if len(idxs) == 1 {
+		slot(ctx, 0, idxs[0])
+		if g.errs[0] != nil {
+			return nil, g
+		}
+		return parts, g
+	}
 	var wg sync.WaitGroup
 	for k, i := range idxs {
 		wg.Add(1)
@@ -292,11 +309,7 @@ func gather[P any](ctx context.Context, f *fabric, idxs []int, fn func(k, i int,
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, f.deadline)
 			defer cancel()
-			g.errs[k] = f.call(sctx, i, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
-				p, v, err := fn(k, i, st, eng)
-				parts[k], g.versions[k] = p, v
-				return err
-			})
+			slot(sctx, k, i)
 		}(k, i)
 	}
 	wg.Wait()
@@ -311,13 +324,14 @@ func gather[P any](ctx context.Context, f *fabric, idxs []int, fn func(k, i int,
 	return ok, g
 }
 
-// failure reports why a gather cannot answer: no shard survived, or — in
-// strict mode — any part is missing, because a comparative answer built on
-// a partial count would silently compare unlike denominators.
+// failure reports why a gather cannot answer: no shard survived (a lone
+// shard's own error names it), or — in strict mode — any part is missing,
+// because a comparative answer built on a partial count would silently
+// compare unlike denominators.
 func (g gathered) failure(strict bool) error {
 	survived := false
 	for _, err := range g.errs {
-		if err != nil && strict {
+		if err != nil && (strict || len(g.errs) == 1) {
 			return err
 		}
 		survived = survived || err == nil
@@ -339,14 +353,14 @@ func (g gathered) version() uint64 {
 	return v
 }
 
-// stampPartial stamps a scatter-gather response: X-Dataset-Version is the
-// newest surviving shard version, X-Shard-Versions the per-shard version
-// vector (multi-shard fabrics only), and X-Partial: true when any shard's
+// stampPartial stamps a gathered response: X-Dataset-Version is the newest
+// surviving shard version, X-Shard-Versions the per-shard version vector
+// (only when several shards answered), and X-Partial: true when any shard's
 // part is missing — the explicit partial-result contract.
 func (s *Server) stampPartial(w http.ResponseWriter, g gathered) {
 	h := w.Header()
 	h.Set("X-Dataset-Version", strconv.FormatUint(g.version(), 10))
-	if s.fabric.n() > 1 {
+	if len(g.idxs) > 1 {
 		h.Set("X-Shard-Versions", g.vector())
 	}
 	for _, err := range g.errs {

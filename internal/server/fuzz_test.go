@@ -72,6 +72,8 @@ func FuzzRiskQueryParams(f *testing.F) {
 // anomaly endpoints: accepted queries are in range, and canonical cache
 // keys are a fixed point under re-parsing — the property that keeps one
 // logical query from splitting across cache entries (or two from aliasing).
+// The rates parser rides along: it never panics, rejects repeated
+// parameters, and accepts only positive windows.
 func FuzzCorrelationQueryParams(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -96,6 +98,17 @@ func FuzzCorrelationQueryParams(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
+		if q, err := parseRatesQuery(raw); err == nil {
+			if q.window <= 0 {
+				t.Fatalf("parseRatesQuery(%q) accepted non-positive window %v", raw, q.window)
+			}
+			vals, _ := url.ParseQuery(raw)
+			for key, vs := range vals {
+				if len(vs) > 1 {
+					t.Fatalf("parseRatesQuery(%q) accepted repeated parameter %q", raw, key)
+				}
+			}
+		}
 		if q, err := parseCorrelationsQuery(raw); err == nil {
 			if q.window <= 0 || q.system < 0 || q.minSupport < 1 ||
 				!(q.minConfidence > 0 && q.minConfidence <= 1) {

@@ -3,7 +3,7 @@ package server
 import (
 	"fmt"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -27,52 +27,78 @@ type riskQuery struct {
 	At time.Time
 }
 
+// at is the scoring time: the pinned ?at=, or now.
+func (q riskQuery) at(now time.Time) time.Time {
+	if q.At.IsZero() {
+		return now
+	}
+	return q.At
+}
+
 // maxTopK caps /v1/risk/top so one request cannot serialize every node of
 // a large catalog.
 const maxTopK = 1000
 
-// parseRiskQuery parses a raw /v1/risk query string (without the node path
-// element). Unknown parameters are rejected so typos fail loudly instead of
-// silently falling back to defaults.
-func parseRiskQuery(raw string) (riskQuery, error) {
+// queryParams is every parser's query-string walker: it parses raw,
+// rejects repeated parameters, and hands each parameter to set in sorted key
+// order, so a query with several bad parameters always fails on the same
+// one. Unknown parameters are the parser's default case (unknownParam):
+// typos fail loudly instead of silently falling back to defaults.
+func queryParams(raw string, set func(key, val string) error) error {
 	vals, err := url.ParseQuery(raw)
 	if err != nil {
-		return riskQuery{}, fmt.Errorf("bad query string: %w", err)
+		return fmt.Errorf("bad query string: %w", err)
 	}
-	q := riskQuery{K: 10}
-	for key, vs := range vals {
-		if len(vs) != 1 {
-			return riskQuery{}, fmt.Errorf("parameter %q repeated", key)
+	var buf [8]string // a stack buffer: real queries carry a few keys
+	keys := buf[:0]
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		if len(vals[key]) != 1 {
+			return fmt.Errorf("parameter %q repeated", key)
 		}
-		v := vs[0]
+		if err := set(key, vals[key][0]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func unknownParam(key string) error { return fmt.Errorf("unknown parameter %q", key) }
+
+// parseRiskQuery parses a raw /v1/risk query string (without the node path
+// element).
+func parseRiskQuery(raw string) (riskQuery, error) {
+	q := riskQuery{K: 10}
+	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "system":
 			q.System, err = strconv.Atoi(v)
 			if err != nil || q.System < 0 {
-				return riskQuery{}, fmt.Errorf("bad system %q", v)
+				return fmt.Errorf("bad system %q", v)
 			}
 		case "k":
 			q.K, err = strconv.Atoi(v)
 			if err != nil || q.K < 1 {
-				return riskQuery{}, fmt.Errorf("k must be a positive integer, got %q", v)
+				return fmt.Errorf("k must be a positive integer, got %q", v)
 			}
 			// Oversized k is clamped, not rejected: "give me everything"
 			// is a reasonable ask, but one request must not serialize an
 			// unbounded catalog. The handler clamps further to the node
 			// count in scope.
-			if q.K > maxTopK {
-				q.K = maxTopK
-			}
+			q.K = min(q.K, maxTopK)
 		case "at":
-			q.At, err = time.Parse(time.RFC3339, v)
-			if err != nil {
-				return riskQuery{}, fmt.Errorf("bad at %q (want RFC3339)", v)
+			if q.At, err = time.Parse(time.RFC3339, v); err != nil {
+				return fmt.Errorf("bad at %q (want RFC3339)", v)
 			}
 		default:
-			return riskQuery{}, fmt.Errorf("unknown parameter %q", key)
+			return unknownParam(key)
 		}
-	}
-	return q, nil
+		return nil
+	})
+	return q, err
 }
 
 // condProbQuery is the parsed, canonicalized form of a /v1/condprob query.
@@ -94,49 +120,32 @@ func (q condProbQuery) Key() string {
 // event syntax of cmd/hpcanalyze: ENV|HW|HUMAN|NET|SW|UNDET, optionally
 // refined as HW/<component>, SW/<class>, or ENV/<subtype>.
 func parseCondProbQuery(raw string) (condProbQuery, error) {
-	vals, err := url.ParseQuery(raw)
-	if err != nil {
-		return condProbQuery{}, fmt.Errorf("bad query string: %w", err)
-	}
 	q := condProbQuery{window: trace.Week, scope: analysis.ScopeNode}
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		vs := vals[key]
-		if len(vs) != 1 {
-			return condProbQuery{}, fmt.Errorf("parameter %q repeated", key)
-		}
-		v := vs[0]
+	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "anchor":
 			if q.anchor, _, err = parseEventSpec(v); err != nil {
-				return condProbQuery{}, fmt.Errorf("anchor: %w", err)
+				return fmt.Errorf("anchor: %w", err)
 			}
 		case "target":
 			if q.target, _, err = parseEventSpec(v); err != nil {
-				return condProbQuery{}, fmt.Errorf("target: %w", err)
+				return fmt.Errorf("target: %w", err)
 			}
 		case "window":
-			if q.window, err = parseWindow(v); err != nil {
-				return condProbQuery{}, err
-			}
+			q.window, err = parseWindow(v)
 		case "scope":
-			if q.scope, err = parseScope(v); err != nil {
-				return condProbQuery{}, err
-			}
+			q.scope, err = parseScope(v)
 		case "group":
 			q.group, err = strconv.Atoi(v)
 			if err != nil || q.group < 0 || q.group > 2 {
-				return condProbQuery{}, fmt.Errorf("group must be 0, 1 or 2, got %q", v)
+				return fmt.Errorf("group must be 0, 1 or 2, got %q", v)
 			}
 		default:
-			return condProbQuery{}, fmt.Errorf("unknown parameter %q", key)
+			return unknownParam(key)
 		}
-	}
-	return q, nil
+		return err
+	})
+	return q, err
 }
 
 // preds resolves the canonical anchor/target labels back into predicates.

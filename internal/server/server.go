@@ -27,19 +27,21 @@
 // X-Dataset-Version header, and analysis cache keys embed it, so a cached
 // answer can never leak across dataset versions.
 //
-// The cached analysis routes (condprob, correlations, anomalies) and the
-// comparative endpoints built on them share one query executor (exec.go):
-// a route supplies a canonical key, a per-shard part and a render, and the
-// executor caches on the canonicalized query, deduplicates concurrent
-// identical queries singleflight-style, gates compute on each shard's
-// circuit breaker (degrading to cached answers when compute keeps
-// failing), and scatter-gathers across shards. Every request runs under a
-// timeout and per-route admission control (overload is shed with 429 +
-// Retry-After). With Config.ShardWAL.Dir set, POST /v1/events is
-// write-ahead logged so acked events survive a crash, and
-// X-Idempotency-Key makes retries safe. Serve shuts down gracefully when
-// its context is cancelled, joining in-flight handlers before tearing down
-// shared state.
+// Reads share one path. Every route, and its /v1/d/{dataset}/ mirror, is
+// registered from one table (routes); every query string goes through one
+// parameter walker (queryParams); every uncached shard read goes through one
+// scatter (gather), which calls a one-shard read under the request context
+// and fans a multi-shard one out with per-shard deadlines. The cached
+// analysis routes (condprob, correlations, anomalies) add one query
+// executor (exec.go) that caches on the canonicalized query, deduplicates
+// identical queries singleflight-style and gates compute on each shard's
+// circuit breaker; both comparative endpoints run through compareSides,
+// over its strict mode. Every request runs under a timeout and per-route
+// admission control (overload is shed with 429 + Retry-After). With
+// Config.ShardWAL.Dir set, POST /v1/events is write-ahead logged so acked
+// events survive a crash, and X-Idempotency-Key makes retries safe. Serve
+// shuts down gracefully when its context is cancelled, joining in-flight
+// handlers before tearing down shared state.
 package server
 
 import (
@@ -54,6 +56,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -217,7 +220,7 @@ type Server struct {
 	reg        *registry.Registry
 	tmpl       Config
 	adminToken string
-	// routesOnce/routeTab lazily build the per-tenant route table shared by
+	// routesOnce/routeTab lazily build the per-dataset route table shared by
 	// the root mux and the /v1/d/{dataset} dispatcher.
 	routesOnce sync.Once
 	routeTab   map[string]http.Handler
@@ -325,32 +328,16 @@ func (s *Server) Engine() *risk.Engine {
 // unprefixed routes serve the default tenant; the same routes under
 // /v1/d/{dataset}/ resolve a named tenant from the registry first.
 func (s *Server) Handler() http.Handler {
-	rt := s.routes()
 	mux := http.NewServeMux()
-	mux.Handle("GET /healthz", rt["/healthz"])
-	mux.Handle("GET /readyz", rt["/readyz"])
+	for pattern, h := range s.routes() {
+		// The mirror of "GET /v1/risk/top" is "GET /v1/d/{dataset}/risk/top";
+		// the dispatcher resolves the tenant, then reuses that tenant's own
+		// instrumented handler.
+		method, path, _ := strings.Cut(pattern, " ")
+		mux.Handle(pattern, h)
+		mux.Handle(method+" /v1/d/{dataset}"+strings.TrimPrefix(path, "/v1"), s.tenantRoute(pattern))
+	}
 	mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	mux.Handle("GET /v1/risk/top", rt["/v1/risk/top"])
-	mux.Handle("GET /v1/risk/{node}", rt["/v1/risk/{node}"])
-	mux.Handle("GET /v1/condprob", rt["/v1/condprob"])
-	mux.Handle("GET /v1/correlations", rt["/v1/correlations"])
-	mux.Handle("GET /v1/anomalies", rt["/v1/anomalies"])
-	mux.Handle("GET /v1/snapshot", rt["/v1/snapshot"])
-	mux.Handle("GET /v1/rates", rt["/v1/rates"])
-	mux.Handle("POST /v1/events", rt["/v1/events"])
-	// Tenant-scoped mirrors of every dataset route. The dispatcher resolves
-	// the tenant, then reuses that tenant's own instrumented handler, so a
-	// named tenant gets the same admission, timeout and metrics treatment.
-	mux.Handle("GET /v1/d/{dataset}/healthz", s.tenantRoute("/healthz"))
-	mux.Handle("GET /v1/d/{dataset}/readyz", s.tenantRoute("/readyz"))
-	mux.Handle("GET /v1/d/{dataset}/risk/top", s.tenantRoute("/v1/risk/top"))
-	mux.Handle("GET /v1/d/{dataset}/risk/{node}", s.tenantRoute("/v1/risk/{node}"))
-	mux.Handle("GET /v1/d/{dataset}/condprob", s.tenantRoute("/v1/condprob"))
-	mux.Handle("GET /v1/d/{dataset}/correlations", s.tenantRoute("/v1/correlations"))
-	mux.Handle("GET /v1/d/{dataset}/anomalies", s.tenantRoute("/v1/anomalies"))
-	mux.Handle("GET /v1/d/{dataset}/snapshot", s.tenantRoute("/v1/snapshot"))
-	mux.Handle("GET /v1/d/{dataset}/rates", s.tenantRoute("/v1/rates"))
-	mux.Handle("POST /v1/d/{dataset}/events", s.tenantRoute("/v1/events"))
 	// Comparative analytics and the dataset-management API live on the root
 	// server only.
 	mux.Handle("GET /v1/compare/condprob", s.instrument("/v1/compare/condprob", s.handleCompareCondProb))
@@ -693,29 +680,22 @@ func (s *Server) handleRiskNode(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	now := s.now()
-	if !q.At.IsZero() {
-		now = q.At
-	}
+	now := q.at(s.now())
 	owner, _ := f.ownerOf(sys.ID)
-	var sc risk.Score
-	var version uint64
-	err = f.call(r.Context(), owner, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
-		version = st.Snapshot().Version()
-		var serr error
-		sc, serr = eng.Score(sys.ID, node, now)
-		return serr
+	scores, g := gather(r.Context(), f, []int{owner}, func(_, _ int, st *store.Store, eng *risk.Engine) (risk.Score, uint64, error) {
+		sc, err := eng.Score(sys.ID, node, now)
+		return sc, st.Snapshot().Version(), err
 	})
-	if errors.Is(err, errShardDown) || errors.Is(err, errShardSlow) {
+	switch err := g.errs[0]; {
+	case errors.Is(err, errShardDown) || errors.Is(err, errShardSlow):
 		s.shardUnavailable(w, err)
 		return
-	}
-	if err != nil {
+	case err != nil:
 		s.writeError(w, http.StatusNotFound, err)
 		return
 	}
-	w.Header().Set("X-Dataset-Version", strconv.FormatUint(version, 10))
-	s.writeJSON(w, http.StatusOK, s.scoreJSON(sc))
+	s.stampPartial(w, g)
+	s.writeJSON(w, http.StatusOK, s.scoreJSON(scores[0]))
 }
 
 // riskTopResponse is the /v1/risk/top body.
@@ -739,65 +719,29 @@ func (s *Server) handleRiskTop(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Clamp k to the node population in scope: asking for more rows than
-	// nodes is harmless intent, not an error.
-	nodes := 0
-	for _, sys := range f.fleet {
-		if q.System == 0 || sys.ID == q.System {
-			nodes += sys.Nodes
-		}
-	}
-	if q.K > nodes && nodes > 0 {
-		q.K = nodes
-	}
-	now := s.now()
-	if !q.At.IsZero() {
-		now = q.At
-	}
-	out := riskTopResponse{At: now, Window: f.window.String(), Scores: []scoreJSON{}}
-
-	if q.System != 0 {
-		// Per-system: the owner shard ranks that one system.
-		owner, _ := f.ownerOf(q.System)
-		var scores []risk.Score
-		var version uint64
-		err := f.call(r.Context(), owner, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
-			version = st.Snapshot().Version()
-			scores = eng.TopK(q.K, now, q.System)
-			return nil
-		})
-		if err != nil {
-			s.shardUnavailable(w, err)
-			return
-		}
-		w.Header().Set("X-Dataset-Version", strconv.FormatUint(version, 10))
-		for _, sc := range scores {
-			out.Scores = append(out.Scores, s.scoreJSON(sc))
-		}
-		s.writeJSON(w, http.StatusOK, out)
-		return
-	}
-
-	// Fleet-wide: every shard returns its own top k, merged under TopK's
-	// order. The merge is exact: ScoreLess is a total order and shards own
-	// disjoint systems, so a global winner is beaten by fewer than k rows of
-	// its own shard and is in that shard's top k. Survivors answer even
-	// when a shard is down — the response says so.
-	tops, g := gather(r.Context(), f, f.allShards(), func(_, _ int, st *store.Store, eng *risk.Engine) ([]risk.Score, uint64, error) {
-		return eng.TopK(q.K, now), st.Snapshot().Version(), nil
+	now := q.at(s.now())
+	// Every involved shard returns its own top k (TopK clamps a k above the
+	// nodes in scope), merged under TopK's order. The merge is exact:
+	// ScoreLess is a total order and shards own disjoint systems, so a global
+	// winner is beaten by fewer than k rows of its own shard and is in that
+	// shard's top k. Survivors answer even when a shard is down — the
+	// response says so.
+	tops, g := gather(r.Context(), f, f.systemShards(q.System), func(_, _ int, st *store.Store, eng *risk.Engine) ([]risk.Score, uint64, error) {
+		return eng.TopK(q.K, now, scopeSystems(q.System)...), st.Snapshot().Version(), nil
 	})
 	if err := g.failure(false); err != nil {
 		s.shardUnavailable(w, err)
 		return
 	}
-	merged := slices.Concat(tops...)
-	sort.Slice(merged, func(i, j int) bool { return risk.ScoreLess(merged[i], merged[j]) })
+	merged := tops[0]
+	if len(tops) > 1 {
+		merged = slices.Concat(tops...)
+		sort.Slice(merged, func(i, j int) bool { return risk.ScoreLess(merged[i], merged[j]) })
+	}
 	s.stampPartial(w, g)
-	for _, sc := range merged {
+	out := riskTopResponse{At: now, Window: f.window.String(), Scores: []scoreJSON{}}
+	for _, sc := range merged[:min(q.K, len(merged))] {
 		out.Scores = append(out.Scores, s.scoreJSON(sc))
-		if len(out.Scores) >= q.K {
-			break
-		}
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }
@@ -1100,9 +1044,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				err = fmt.Errorf("risk: unknown system %d", f.System)
 			}
 		}
+		// journaled records which writer the call itself ran with: a journal
+		// applies the event to the store on its own, and a shard killed
+		// mid-observe has already detached that journal by the time the
+		// call returns, so re-reading the shard afterwards would append the
+		// event to the store a second time.
+		journaled := false
 		if err == nil {
 			err = fab.call(r.Context(), owner, func(st *store.Store, eng *risk.Engine, j *risk.Journal) error {
 				if j != nil {
+					journaled = true
 					return j.Observe(f)
 				}
 				return eng.Observe(f)
@@ -1150,7 +1101,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		accepted++
 		s.metrics.eventsIn.Add(1)
-		if _, _, j := fab.shards[owner].view(); !s.frozen && j == nil {
+		if !s.frozen && !journaled {
 			pendingStore[owner] = append(pendingStore[owner], f)
 		}
 	}
@@ -1193,14 +1144,14 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 
-	// Periodic maintenance: decay keeps engine memory bounded while the
-	// feed is quiet, and each shard's journal gets its WAL synced and its
-	// snapshot policy consulted. The derived context stops the goroutine on
-	// any exit path, including an immediate Serve error.
+	// Periodic maintenance: each shard's journal gets its WAL synced and its
+	// snapshot policy consulted (engine memory needs no tick; see
+	// fabric.maintain). The derived context stops the goroutine on any exit
+	// path, including an immediate Serve error.
 	dctx, dcancel := context.WithCancel(ctx)
-	decayDone := make(chan struct{})
+	maintDone := make(chan struct{})
 	go func() {
-		defer close(decayDone)
+		defer close(maintDone)
 		t := time.NewTicker(30 * time.Second)
 		defer t.Stop()
 		for {
@@ -1258,7 +1209,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 			s.logf("hpcserve: gave up waiting for in-flight requests")
 		}
 		dcancel()
-		<-decayDone
+		<-maintDone
 		<-supDone
 		<-tenantSupDone
 		// Close syncs and closes the root's journals; closing the registry

@@ -466,19 +466,14 @@ func (f *fabric) supervise(ctx context.Context) {
 	}
 }
 
-// maintain runs the periodic per-shard upkeep the serve loop schedules:
-// engine decay, WAL sync, and the snapshot policy.
+// maintain runs the periodic per-shard upkeep the serve loop schedules: WAL
+// sync and the snapshot policy. It never prunes engine state: Observe slides
+// each system's window on that system's own newest event and
+// MaxEventsPerSystem caps what is left, so memory stays bounded while a
+// quiet system keeps its ?at=-pinned answers.
 func (f *fabric) maintain(now time.Time) {
 	for i := range f.shards {
-		_, eng, j := f.shards[i].view()
-		// Decay on the feed's clock: a server fed historical or replayed
-		// events would otherwise drop them all and change ?at=-pinned
-		// answers. Observe's pruning and the retention bound cap memory.
-		at := now
-		if last := eng.LastEvent(); last.Before(at) {
-			at = last
-		}
-		eng.Decay(at)
+		_, _, j := f.shards[i].view()
 		if j == nil {
 			continue
 		}

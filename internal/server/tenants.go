@@ -44,23 +44,31 @@ type tenantSpec struct {
 	Standby bool    `json:"standby,omitempty"`
 }
 
-// routes returns the per-tenant instrumented route table. The root mux and
-// the /v1/d/{dataset} dispatcher both serve from it, so a named tenant's
+// routes returns the per-dataset instrumented route table, keyed by mux
+// pattern ("GET /v1/risk/top"). Handler registers every entry twice — as
+// the unprefixed route and as its /v1/d/{dataset}/ mirror — and the mirror's
+// dispatcher serves the resolved tenant's own entry, so a named tenant's
 // handler chain (admission, timeout, metrics, idempotency) is exactly the
 // default tenant's.
 func (s *Server) routes() map[string]http.Handler {
 	s.routesOnce.Do(func() {
-		s.routeTab = map[string]http.Handler{
-			"/healthz":         s.instrument("/healthz", s.handleHealthz),
-			"/readyz":          s.instrument("/readyz", s.handleReadyz),
-			"/v1/risk/top":     s.instrument("/v1/risk/top", s.handleRiskTop),
-			"/v1/risk/{node}":  s.instrument("/v1/risk/{node}", s.handleRiskNode),
-			"/v1/condprob":     s.instrument("/v1/condprob", s.handleCondProb),
-			"/v1/correlations": s.instrument("/v1/correlations", s.handleCorrelations),
-			"/v1/anomalies":    s.instrument("/v1/anomalies", s.handleAnomalies),
-			"/v1/snapshot":     s.instrument("/v1/snapshot", s.handleSnapshot),
-			"/v1/rates":        s.instrument("/v1/rates", s.handleRates),
-			"/v1/events":       s.instrument("/v1/events", s.handleEvents),
+		s.routeTab = make(map[string]http.Handler)
+		for _, rt := range []struct {
+			method, path string
+			h            http.HandlerFunc
+		}{
+			{"GET", "/healthz", s.handleHealthz},
+			{"GET", "/readyz", s.handleReadyz},
+			{"GET", "/v1/risk/top", s.handleRiskTop},
+			{"GET", "/v1/risk/{node}", s.handleRiskNode},
+			{"GET", "/v1/condprob", s.handleCondProb},
+			{"GET", "/v1/correlations", s.handleCorrelations},
+			{"GET", "/v1/anomalies", s.handleAnomalies},
+			{"GET", "/v1/snapshot", s.handleSnapshot},
+			{"GET", "/v1/rates", s.handleRates},
+			{"POST", "/v1/events", s.handleEvents},
+		} {
+			s.routeTab[rt.method+" "+rt.path] = s.instrument(rt.path, rt.h)
 		}
 	})
 	return s.routeTab
@@ -131,11 +139,12 @@ func (s *Server) writeTenantError(w http.ResponseWriter, name string, err error)
 	}
 }
 
-// tenantRoute dispatches one /v1/d/{dataset}/... route: canonicalize the
-// path's dataset name, authenticate and pin the tenant, and hand the
-// request to that tenant's own instrumented handler chain. The pin is held
-// for the whole handler, so a concurrent drain waits for this request.
-func (s *Server) tenantRoute(route string) http.Handler {
+// tenantRoute dispatches the /v1/d/{dataset}/ mirror of one routes()
+// pattern: canonicalize the path's dataset name, authenticate and pin the
+// tenant, and hand the request to that tenant's own instrumented handler
+// chain. The pin is held for the whole handler, so a concurrent drain waits
+// for this request.
+func (s *Server) tenantRoute(pattern string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("dataset")
 		canon, err := registry.Canonical(name)
@@ -153,7 +162,7 @@ func (s *Server) tenantRoute(route string) http.Handler {
 			release()
 			s.inflight.Done()
 		}()
-		ts.routes()[route].ServeHTTP(w, r)
+		ts.routes()[pattern].ServeHTTP(w, r)
 	})
 }
 
