@@ -251,10 +251,11 @@ type JournalConfig struct {
 	SnapshotPolicy checkpoint.Policy
 	// Now supplies the snapshot-spacing clock; defaults to time.Now.
 	Now func() time.Time
-	// Store, when set, receives every event the journal applies — both the
-	// recovery replay (snapshot actives plus WAL tail, as one batch) and
-	// live Observes — so the analytics dataset and the risk window rebuild
-	// from one pass over one log instead of maintaining two recovery paths.
+	// Store, when set, receives every event the journal applies — the
+	// recovery replay (snapshot actives plus WAL tail) and each live
+	// ObserveBatch, one append apiece — so the analytics dataset and the
+	// risk window rebuild from one pass over one log instead of maintaining
+	// two recovery paths.
 	Store *store.Store
 }
 
@@ -281,7 +282,7 @@ type RecoveryStats struct {
 }
 
 // Journal is the durable ingest path: a mutex-serialized
-// validate → append → observe pipeline over one Engine, plus periodic
+// validate → append → apply pipeline over one Engine, plus periodic
 // snapshots that bound recovery replay time. Scoring reads (Score, TopK)
 // go straight to the Engine and are never serialized by the journal.
 type Journal struct {
@@ -350,38 +351,73 @@ func (j *Journal) Engine() *Engine { return j.engine }
 // Store returns the dataset store the journal applies events to, or nil.
 func (j *Journal) Store() *store.Store { return j.store }
 
-// ErrAppend marks a WAL-append failure inside Observe: the event was valid
-// but could not be made durable. Serving layers treat it as a server-side
-// fault (500), never a per-event rejection.
+// ErrAppend marks a WAL-append failure inside ObserveBatch: the event was
+// valid but could not be made durable. Serving layers treat it as a
+// server-side fault (500), never a per-event rejection.
 var ErrAppend = errors.New("risk: journal append failed")
 
-// Observe durably ingests one event: validate against the catalog, append
-// to the WAL (fsync per policy), then observe in memory and apply to the
-// dataset store when one is configured. Events that fail validation are
-// rejected before touching the log. A store rejection after the WAL accept
-// is reported as ErrAppend: the event is durable and will reach both states
-// on the next recovery, so the caller must treat the request as a server
-// fault, not a rejection.
+// Observe durably ingests one event: ObserveBatch with a batch of one.
 func (j *Journal) Observe(f trace.Failure) error {
+	errs, err := j.ObserveBatch([]trace.Failure{f})
+	if err != nil {
+		return err
+	}
+	return errs[0]
+}
+
+// ObserveBatch durably ingests events in order: each is validated against
+// the catalog (a rejection never touches the log) and appended to the WAL
+// (fsync per policy), then what was appended goes through Apply. errs[i]
+// is event i's rejection, nil once applied. A WAL failure ends the batch
+// with an ErrAppend error, which the failing and later events also get;
+// the events appended before it are still applied, so the engine and store
+// hold exactly what is durable. A store rejection is ErrAppend too: the
+// events are durable and reach the store on the next recovery, so the
+// caller must treat the request as a server fault, not a rejection.
+func (j *Journal) ObserveBatch(events []trace.Failure) (errs []error, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.engine.Validate(f); err != nil {
-		return err
-	}
-	if _, err := j.log.Append(EncodeEvent(f)); err != nil {
-		// Double-wrap so callers can both classify (errors.Is ErrAppend) and
-		// inspect the cause — iofault.IsDiskFull needs the ENOSPC to survive.
-		return fmt.Errorf("%w: %w", ErrAppend, err)
-	}
-	if err := j.engine.Observe(f); err != nil {
-		return err
-	}
-	if j.store != nil {
-		if _, err := j.store.Append([]trace.Failure{f}); err != nil {
-			return fmt.Errorf("%w: dataset store: %w", ErrAppend, err)
+	errs = make([]error, len(events))
+	for i, f := range events {
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		if errs[i] = j.engine.Validate(f); errs[i] != nil {
+			continue
+		}
+		if _, aerr := j.log.Append(EncodeEvent(f)); aerr != nil {
+			// Double-wrap so callers can both classify (errors.Is ErrAppend) and
+			// inspect the cause — iofault.IsDiskFull needs the ENOSPC to survive.
+			err = fmt.Errorf("%w: %w", ErrAppend, aerr)
+			errs[i] = err
 		}
 	}
-	return nil
+	if serr := Apply(j.engine, j.store, events, errs); serr != nil && err == nil {
+		err = fmt.Errorf("%w: dataset store: %w", ErrAppend, serr)
+	}
+	return errs, err
+}
+
+// Apply turns accepted events into serving state, with or without a
+// journal: it observes, in order, every event whose errs entry is nil,
+// records the engine's rejections in errs, and hands what the engine
+// accepted to st (when non-nil) in one append, whose error it returns.
+func Apply(eng *Engine, st *store.Store, events []trace.Failure, errs []error) error {
+	var accepted []trace.Failure
+	for i, f := range events {
+		if errs[i] != nil {
+			continue
+		}
+		if errs[i] = eng.Observe(f); errs[i] == nil && st != nil {
+			accepted = append(accepted, f)
+		}
+	}
+	if len(accepted) == 0 {
+		return nil
+	}
+	_, err := st.Append(accepted)
+	return err
 }
 
 // Sync flushes outstanding WAL appends regardless of fsync policy — the
@@ -489,7 +525,7 @@ func (j *Journal) ProbeSpace() error {
 	return f.Close()
 }
 
-// Close syncs and closes the WAL. Further Observe calls fail.
+// Close syncs and closes the WAL. Further ObserveBatch calls fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -289,7 +289,7 @@ func gather[P any](ctx context.Context, f *fabric, idxs []int, fn func(k, i int,
 	g := gathered{idxs: idxs, versions: make([]uint64, len(idxs)), errs: make([]error, len(idxs))}
 	parts := make([]P, len(idxs))
 	slot := func(ctx context.Context, k, i int) {
-		g.errs[k] = f.call(ctx, i, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
+		g.errs[k] = f.call(ctx, i, false, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
 			p, v, err := fn(k, i, st, eng)
 			parts[k], g.versions[k] = p, v
 			return err

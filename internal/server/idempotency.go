@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"sync"
 )
 
@@ -10,7 +11,7 @@ import (
 // later request with the same key replays the owner's recorded response
 // instead of ingesting the events again. Ownership is reserved atomically
 // at request start, so two concurrent duplicates can never both ingest —
-// the loser waits on the owner's outcome (see handleEvents), closing the
+// the loser waits on the owner's outcome (see claim), closing the
 // check-then-act window a get/put API would leave.
 //
 // Completed responses live in a bounded LRU: replay protection is exact
@@ -34,25 +35,11 @@ type idemResult struct {
 }
 
 // idemPending is a key reservation. done is closed when the owner records
-// a response (ok=true, res valid) or abandons the key (ok=false) — waiters
-// then re-begin: replaying the result or taking ownership themselves.
+// a response or abandons the key — waiters then claim again: replaying the
+// result or taking ownership themselves.
 type idemPending struct {
 	done chan struct{}
-	res  idemResult
-	ok   bool
 }
-
-// beginState is the outcome of reserving a key.
-type beginState int
-
-const (
-	// idemOwned: the caller holds the key and must complete or abandon it.
-	idemOwned beginState = iota
-	// idemHit: a completed response exists; replay it.
-	idemHit
-	// idemWait: another request holds the key; wait on pending.done.
-	idemWait
-)
 
 func newIdemCache(max int) *idemCache {
 	if max < 1 {
@@ -66,22 +53,35 @@ func newIdemCache(max int) *idemCache {
 	}
 }
 
-// begin atomically resolves a key: a recorded response (idemHit), an
-// in-flight reservation to wait on (idemWait), or a fresh reservation the
-// caller now owns (idemOwned).
-func (c *idemCache) begin(key string) (idemResult, *idemPending, beginState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		return *el.Value.(*idemResult), nil, idemHit
+// claim resolves key for a request: the response an earlier request
+// recorded (with a nil reservation), or a reservation the caller now owns
+// and must complete or abandon. A concurrent owner is waited out instead
+// of ingesting a duplicate: its recorded response is then replayed, or its
+// abandoned key taken over. claim fails only when ctx ends first.
+func (c *idemCache) claim(ctx context.Context, key string) (idemResult, *idemPending, error) {
+	for {
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.order.MoveToFront(el)
+			res := *el.Value.(*idemResult)
+			c.mu.Unlock()
+			return res, nil, nil
+		}
+		p, busy := c.pending[key]
+		if !busy {
+			p = &idemPending{done: make(chan struct{})}
+			c.pending[key] = p
+		}
+		c.mu.Unlock()
+		if !busy {
+			return idemResult{}, p, nil
+		}
+		select {
+		case <-p.done:
+		case <-ctx.Done():
+			return idemResult{}, nil, ctx.Err()
+		}
 	}
-	if p, ok := c.pending[key]; ok {
-		return idemResult{}, p, idemWait
-	}
-	p := &idemPending{done: make(chan struct{})}
-	c.pending[key] = p
-	return idemResult{}, p, idemOwned
 }
 
 // complete records the owner's response, evicting the least recently used
@@ -90,8 +90,6 @@ func (c *idemCache) complete(key string, p *idemPending, code int, body []byte) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.pending, key)
-	p.res = idemResult{key: key, code: code, body: body}
-	p.ok = true
 	close(p.done)
 	if _, ok := c.entries[key]; ok {
 		return

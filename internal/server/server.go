@@ -39,9 +39,11 @@
 // over its strict mode. Every request runs under a timeout and per-route
 // admission control (overload is shed with 429 + Retry-After). With
 // Config.ShardWAL.Dir set, POST /v1/events is write-ahead logged so acked
-// events survive a crash, and X-Idempotency-Key makes retries safe. Serve
-// shuts down gracefully when its context is cancelled, joining in-flight
-// handlers before tearing down shared state.
+// events survive a crash, and X-Idempotency-Key makes retries safe. Writes
+// share one path: a POST makes one call and one store append per owning
+// shard, with or without a journal (risk.Apply). Serve shuts down
+// gracefully when its context is cancelled, joining in-flight handlers
+// before tearing down shared state.
 package server
 
 import (
@@ -58,6 +60,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/analysis"
@@ -316,13 +319,6 @@ func newServer(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Engine returns shard 0's risk engine (the server's whole engine when it
-// has one shard) so callers can pre-seed events.
-func (s *Server) Engine() *risk.Engine {
-	_, eng, _ := s.fabric.shards[0].view()
-	return eng
-}
-
 // Handler returns the server's routed HTTP handler, wrapped in the
 // configured middleware (chaos injection in tests) when one is set. The
 // unprefixed routes serve the default tenant; the same routes under
@@ -396,14 +392,18 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v as the indented JSON response and returns the body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) []byte {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		s.logf("server: encoding response: %v", err)
+		return nil
 	}
+	body = append(body, '\n')
+	w.Write(body)
+	return body
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
@@ -434,34 +434,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // at least once). Load balancers should route on this, not /healthz, so a
 // server mid-recovery or mid-failover drains instead of serving partials.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ready, rows := s.fabric.status()
-	code := http.StatusOK
-	status := "ready"
-	switch {
-	case !ready:
-		code = http.StatusServiceUnavailable
-		status = "not-ready"
-	case s.fabric.readOnly():
-		// Reads still serve — load balancers should keep routing queries —
-		// but the status tells operators writes are being rejected.
-		status = "read-only"
+	// readiness is one dataset's status and shard rows. A read-only dataset
+	// still serves reads — load balancers should keep routing queries — but
+	// the status tells operators writes are being rejected.
+	readiness := func(f *fabric) map[string]any {
+		ready, rows := f.status()
+		status := "ready"
+		switch {
+		case !ready:
+			status = "not-ready"
+		case f.readOnly():
+			status = "read-only"
+		}
+		return map[string]any{"status": status, "shards": rows}
 	}
-	body := map[string]any{"status": status, "shards": rows}
+	body := readiness(s.fabric)
+	code := http.StatusOK
+	if body["status"] == "not-ready" {
+		code = http.StatusServiceUnavailable
+	}
 	// Named tenants report their own readiness per row; a read-only or
 	// recovering tenant degrades only its own routes, so the process-level
 	// code (what load balancers route on) stays the default tenant's.
 	datasets := map[string]any{}
-	s.eachTenant(func(name string, ts *Server) {
-		tready, trows := ts.fabric.status()
-		tstatus := "ready"
-		switch {
-		case !tready:
-			tstatus = "not-ready"
-		case ts.fabric.readOnly():
-			tstatus = "read-only"
-		}
-		datasets[name] = map[string]any{"status": tstatus, "shards": trows}
-	})
+	s.eachTenant(func(name string, ts *Server) { datasets[name] = readiness(ts.fabric) })
 	if len(datasets) > 0 {
 		body["datasets"] = datasets
 	}
@@ -930,26 +926,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	idemKey := r.Header.Get(idemKeyHeader)
 	var pending *idemPending
 	if idemKey != "" {
-		for pending == nil {
-			res, p, state := s.idem.begin(idemKey)
-			switch state {
-			case idemHit:
-				s.replayIdem(w, res)
-				return
-			case idemOwned:
-				pending = p
-			case idemWait:
-				// A concurrent request holds this key. Wait for its outcome
-				// instead of ingesting a duplicate, then loop: replay what
-				// it recorded, or take over the key if it abandoned.
-				select {
-				case <-p.done:
-				case <-r.Context().Done():
-					s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("request with idempotency key %q still in flight", idemKey))
-					return
-				}
-			}
+		res, p, err := s.idem.claim(r.Context(), idemKey)
+		switch {
+		case err != nil:
+			s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("request with idempotency key %q still in flight", idemKey))
+			return
+		case p == nil:
+			s.replayIdem(w, res)
+			return
 		}
+		pending = p
 		// Paths that record no outcome (malformed bodies, panics) must not
 		// wedge the key: release the reservation so a retry re-contends.
 		defer func() {
@@ -961,20 +947,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// respond writes the response and records it under the idempotency key,
 	// so a retry replays this exact outcome instead of re-ingesting.
 	respond := func(code int, v any) {
-		body, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			s.logf("server: encoding response: %v", err)
-			s.writeJSON(w, code, v)
-			return
-		}
-		body = append(body, '\n')
-		if pending != nil {
+		if body := s.writeJSON(w, code, v); pending != nil && body != nil {
 			s.idem.complete(idemKey, pending, code, body)
 			pending = nil
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		w.Write(body)
 	}
 	var req struct {
 		Events []eventJSON `json:"events"`
@@ -998,122 +974,131 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusTooManyRequests, fmt.Errorf("dataset %s event quota (%d events) exhausted", s.name, qmax))
 		return
 	}
-	// Each event routes to the shard owning its system. With a journal
-	// configured on that shard, ingestion is write-ahead: the event hits
-	// the log (fsync per policy) before the engine sees it, so an acked
-	// event survives a crash. An event for a down shard is rejected
-	// per-event — the rest of the batch still lands.
-	fab := s.fabric
 	// Read-only gate: while any shard's WAL disk is full, writes are shed
 	// here (503 + Retry-After + X-Read-Only) after one rate-limited probe
 	// for recovered space. Nothing was ingested, so the idempotency
 	// reservation is abandoned (deferred above) and a retry re-contends.
+	fab := s.fabric
 	if !fab.ensureWritable(s.now()) {
 		s.metrics.readOnlyRejects.Add(1)
 		w.Header().Set("Retry-After", retryAfter)
 		w.Header().Set("X-Read-Only", "true")
-		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("event log disk full: serving reads only"))
+		s.writeError(w, http.StatusServiceUnavailable, errReadOnly)
 		return
 	}
-	// Accepted events batch-append to each shard's dataset store unless the
-	// dataset is frozen or that shard's journal already applies its
-	// observes to the same store (one writer per canonical log, never two).
-	pendingStore := make(map[int][]trace.Failure)
-	flushStore := func() {
-		// The store validates exactly what the engine validated, so a
-		// rejection here is a bug, not bad input; surface it in the logs
-		// rather than un-acking events the engine (and WAL) accepted.
-		for idx, evs := range pendingStore {
-			st, _, _ := fab.shards[idx].view()
-			if _, err := st.Append(evs); err != nil {
-				s.logf("server: shard %d dataset store append: %v", idx, err)
-			}
-			delete(pendingStore, idx)
-		}
-	}
+	// Each valid event routes to the shard owning its system, and one call
+	// per shard applies its events in request order, shards in the order
+	// the request first touches them. A journal logs them first (fsync per
+	// policy), so an acked event survives a crash; then the engine observes
+	// and the store takes what it accepted in one append (risk.Apply) unless
+	// the dataset is frozen. A down shard's events are rejected per-event.
 	now := s.now()
-	accepted := 0
-	var rejected []eventRejection
+	errs := make([]error, len(req.Events))
+	idxs, groups := make(map[int][]int), make(map[int][]trace.Failure)
+	var owners []int
 	for i, e := range req.Events {
 		f, err := e.toFailure(now)
-		owner := -1
-		if err == nil {
-			var ok bool
-			owner, ok = fab.ownerOf(f.System)
-			if !ok {
-				err = fmt.Errorf("risk: unknown system %d", f.System)
-			}
-		}
-		// journaled records which writer the call itself ran with: a journal
-		// applies the event to the store on its own, and a shard killed
-		// mid-observe has already detached that journal by the time the
-		// call returns, so re-reading the shard afterwards would append the
-		// event to the store a second time.
-		journaled := false
-		if err == nil {
-			err = fab.call(r.Context(), owner, func(st *store.Store, eng *risk.Engine, j *risk.Journal) error {
-				if j != nil {
-					journaled = true
-					return j.Observe(f)
-				}
-				return eng.Observe(f)
-			})
-		}
-		if err != nil {
-			if errors.Is(err, risk.ErrAppend) {
-				// The WAL is broken: nothing past this point can be made
-				// durable, and claiming acceptance would lie to clients
-				// that rely on acked==durable. Fail the whole request —
-				// and record the failure under the idempotency key, because
-				// events earlier in the batch are already durable and
-				// observed: a retry must replay this outcome, not re-ingest
-				// that prefix. The durable prefix still reaches the store,
-				// keeping dataset and engine telling one story.
-				s.logf("server: %v", err)
-				fab.walAppendErrs.Add(1)
-				flushStore()
-				w.Header().Set("X-Dataset-Version", strconv.FormatUint(fab.maxVersion(), 10))
-				if iofault.IsDiskFull(err) {
-					// Disk full is the one append fault the server survives
-					// degraded: latch read-only, keep serving reads, and
-					// tell the client to retry once space returns.
-					fab.markDiskFull(owner)
-					w.Header().Set("Retry-After", retryAfter)
-					w.Header().Set("X-Read-Only", "true")
-					if accepted > 0 {
-						// A durable prefix exists — record the 503 under the
-						// idempotency key so a retry replays it instead of
-						// double-ingesting the prefix.
-						respond(http.StatusServiceUnavailable, apiError{Error: "event log disk full: serving reads only"})
-					} else {
-						// Nothing durable: abandon the reservation so the
-						// retry re-contends after space recovers.
-						s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("event log disk full: serving reads only"))
-					}
-					return
-				}
-				respond(http.StatusInternalServerError, apiError{Error: "event log unavailable"})
-				return
-			}
-			rejected = append(rejected, eventRejection{Index: i, Error: err.Error()})
-			s.metrics.eventsBad.Add(1)
+		if errs[i] = err; err != nil {
 			continue
 		}
-		accepted++
-		s.metrics.eventsIn.Add(1)
-		if !s.frozen && !journaled {
-			pendingStore[owner] = append(pendingStore[owner], f)
+		owner, ok := fab.ownerOf(f.System)
+		if !ok {
+			errs[i] = fmt.Errorf("risk: unknown system %d", f.System)
+			continue
+		}
+		if idxs[owner] == nil {
+			owners = append(owners, owner)
+		}
+		idxs[owner] = append(idxs[owner], i)
+		groups[owner] = append(groups[owner], f)
+	}
+	// failed is the WAL failure that ends the request: later shards are
+	// not called, and their events are not ingested.
+	var failed error
+	for _, owner := range owners {
+		idx, group := idxs[owner], groups[owner]
+		var out []error
+		err := failed
+		if err == nil {
+			// out is set only once the group is applied: a call that
+			// panicked midway reports its error for the whole group.
+			err = fab.call(r.Context(), owner, true, func(st *store.Store, eng *risk.Engine, j *risk.Journal) (err error) {
+				if s.frozen {
+					st = nil
+				}
+				res := make([]error, len(group))
+				if j != nil {
+					res, err = j.ObserveBatch(group)
+				} else if serr := risk.Apply(eng, st, group, res); serr != nil {
+					// The store validates exactly what the engine validated,
+					// so a rejection here is a bug, not bad input; log it
+					// rather than un-ack events the engine accepted.
+					s.logf("server: shard %d dataset store append: %v", owner, serr)
+				}
+				out = res
+				return err
+			})
+		}
+		for k, i := range idx {
+			if errs[i] = err; out != nil {
+				errs[i] = out[k]
+			}
+		}
+		if failed == nil && errors.Is(err, risk.ErrAppend) {
+			failed = err
+			s.logf("server: %v", err)
+			fab.walAppendErrs.Add(1)
+			if iofault.IsDiskFull(err) {
+				fab.markDiskFull(owner)
+			}
 		}
 	}
-	flushStore()
+	accepted := 0
+	var rejected []eventRejection
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			accepted++
+		case !errors.Is(err, risk.ErrAppend):
+			rejected = append(rejected, eventRejection{Index: i, Error: err.Error()})
+		}
+	}
+	s.metrics.eventsIn.Add(uint64(accepted))
+	s.metrics.eventsBad.Add(uint64(len(rejected)))
 	version := fab.maxVersion()
 	w.Header().Set("X-Dataset-Version", strconv.FormatUint(version, 10))
-	code := http.StatusOK
-	if accepted == 0 {
-		code = http.StatusBadRequest
+	// A WAL failure fails the whole request: claiming acceptance would lie
+	// to clients that rely on acked==durable. What was applied before it
+	// (earlier shards' groups, the failing shard's prefix) is durable,
+	// observed and stored, so the failure is recorded under the idempotency
+	// key: a retry replays it instead of re-ingesting that prefix.
+	switch {
+	case failed == nil:
+		code := http.StatusOK
+		if accepted == 0 {
+			code = http.StatusBadRequest
+		}
+		respond(code, eventsResponse{Accepted: accepted, Rejected: rejected, DatasetVersion: version})
+	case iofault.IsDiskFull(failed):
+		// Disk full is the one append fault the server survives degraded:
+		// the shard is latched read-only, reads keep serving, and the client
+		// is told to retry once space returns.
+		w.Header().Set("Retry-After", retryAfter)
+		w.Header().Set("X-Read-Only", "true")
+		if accepted == 0 {
+			// Nothing durable: the reservation is abandoned (deferred
+			// above) so the retry re-contends after space recovers.
+			s.writeError(w, http.StatusServiceUnavailable, errReadOnly)
+			return
+		}
+		respond(http.StatusServiceUnavailable, apiError{Error: errReadOnly.Error()})
+	default:
+		respond(http.StatusInternalServerError, apiError{Error: "event log unavailable"})
 	}
-	respond(code, eventsResponse{Accepted: accepted, Rejected: rejected, DatasetVersion: version})
 }
+
+// errReadOnly answers writes while a shard's WAL disk is full.
+var errReadOnly = errors.New("event log disk full: serving reads only")
 
 // Serve listens on addr and serves until ctx is cancelled, then drains
 // in-flight requests and returns nil. It is the body of cmd/hpcserve.
@@ -1129,6 +1114,84 @@ func Serve(ctx context.Context, addr string, cfg Config) error {
 // requests before giving up.
 const shutdownGrace = 5 * time.Second
 
+// unreadConns is ServeListener's listener: once shutdown begins, it closes
+// every connection that has not delivered a byte. http.Server.Shutdown
+// counts one as busy until it is 5 s old (net/http issue 22682), so a
+// dialed but unused connection (a transport's dial race, a load balancer's
+// probe) would hold shutdown for its whole grace. A connection that has
+// read request bytes is left for Shutdown to drain.
+type unreadConns struct {
+	net.Listener
+	mu      sync.Mutex
+	closing bool
+	fresh   map[*unreadConn]bool // connections in http.StateNew
+}
+
+func (l *unreadConns) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &unreadConn{Conn: c}, nil
+}
+
+// track is the server's ConnState hook; a new connection that turns up
+// after shutdown began is closed at once.
+func (l *unreadConns) track(c net.Conn, state http.ConnState) {
+	uc := c.(*unreadConn)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(l.fresh, uc)
+	case l.closing:
+		uc.closeUnread()
+	default:
+		l.fresh[uc] = true
+	}
+}
+
+// closeAll runs when Shutdown begins, after the listener has closed.
+func (l *unreadConns) closeAll() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closing = true
+	for uc := range l.fresh {
+		uc.closeUnread()
+	}
+}
+
+// unreadConn's first read and a shutdown close race on one CAS: either the
+// connection carries a request and stays open, or it is closed before the
+// server has seen any of one.
+type unreadConn struct {
+	net.Conn
+	state atomic.Int32 // 0 unread, 1 read, 2 closed unread
+}
+
+func (c *unreadConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && !c.state.CompareAndSwap(0, 1) && c.state.Load() == 2 {
+		return 0, net.ErrClosed // closed by shutdown as these bytes arrived
+	}
+	return n, err
+}
+
+// CloseWrite keeps net/http's half-close before a final close, so a
+// response is not reset before the client has read it.
+func (c *unreadConn) CloseWrite() error {
+	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return nil
+}
+
+func (c *unreadConn) closeUnread() {
+	if c.state.CompareAndSwap(0, 2) {
+		c.Conn.Close()
+	}
+}
+
 // ServeListener serves on an existing listener (which it takes ownership
 // of) until ctx is cancelled. Tests use it with a 127.0.0.1:0 listener.
 func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
@@ -1138,68 +1201,60 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		return err
 	}
 	s.setBase(ctx)
+	uln := &unreadConns{Listener: ln, fresh: map[*unreadConn]bool{}}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ConnState:         uln.track,
 	}
+	hs.RegisterOnShutdown(uln.closeAll)
 
+	// Background work runs on tickers under a derived context, which stops
+	// them on any exit path, including an immediate Serve error.
+	dctx, dcancel := context.WithCancel(ctx)
+	var bg sync.WaitGroup
+	every := func(d time.Duration, fn func(now time.Time)) {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			t := time.NewTicker(d)
+			defer t.Stop()
+			for {
+				select {
+				case <-dctx.Done():
+					return
+				case now := <-t.C:
+					fn(now)
+				}
+			}
+		}()
+	}
 	// Periodic maintenance: each shard's journal gets its WAL synced and its
 	// snapshot policy consulted (engine memory needs no tick; see
-	// fabric.maintain). The derived context stops the goroutine on any exit
-	// path, including an immediate Serve error.
-	dctx, dcancel := context.WithCancel(ctx)
-	maintDone := make(chan struct{})
-	go func() {
-		defer close(maintDone)
-		t := time.NewTicker(30 * time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-dctx.Done():
-				return
-			case now := <-t.C:
-				s.fabric.maintain(now)
-				s.eachTenant(func(_ string, ts *Server) { ts.fabric.maintain(now) })
-			}
-		}
-	}()
+	// fabric.maintain).
+	every(30*time.Second, func(now time.Time) {
+		s.fabric.maintain(now)
+		s.eachTenant(func(_ string, ts *Server) { ts.fabric.maintain(now) })
+	})
 	// Supervision: heartbeats, standby replication catchup, and automatic
-	// failover. One-shard fabrics without a standby skip the loop: there is
-	// nothing to fail over to.
-	supDone := make(chan struct{})
+	// failover. A one-shard fabric without a standby has nothing to fail
+	// over to and gets no ticker. Named tenants share one ticker: each tick
+	// drives every tenant fabric that wants supervision (multi-shard or
+	// standby-backed), and tenants created mid-serve join on the next tick.
 	if s.fabric.needsSupervision() {
-		go func() {
-			defer close(supDone)
-			s.fabric.supervise(dctx)
-		}()
-	} else {
-		close(supDone)
+		every(s.fabric.hbEvery, func(time.Time) { s.fabric.tick(dctx) })
 	}
-	// Named tenants share one supervision ticker: each tick drives every
-	// tenant fabric that wants supervision (multi-shard or standby-backed).
-	// Tenants created mid-serve are picked up on the next tick.
-	tenantSupDone := make(chan struct{})
-	go func() {
-		defer close(tenantSupDone)
-		t := time.NewTicker(heartbeatIntervalOr(cfg.HeartbeatInterval))
-		defer t.Stop()
-		for {
-			select {
-			case <-dctx.Done():
-				return
-			case <-t.C:
-				s.eachTenant(func(_ string, ts *Server) {
-					if ts.fabric.needsSupervision() {
-						ts.fabric.tick(dctx)
-					}
-				})
+	every(s.fabric.hbEvery, func(time.Time) {
+		s.eachTenant(func(_ string, ts *Server) {
+			if ts.fabric.needsSupervision() {
+				ts.fabric.tick(dctx)
 			}
-		}
-	}()
-	// Shutdown ordering: stop accepting, join in-flight handlers, then tear
-	// down the maintenance goroutines and close every shard's journal.
-	// Handlers may touch the journals, so they must outlive them.
+		})
+	})
+	// Shutdown ordering: stop accepting, join in-flight handlers, then stop
+	// the background tickers and close every shard's journal. Handlers may
+	// touch the journals, so they must outlive them.
 	defer func() {
 		done := make(chan struct{})
 		go func() { s.inflight.Wait(); close(done) }()
@@ -1209,9 +1264,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 			s.logf("hpcserve: gave up waiting for in-flight requests")
 		}
 		dcancel()
-		<-maintDone
-		<-supDone
-		<-tenantSupDone
+		bg.Wait()
 		// Close syncs and closes the root's journals; closing the registry
 		// does the same for every named tenant, making every WAL tree
 		// reopenable.
@@ -1228,7 +1281,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		s.logf("hpcserve: serving %d shards (standby=%v)", s.fabric.n(), cfg.Standby)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- hs.Serve(uln) }()
 
 	select {
 	case err := <-errc:

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -511,6 +512,84 @@ func TestServeGracefulShutdownNoLeak(t *testing.T) {
 	}
 }
 
+// TestShutdownClosesUnusedConns: a connection that never sent a byte does
+// not hold shutdown for its grace period, while a connection caught midway
+// through its request headers is still served a whole response.
+func TestShutdownClosesUnusedConns(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeListener(ctx, ln, Config{Dataset: testDS(), Window: trace.Day, Logf: func(string, ...any) {}})
+	}()
+	addr := ln.Addr().String()
+	dial := func() net.Conn {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	// Dialed before the readiness poll, so the server has accepted it (and
+	// seen its StateNew) by the time /healthz answers.
+	unused := dial()
+	partial := dial()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := client.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never came up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, err := partial.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the server read the partial headers
+
+	start := time.Now()
+	cancel()
+	time.Sleep(50 * time.Millisecond) // shutdown has begun
+	if _, err := partial.Write([]byte("\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	partial.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(partial), nil)
+	if err != nil {
+		t.Fatalf("partial request cut off by shutdown: %v", err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || int64(len(got)) != resp.ContentLength {
+		t.Fatalf("partial request = %d %q (%v), want a whole 200", resp.StatusCode, got, err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ServeListener returned %v, want nil", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("shutdown took %v with an unused connection open, want < 1s", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("ServeListener still shutting down 1s after cancel: the unused connection holds it")
+	}
+	unused.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := unused.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("unused connection still open after shutdown (read %d bytes)", n)
+	}
+}
+
 func TestServeListenerBadConfig(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -549,11 +628,17 @@ func BenchmarkRiskEndpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.Engine().Observe(trace.Failure{System: 1, Node: 0, Time: time.Now(), Category: trace.Hardware, HW: trace.CPU}); err != nil {
-		b.Fatal(err)
-	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/events", "application/json",
+		strings.NewReader(`{"events":[{"system":1,"node":0,"category":"HW","hw":"CPU"}]}`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b.Fatalf("seeding POST = %d", resp.StatusCode)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp, err := http.Get(ts.URL + "/v1/risk/0")

@@ -12,6 +12,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -216,13 +217,17 @@ func (f *fabric) fleetSystem(id int) (trace.SystemInfo, bool) {
 // detached and closed) instead of crashing the process, and the caller gets
 // errShardDown. A context deadline returns errShardSlow without killing the
 // shard — the heartbeat decides whether slow means dead. The injected stall
-// (chaos) applies before fn.
-func (f *fabric) call(ctx context.Context, i int, fn func(st *store.Store, eng *risk.Engine, j *risk.Journal) error) error {
+// (chaos) applies before fn, which never starts once the caller has given
+// up. A write waits out an fn that has started: reporting it as slow would
+// tell the client a write failed that the shard goes on to make.
+func (f *fabric) call(ctx context.Context, i int, write bool, fn func(st *store.Store, eng *risk.Engine, j *risk.Journal) error) error {
 	if st := f.sup.State(i); st != store.ShardReady {
 		return fmt.Errorf("%w: shard %d %s", errShardDown, i, st)
 	}
 	sh := f.shards[i]
 	st, eng, j := sh.view()
+	const pending, started, abandoned = 0, 1, 2
+	var state atomic.Int32
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -237,9 +242,11 @@ func (f *fabric) call(ctx context.Context, i int, fn func(st *store.Store, eng *
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				done <- fmt.Errorf("%w: shard %d", errShardSlow, i)
 				return
 			}
+		}
+		if !state.CompareAndSwap(pending, started) {
+			return
 		}
 		done <- fn(st, eng, j)
 	}()
@@ -247,14 +254,17 @@ func (f *fabric) call(ctx context.Context, i int, fn func(st *store.Store, eng *
 	case err := <-done:
 		return err
 	case <-ctx.Done():
+		if !state.CompareAndSwap(pending, abandoned) && write {
+			return <-done
+		}
 		return fmt.Errorf("%w: shard %d", errShardSlow, i)
 	}
 }
 
-// detachJournal takes the shard's journal away and closes it. Observe holds
-// the journal mutex, so once Close returns no further append can reach a
-// dead leader's WAL — the standby's final catchup reads a quiesced log and
-// promotion cannot split-brain.
+// detachJournal takes the shard's journal away and closes it. ObserveBatch
+// holds the journal mutex, so once Close returns no further append can
+// reach a dead leader's WAL — the standby's final catchup reads a quiesced
+// log and promotion cannot split-brain.
 func (f *fabric) detachJournal(i int) {
 	sh := f.shards[i]
 	sh.mu.Lock()
@@ -382,15 +392,15 @@ func (f *fabric) promote(i int) error {
 
 // tick is one supervision round: heartbeat every Ready shard, expire the
 // silent ones, drain every standby's replication tail, and promote warm
-// standbys of Down shards. It is the body of the supervise loop and is also
-// driven directly by deterministic tests.
+// standbys of Down shards. ServeListener runs it on every heartbeat tick;
+// deterministic tests drive it directly.
 func (f *fabric) tick(ctx context.Context) {
 	for i := range f.shards {
 		if f.sup.State(i) != store.ShardReady {
 			continue
 		}
 		hctx, cancel := context.WithTimeout(ctx, f.deadline)
-		err := f.call(hctx, i, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
+		err := f.call(hctx, i, false, func(st *store.Store, eng *risk.Engine, _ *risk.Journal) error {
 			// The ping exercises both component reads a query would do.
 			_ = st.Snapshot().Version()
 			_ = eng.LastEvent()
@@ -445,25 +455,10 @@ func (f *fabric) catchupStandbys() {
 	}
 }
 
-// needsSupervision reports whether the background supervise loop should
-// run: a one-shard fabric without a standby has nothing to fail over to,
-// so it runs no supervision goroutine.
+// needsSupervision reports whether supervision ticks should run: a
+// one-shard fabric without a standby has nothing to fail over to.
 func (f *fabric) needsSupervision() bool {
 	return f.n() > 1 || f.shards[0].getStandby() != nil
-}
-
-// supervise runs ticks until ctx is done.
-func (f *fabric) supervise(ctx context.Context) {
-	t := time.NewTicker(f.hbEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			f.tick(ctx)
-		}
-	}
 }
 
 // maintain runs the periodic per-shard upkeep the serve loop schedules: WAL
@@ -629,7 +624,7 @@ func (s *Server) PromoteShard(i int) error {
 }
 
 // CatchupStandbys drains every standby's replication tail once — the
-// deterministic stand-in for the supervise loop's continuous catchup.
+// deterministic stand-in for the supervision ticker's continuous catchup.
 func (s *Server) CatchupStandbys() { s.fabric.catchupStandbys() }
 
 // SuperviseTick runs one supervision round (heartbeats, expiry, catchup,
@@ -641,20 +636,6 @@ func fleetCopy(systems []trace.SystemInfo) []trace.SystemInfo {
 	out := append([]trace.SystemInfo(nil), systems...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-func shardDeadlineOr(d time.Duration) time.Duration {
-	if d <= 0 {
-		return DefaultShardDeadline
-	}
-	return d
-}
-
-func heartbeatIntervalOr(d time.Duration) time.Duration {
-	if d <= 0 {
-		return DefaultHeartbeatInterval
-	}
-	return d
 }
 
 // newFabric builds every server's fabric: max(cfg.Shards, 1) supervised
@@ -702,8 +683,8 @@ func newFabric(cfg Config, w time.Duration, now func() time.Time, logf func(stri
 		sup:         sup,
 		fleet:       fleetCopy(ds.Systems),
 		owner:       owner,
-		deadline:    shardDeadlineOr(cfg.ShardDeadline),
-		hbEvery:     heartbeatIntervalOr(cfg.HeartbeatInterval),
+		deadline:    cmp.Or(max(cfg.ShardDeadline, 0), DefaultShardDeadline),
+		hbEvery:     cmp.Or(max(cfg.HeartbeatInterval, 0), DefaultHeartbeatInterval),
 		walTmpl:     cfg.ShardWAL,
 		rootWAL:     cfg.Shards == 0,
 		snapPolicy:  cfg.SnapshotPolicy,

@@ -350,37 +350,28 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, code, err)
 		return
 	}
-	ts := tn.Resource().(*Server)
-	s.writeJSON(w, http.StatusCreated, datasetStatusJSON{
-		Name:           tn.Name(),
-		State:          tn.State().String(),
-		Systems:        len(ts.fabric.fleet),
-		DatasetVersion: ts.fabric.maxVersion(),
-		Shards:         ts.fabric.n(),
-	})
+	s.writeJSON(w, http.StatusCreated, tn.Resource().(*Server).datasetStatus(tn.Name(), tn.State().String()))
+}
+
+// datasetStatus is this server's row in the dataset API's answers.
+func (s *Server) datasetStatus(name, state string) datasetStatusJSON {
+	return datasetStatusJSON{
+		Name:           name,
+		State:          state,
+		Systems:        len(s.fabric.fleet),
+		DatasetVersion: s.fabric.maxVersion(),
+		Shards:         s.fabric.n(),
+		ReadOnly:       s.fabric.readOnly(),
+	}
 }
 
 func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
 	if !s.adminGate(w, r) {
 		return
 	}
-	rows := []datasetStatusJSON{{
-		Name:           defaultTenantName,
-		State:          registry.StateOpen.String(),
-		Systems:        len(s.fabric.fleet),
-		DatasetVersion: s.fabric.maxVersion(),
-		Shards:         s.fabric.n(),
-		ReadOnly:       s.fabric.readOnly(),
-	}}
+	rows := []datasetStatusJSON{s.datasetStatus(defaultTenantName, registry.StateOpen.String())}
 	s.eachTenant(func(name string, ts *Server) {
-		rows = append(rows, datasetStatusJSON{
-			Name:           name,
-			State:          registry.StateOpen.String(),
-			Systems:        len(ts.fabric.fleet),
-			DatasetVersion: ts.fabric.maxVersion(),
-			Shards:         ts.fabric.n(),
-			ReadOnly:       ts.fabric.readOnly(),
-		})
+		rows = append(rows, ts.datasetStatus(name, registry.StateOpen.String()))
 	})
 	s.writeJSON(w, http.StatusOK, map[string]any{"datasets": rows})
 }

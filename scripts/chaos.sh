@@ -2,9 +2,12 @@
 # Chaos gate: the crash-recovery and overload-resilience tests, under the
 # race detector. These are the tests that SIGKILL a live server, tear WAL
 # tails, kill shards mid-query to force standby failover or mid-ingest to
-# pin one store append per acknowledged event, flood admission queues, and
-# shut down under fault injection — the ones most likely to catch ordering
-# bugs that a polite test run never trips. Shared by
+# pin that an acknowledged event reaches the store once, pin one store
+# append per shard per request and the durable set a cross-shard WAL
+# failure leaves, stall a WAL write past the request deadline, flood
+# admission queues, and shut down under fault injection or with an unused
+# connection open — the ones most likely to catch ordering bugs that a
+# polite test run never trips. Shared by
 # verify.sh and the CI chaos job so the two can never drift. CHAOS_COUNT
 # reruns the suite (flake hunting); defaults to 1.
 set -eu
@@ -12,5 +15,5 @@ set -eu
 count="${CHAOS_COUNT:-1}"
 
 go test -race -count="$count" \
-    -run 'TestKillAndRecover|TestShedding|TestConcurrencyNeverExceeded|TestBreaker|TestShutdownJoins|TestServerJournalRecovery|TestChaos|TestLiveCondProb|TestConcurrentReadersDuringAppend|TestRebuildFallbackUnderConcurrentSnapshotReaders|TestKillOneShardPartialThenPromotionIdentity|TestSupervisorAutoFailover|TestCondProbScatterPartialAndMergeIdentity|TestCorrelationsPartialOnShardKill|TestShardChaos|TestStandby|TestTwoTenant|TestTenantReadOnlySiblingWritable|TestRouteContract|TestCompareCircuitOpen503|TestShardedBreakerGauge|TestAnomaliesLayoutOutOfRange|TestServeListenerClosesJournals|TestOneShardLayoutsAgree|TestShardKilledMidObserveAppendsOnce|TestRiskRouteContract' \
+    -run 'TestKillAndRecover|TestShedding|TestConcurrencyNeverExceeded|TestBreaker|TestShutdownJoins|TestServerJournalRecovery|TestChaos|TestLiveCondProb|TestConcurrentReadersDuringAppend|TestRebuildFallbackUnderConcurrentSnapshotReaders|TestKillOneShardPartialThenPromotionIdentity|TestSupervisorAutoFailover|TestCondProbScatterPartialAndMergeIdentity|TestCorrelationsPartialOnShardKill|TestShardChaos|TestStandby|TestTwoTenant|TestTenantReadOnlySiblingWritable|TestRouteContract|TestCompareCircuitOpen503|TestShardedBreakerGauge|TestAnomaliesLayoutOutOfRange|TestServeListenerClosesJournals|TestOneShardLayoutsAgree|TestShardKilledMidObserveAppendsOnce|TestRiskRouteContract|TestOneStoreAppendPerShard|TestSlowWriteReportsItsOutcome|TestCrossShardWALFailureDurableSet|TestShutdownClosesUnusedConns' \
     ./cmd/hpcserve/ ./internal/server/ ./internal/faultinject/ ./internal/store/ ./internal/risk/
