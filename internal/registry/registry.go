@@ -222,25 +222,6 @@ func (r *Registry) Create(name string, m Manifest) (*Tenant, error) {
 	return t, nil
 }
 
-// Adopt registers an externally built resource under a name without
-// touching disk — the default tenant, whose store and WAL the command
-// line owns, enters the registry this way.
-func (r *Registry) Adopt(name string, res Resource, m Manifest) (*Tenant, error) {
-	canon, err := Canonical(name)
-	if err != nil {
-		return nil, err
-	}
-	m.Name = canon
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.tenants[canon]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrExists, canon)
-	}
-	t := &Tenant{name: canon, man: m, res: res, state: StateOpen}
-	r.tenants[canon] = t
-	return t, nil
-}
-
 // OpenAll scans the root for tenant manifests and rebuilds each one.
 // A tenant that fails to build fails the whole boot: silently serving a
 // subset of durable datasets would be worse than not starting.

@@ -23,10 +23,12 @@ func FuzzSnapshotRestore(f *testing.F) {
 		_ = eng.Observe(liveEvents(1)[0])
 		snap := eng.Snapshot()
 		if data, merr := json.Marshal(persistedSnapshot{
-			Format:   snapshotFormat,
-			WindowNs: int64(snap.Window),
-			Observed: snap.Observed,
-			Active:   []walEvent{toWalEvent(liveEvents(1)[0])},
+			Format: snapshotFormat,
+			WireSnapshot: WireSnapshot{
+				WindowNs: int64(snap.Window),
+				Observed: snap.Observed,
+				Active:   []walEvent{toWalEvent(liveEvents(1)[0])},
+			},
 		}); merr == nil {
 			f.Add(data)
 		}

@@ -81,17 +81,13 @@ const SnapshotFile = "snapshot.json"
 // snapshotFormat versions the snapshot file.
 const snapshotFormat = 1
 
-// persistedSnapshot is the on-disk form of an Engine Snapshot plus the WAL
-// position it covers.
+// persistedSnapshot is the on-disk form of an Engine Snapshot: file
+// metadata and the WAL position it covers, then the wire form's fields.
 type persistedSnapshot struct {
-	Format     int        `json:"format"`
-	SavedAt    time.Time  `json:"saved_at"`
-	WALApplied uint64     `json:"wal_applied"`
-	WindowNs   int64      `json:"window_ns"`
-	Observed   uint64     `json:"observed"`
-	Dropped    uint64     `json:"dropped"`
-	LastEvent  time.Time  `json:"last_event"`
-	Active     []walEvent `json:"active"`
+	Format     int       `json:"format"`
+	SavedAt    time.Time `json:"saved_at"`
+	WALApplied uint64    `json:"wal_applied"`
+	WireSnapshot
 }
 
 // snapshotTempPattern names the temp files WriteSnapshotFile stages through;
@@ -109,20 +105,7 @@ func WriteSnapshotFile(path string, snap Snapshot, applied uint64) error {
 // fault-injection tests can fail or crash any step of the write protocol.
 func WriteSnapshotFileFS(fsys iofault.FS, path string, snap Snapshot, applied uint64) error {
 	fsys = iofault.Or(fsys)
-	ps := persistedSnapshot{
-		Format:     snapshotFormat,
-		SavedAt:    time.Now().UTC(),
-		WALApplied: applied,
-		WindowNs:   int64(snap.Window),
-		Observed:   snap.Observed,
-		Dropped:    snap.Dropped,
-		LastEvent:  snap.LastEvent,
-		Active:     make([]walEvent, 0, len(snap.Active)),
-	}
-	for _, f := range snap.Active {
-		ps.Active = append(ps.Active, toWalEvent(f))
-	}
-	data, err := json.Marshal(ps)
+	data, err := encodeSnapshot(snap, applied, time.Now().UTC())
 	if err != nil {
 		return fmt.Errorf("risk: encoding snapshot: %w", err)
 	}
@@ -180,6 +163,16 @@ func ReadSnapshotFileFS(fsys iofault.FS, path string) (Snapshot, uint64, error) 
 	return snap, applied, nil
 }
 
+// encodeSnapshot serializes a snapshot file's bytes.
+func encodeSnapshot(snap Snapshot, applied uint64, savedAt time.Time) ([]byte, error) {
+	return json.Marshal(persistedSnapshot{
+		Format:       snapshotFormat,
+		SavedAt:      savedAt,
+		WALApplied:   applied,
+		WireSnapshot: SnapshotJSON(snap),
+	})
+}
+
 // decodeSnapshot parses serialized snapshot bytes. It is the fuzz surface:
 // arbitrary input must produce an error, never a panic.
 func decodeSnapshot(data []byte) (Snapshot, uint64, error) {
@@ -190,17 +183,13 @@ func decodeSnapshot(data []byte) (Snapshot, uint64, error) {
 	if ps.Format != snapshotFormat {
 		return Snapshot{}, 0, fmt.Errorf("unsupported format %d", ps.Format)
 	}
-	snap := Snapshot{
+	return Snapshot{
 		Window:    time.Duration(ps.WindowNs),
 		Observed:  ps.Observed,
 		Dropped:   ps.Dropped,
 		LastEvent: ps.LastEvent,
-		Active:    make([]trace.Failure, 0, len(ps.Active)),
-	}
-	for _, e := range ps.Active {
-		snap.Active = append(snap.Active, e.failure())
-	}
-	return snap, ps.WALApplied, nil
+		Active:    convert(ps.Active, walEvent.failure),
+	}, ps.WALApplied, nil
 }
 
 // WireSnapshot is the deterministic JSON form of an engine Snapshot: the
@@ -217,17 +206,23 @@ type WireSnapshot struct {
 
 // SnapshotJSON converts a Snapshot into its wire form.
 func SnapshotJSON(snap Snapshot) WireSnapshot {
-	ws := WireSnapshot{
+	return WireSnapshot{
 		WindowNs:  int64(snap.Window),
 		Observed:  snap.Observed,
 		Dropped:   snap.Dropped,
 		LastEvent: snap.LastEvent,
-		Active:    make([]walEvent, 0, len(snap.Active)),
+		Active:    convert(snap.Active, toWalEvent),
 	}
-	for _, f := range snap.Active {
-		ws.Active = append(ws.Active, toWalEvent(f))
+}
+
+// convert maps every element of in through f into a non-nil slice, so an
+// empty event list encodes as [] rather than null.
+func convert[A, B any](in []A, f func(A) B) []B {
+	out := make([]B, 0, len(in))
+	for _, a := range in {
+		out = append(out, f(a))
 	}
-	return ws
+	return out
 }
 
 // JournalConfig assembles a Journal.

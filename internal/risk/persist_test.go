@@ -17,22 +17,52 @@ import (
 // (scoring is a pure function of table + window + events).
 func snapJSON(t *testing.T, e *Engine) string {
 	t.Helper()
-	snap := e.Snapshot()
-	data, err := json.Marshal(persistedSnapshot{
-		WindowNs: int64(snap.Window), Observed: snap.Observed,
-		Dropped: snap.Dropped, LastEvent: snap.LastEvent,
-		Active: func() []walEvent {
-			out := make([]walEvent, 0, len(snap.Active))
-			for _, f := range snap.Active {
-				out = append(out, toWalEvent(f))
-			}
-			return out
-		}(),
-	})
+	data, err := json.Marshal(persistedSnapshot{WireSnapshot: SnapshotJSON(e.Snapshot())})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(data)
+}
+
+// TestSnapshotFileBytesStable pins snapshot.json's encoding: a fixed
+// snapshot encodes to exactly these bytes, written by the format's first
+// implementation, and those bytes decode back to the same snapshot, so files
+// written by either side of a change to the encoder read on the other.
+func TestSnapshotFileBytesStable(t *testing.T) {
+	at := time.Date(2004, 3, 5, 6, 7, 8, 123456789, time.UTC)
+	savedAt := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, tc := range []struct {
+		snap Snapshot
+		want string
+	}{{
+		Snapshot{
+			Window: trace.Day, Observed: 3, Dropped: 1, LastEvent: at,
+			Active: []trace.Failure{
+				{System: 2, Node: 17, Time: at.Add(-time.Hour), Category: trace.Hardware, HW: trace.Memory, Downtime: 90 * time.Minute},
+				{System: 2, Node: 3, Time: at, Category: trace.Software, SW: trace.PFS},
+			},
+		},
+		`{"format":1,"saved_at":"2026-01-02T03:04:05Z","wal_applied":7,"window_ns":86400000000000,"observed":3,"dropped":1,"last_event":"2004-03-05T06:07:08.123456789Z","active":[{"s":2,"n":17,"t":"2004-03-05T05:07:08.123456789Z","c":2,"hw":2,"d":5400000000000},{"s":2,"n":3,"t":"2004-03-05T06:07:08.123456789Z","c":5,"sw":3}]}`,
+	}, {
+		Snapshot{Window: trace.Week},
+		`{"format":1,"saved_at":"2026-01-02T03:04:05Z","wal_applied":7,"window_ns":604800000000000,"observed":0,"dropped":0,"last_event":"0001-01-01T00:00:00Z","active":[]}`,
+	}} {
+		data, err := encodeSnapshot(tc.snap, 7, savedAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != tc.want {
+			t.Errorf("snapshot bytes changed:\n got %s\nwant %s", data, tc.want)
+		}
+		snap, applied, err := decodeSnapshot([]byte(tc.want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := encodeSnapshot(snap, applied, savedAt)
+		if err != nil || string(again) != tc.want {
+			t.Errorf("decoded file re-encodes as %s (%v), want %s", again, err, tc.want)
+		}
+	}
 }
 
 func TestEventCodecRoundTrip(t *testing.T) {

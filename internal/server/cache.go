@@ -2,46 +2,53 @@ package server
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
 )
 
-// resultCache is a bounded LRU of computed analysis results (the query
-// executor's rendered bodies and per-shard parts) with singleflight
-// semantics: concurrent requests for the same key block on one computation
-// instead of each recomputing a dataset-scan-heavy kernel. Keys embed the
-// pinned snapshot version, so entries never go stale and eviction is
-// purely a size bound.
-type resultCache struct {
+// flightCache is a bounded LRU with singleflight fill: concurrent Do calls
+// for one key share one computation instead of each running it. It backs
+// two tables: the analysis result cache (the query executor's rendered
+// bodies and per-shard parts, whose keys embed the pinned snapshot version,
+// so entries never go stale and eviction is purely a size bound) and the
+// idempotency-key table of POST /v1/events (the first request's recorded
+// response, replayed to every later request with its key). Keys being
+// computed are not evictable; their population is bounded by admission.
+type flightCache[V any] struct {
 	mu       sync.Mutex
 	max      int
 	entries  map[string]*list.Element
 	order    *list.List // front = most recently used
-	inflight map[string]*flightCall
+	inflight map[string]*flightCall[V]
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key string
-	val any
+	val V
 }
 
-// flightCall is one in-flight computation other requests can wait on.
-type flightCall struct {
+// flightCall is one in-flight computation other callers can wait on.
+type flightCall[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	err  error
 }
 
-func newResultCache(max int) *resultCache {
-	if max < 1 {
-		max = 1
-	}
-	return &resultCache{
-		max:      max,
+// errFlightPanicked is what waiters on a computation that panicked get.
+var errFlightPanicked = errors.New("singleflight: computation panicked")
+
+func newFlightCache[V any](size int) *flightCache[V] {
+	return &flightCache[V]{
+		max:      max(size, 1),
 		entries:  make(map[string]*list.Element),
 		order:    list.New(),
-		inflight: make(map[string]*flightCall),
+		inflight: make(map[string]*flightCall[V]),
 	}
 }
+
+// newResultCache builds the analysis result cache.
+func newResultCache(size int) *flightCache[any] { return newFlightCache[any](size) }
 
 // outcome reports how a Do call was satisfied.
 type outcome int
@@ -55,56 +62,65 @@ const (
 // Get returns the cached value for key without computing anything — the
 // degraded path the circuit breaker falls back to while compute is
 // disabled.
-func (c *resultCache) Get(key string) (any, bool) {
+func (c *flightCache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	return el.Value.(*cacheEntry[V]).val, true
 }
 
 // Do returns the cached value for key, or computes it exactly once across
 // concurrent callers. Errors are not cached: a failed computation leaves the
-// key absent so the next request retries.
-func (c *resultCache) Do(key string, compute func() (any, error)) (any, outcome, error) {
+// key absent so the next call computes again. A waiter returns when its own
+// ctx ends, with ctx's error. A panicking fn releases the key and wakes its
+// waiters (with errFlightPanicked) before the panic continues.
+func (c *flightCache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
+		val := el.Value.(*cacheEntry[V]).val
 		c.mu.Unlock()
 		return val, outcomeHit, nil
 	}
 	if call, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
-		<-call.done
-		return call.val, outcomeShared, call.err
+		select {
+		case <-call.done:
+			return call.val, outcomeShared, call.err
+		case <-ctx.Done():
+			var zero V
+			return zero, outcomeShared, ctx.Err()
+		}
 	}
-	call := &flightCall{done: make(chan struct{})}
+	call := &flightCall[V]{done: make(chan struct{}), err: errFlightPanicked}
 	c.inflight[key] = call
 	c.mu.Unlock()
 
-	call.val, call.err = compute()
-	close(call.done)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if call.err == nil {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: call.val})
-		for c.order.Len() > c.max {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if call.err == nil {
+			c.entries[key] = c.order.PushFront(&cacheEntry[V]{key: key, val: call.val})
+			for c.order.Len() > c.max {
+				oldest := c.order.Back()
+				c.order.Remove(oldest)
+				delete(c.entries, oldest.Value.(*cacheEntry[V]).key)
+			}
 		}
-	}
-	c.mu.Unlock()
+		c.mu.Unlock()
+		close(call.done)
+	}()
+	call.val, call.err = fn()
 	return call.val, outcomeMiss, call.err
 }
 
 // Len returns the number of cached entries.
-func (c *resultCache) Len() int {
+func (c *flightCache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

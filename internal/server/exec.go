@@ -3,8 +3,8 @@
 // the comparative endpoints built on them. A route supplies a canonical
 // query key, a per-shard part and a render; the executor owns the rest —
 // snapshot pinning, versioned cache keys, the circuit breaker, singleflight
-// under the lifecycle context, analysis-pool admission, scatter-gather,
-// survivor collection, and version/partial stamping.
+// under the server's detached context, analysis-pool admission,
+// scatter-gather, survivor collection, and version/partial stamping.
 //
 // The number of shards a query involves picks the mode:
 //
@@ -78,7 +78,7 @@ func runQuery[Q keyed, P, B any](ctx context.Context, s *Server, rt *analysisRou
 		v := s.fabric.maxVersion()
 		return execResult[B]{body: rt.render(q, v, nil), version: v}
 	case 1:
-		return runWhole(s, rt, q, involved[0])
+		return runWhole(ctx, s, rt, q, involved[0])
 	}
 	return runParts(ctx, s, rt, q, involved, strict)
 }
@@ -126,7 +126,7 @@ func cacheKey(name string, sh *shard, snap *store.Snapshot, qkey string) string 
 }
 
 // runWhole answers q entirely from shard idx and caches the rendered body.
-func runWhole[Q keyed, P, B any](s *Server, rt *analysisRoute[Q, P, B], q Q, idx int) (res execResult[B]) {
+func runWhole[Q keyed, P, B any](ctx context.Context, s *Server, rt *analysisRoute[Q, P, B], q Q, idx int) (res execResult[B]) {
 	f := s.fabric
 	if st := f.sup.State(idx); st != store.ShardReady {
 		res.err = fmt.Errorf("%w: shard %d %s", errShardDown, idx, st)
@@ -159,7 +159,7 @@ func runWhole[Q keyed, P, B any](s *Server, rt *analysisRoute[Q, P, B], q Q, idx
 		res.err = fmt.Errorf("%s %w", rt.name, errCircuitOpen)
 		return res
 	}
-	val, oc, err := s.compute(key, sh, func(ctx context.Context) (any, error) {
+	val, oc, err := s.compute(ctx, key, sh, func(ctx context.Context) (any, error) {
 		p, err := admitPart(ctx, rt, sh, snap, q)
 		if err != nil {
 			return nil, err
@@ -193,7 +193,7 @@ func runParts[Q keyed, P, B any](ctx context.Context, s *Server, rt *analysisRou
 		case !sh.breaker.allow():
 			return zero, 0, fmt.Errorf("shard %d %s %w", i, rt.name, errCircuitOpen)
 		default:
-			val, _, err = s.compute(key, sh, func(ctx context.Context) (any, error) {
+			val, _, err = s.compute(ctx, key, sh, func(ctx context.Context) (any, error) {
 				p, err := admitPart(ctx, rt, sh, snap, q)
 				return p, err
 			})
@@ -220,24 +220,22 @@ func runParts[Q keyed, P, B any](ctx context.Context, s *Server, rt *analysisRou
 	return res
 }
 
-// compute runs fn once across concurrent callers of key, under the server
-// lifecycle context rather than any request's: the result is shared with
+// compute runs fn once across concurrent callers of key, under the server's
+// detached context rather than any request's: the result is shared with
 // concurrent identical requests and cached, so one caller hanging up must
-// not poison it (each caller's own timeout still bounds its wait). Only
+// not poison it, while each caller waits only until its own ctx ends. Only
 // real computes report to the shard's breaker — shared waiters would
-// double-count.
-func (s *Server) compute(key string, sh *shard, fn func(ctx context.Context) (any, error)) (any, outcome, error) {
-	computed := false
-	val, oc, err := s.cache.Do(key, func() (any, error) {
-		computed = true
-		ctx, cancel := context.WithTimeout(s.base, s.timeout)
+// double-count — and a panicking compute reports a failure.
+func (s *Server) compute(ctx context.Context, key string, sh *shard, fn func(ctx context.Context) (any, error)) (any, outcome, error) {
+	return s.cache.Do(ctx, key, func() (val any, err error) {
+		ok := false
+		defer func() { sh.breaker.report(ok) }()
+		cctx, cancel := context.WithTimeout(s.detached, s.timeout)
 		defer cancel()
-		return fn(ctx)
+		val, err = fn(cctx)
+		ok = err == nil
+		return val, err
 	})
-	if computed {
-		sh.breaker.report(err == nil)
-	}
-	return val, oc, err
 }
 
 // admitPart runs one route part through the shared analysis pool, which

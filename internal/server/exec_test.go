@@ -1,13 +1,16 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
@@ -191,5 +194,57 @@ func TestShardedBreakerGauge(t *testing.T) {
 	openBreaker(t, s, 0)
 	if v, _ := metricValue(t, fetchMetrics(t, ts), "hpcserve_breaker_trips_total"); v != "2" {
 		t.Errorf("trips across two shards = %q, want 2", v)
+	}
+}
+
+// panicQuery is a test query keyed on its own text.
+type panicQuery string
+
+func (q panicQuery) Key() string { return string(q) }
+
+// TestPanickingPartReleasesKey: a part that panics in whole mode releases
+// its singleflight key and reports a failure to the shard's breaker, so the
+// next identical query computes instead of blocking on a key left in flight.
+func TestPanickingPartReleasesKey(t *testing.T) {
+	s, err := New(Config{Dataset: testDS(), Window: trace.Day, Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var calls atomic.Int32
+	rt := analysisRoute[panicQuery, int, int]{
+		name: "panic",
+		part: func(_ context.Context, _ *shard, snap *store.Snapshot, _ panicQuery) (int, uint64, error) {
+			if calls.Add(1) == 1 {
+				panic("kernel bug")
+			}
+			return 42, snap.Version(), nil
+		},
+		render: func(_ panicQuery, _ uint64, parts []int) int { return parts[0] },
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("the part's panic was swallowed")
+			}
+		}()
+		runQuery(context.Background(), s, &rt, "q", []int{0}, false)
+	}()
+	br := s.fabric.shards[0].breaker
+	br.mu.Lock()
+	failures := br.failures
+	br.mu.Unlock()
+	if failures != 1 {
+		t.Errorf("breaker failures after a panicking compute = %d, want 1", failures)
+	}
+	next := make(chan execResult[int], 1)
+	go func() { next <- runQuery(context.Background(), s, &rt, "q", []int{0}, false) }()
+	select {
+	case res := <-next:
+		if res.err != nil || res.body != 42 || res.cache != "MISS" {
+			t.Errorf("next query = %d, %q, %v; want a computed 42", res.body, res.cache, res.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("next identical query still blocked on the panicked computation")
 	}
 }

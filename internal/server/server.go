@@ -197,20 +197,19 @@ func defaultLimits() map[string]RouteLimit {
 type Server struct {
 	fabric  *fabric
 	frozen  bool
-	cache   *resultCache
+	cache   *flightCache[any]
 	metrics *metrics
-	idem    *idemCache
+	idem    *flightCache[idemResult]
 	limits  map[string]*limiter
 	wrap    func(http.Handler) http.Handler
 	timeout time.Duration
 	now     func() time.Time
 	logf    func(format string, args ...any)
-	// inflight tracks running request handlers so shutdown can join them
-	// before tearing down shared state.
-	inflight sync.WaitGroup
-	// base is the lifecycle context detached computations run under, so a
-	// singleflight leader hanging up does not fail its followers.
-	base context.Context
+	// detached is the context singleflight computations run under instead of
+	// their leader's request, so a leader hanging up does not fail its
+	// followers; Close cancels it.
+	detached     context.Context
+	stopDetached context.CancelFunc
 
 	// name is the dataset this server answers for: defaultTenantName on the
 	// root server, the tenant's canonical name on registry-built children.
@@ -303,19 +302,21 @@ func newServer(cfg Config) (*Server, error) {
 	for route, lim := range limits {
 		limiters[route] = newLimiter(lim)
 	}
+	detached, stopDetached := context.WithCancel(context.Background())
 	return &Server{
-		fabric:  fab,
-		frozen:  cfg.FrozenDataset,
-		cache:   newResultCache(cacheSize),
-		metrics: newMetrics(),
-		idem:    newIdemCache(1024),
-		limits:  limiters,
-		wrap:    cfg.Middleware,
-		timeout: timeout,
-		now:     now,
-		logf:    logf,
-		base:    context.Background(),
-		name:    defaultTenantName,
+		fabric:       fab,
+		frozen:       cfg.FrozenDataset,
+		cache:        newResultCache(cacheSize),
+		metrics:      newMetrics(),
+		idem:         newFlightCache[idemResult](1024),
+		limits:       limiters,
+		wrap:         cfg.Middleware,
+		timeout:      timeout,
+		now:          now,
+		logf:         logf,
+		detached:     detached,
+		stopDetached: stopDetached,
+		name:         defaultTenantName,
 	}, nil
 }
 
@@ -359,9 +360,8 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // instrument wraps a handler with admission control, the per-request
-// timeout, in-flight tracking for graceful shutdown, and metrics. Requests
-// beyond a route's concurrency and queue bounds are shed with 429 and a
-// Retry-After hint before any work happens.
+// timeout and metrics. Requests beyond a route's concurrency and queue
+// bounds are shed with 429 and a Retry-After hint before any work happens.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	lim := s.limits[route]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -375,11 +375,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			s.metrics.observe(route, sw.code, s.now().Sub(start))
 			return
 		}
-		s.inflight.Add(1)
-		defer func() {
-			release()
-			s.inflight.Done()
-		}()
+		defer release()
 		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 		defer cancel()
 		h(sw, r.WithContext(ctx))
@@ -913,44 +909,65 @@ type eventRejection struct {
 	Error string `json:"error"`
 }
 
-// replayIdem serves the recorded response for a retried idempotency key.
-func (s *Server) replayIdem(w http.ResponseWriter, res idemResult) {
-	s.metrics.idemReplays.Add(1)
-	w.Header().Set("X-Idempotent-Replay", "1")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(res.code)
-	w.Write(res.body)
+// idemResult is one response recorded under an idempotency key.
+type idemResult struct {
+	code int
+	body []byte
 }
 
+// errUnrecorded is an ingest outcome not recorded under the request's
+// idempotency key: nothing was ingested (a malformed body, a shed write), so
+// a retry with the same key ingests afresh.
+var errUnrecorded = errors.New("ingest outcome not recorded")
+
+// handleEvents serves POST /v1/events. Under an X-Idempotency-Key, the
+// first request to present the key ingests and every later one replays its
+// recorded response instead of ingesting the events again; a concurrent
+// duplicate waits for the owner's outcome rather than racing it. Recorded
+// responses live in a bounded LRU: replay protection is exact within one
+// process lifetime and degrades to at-least-once across restarts or after
+// eviction — the WAL makes duplicate observes safe, just visible in the
+// observed counter.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	idemKey := r.Header.Get(idemKeyHeader)
-	var pending *idemPending
-	if idemKey != "" {
-		res, p, err := s.idem.claim(r.Context(), idemKey)
-		switch {
-		case err != nil:
-			s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("request with idempotency key %q still in flight", idemKey))
-			return
-		case p == nil:
-			s.replayIdem(w, res)
-			return
-		}
-		pending = p
-		// Paths that record no outcome (malformed bodies, panics) must not
-		// wedge the key: release the reservation so a retry re-contends.
-		defer func() {
-			if pending != nil {
-				s.idem.abandon(idemKey, pending)
-			}
-		}()
+	key := r.Header.Get(idemKeyHeader)
+	if key == "" {
+		s.ingest(w, r)
+		return
 	}
-	// respond writes the response and records it under the idempotency key,
-	// so a retry replays this exact outcome instead of re-ingesting.
-	respond := func(code int, v any) {
-		if body := s.writeJSON(w, code, v); pending != nil && body != nil {
-			s.idem.complete(idemKey, pending, code, body)
-			pending = nil
+	for {
+		res, oc, err := s.idem.Do(r.Context(), key, func() (idemResult, error) { return s.ingest(w, r) })
+		switch {
+		case oc == outcomeMiss:
+			return // ingest wrote this request's own response
+		case err == nil:
+			s.metrics.idemReplays.Add(1)
+			w.Header().Set("X-Idempotent-Replay", "1")
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(res.code)
+			w.Write(res.body)
+			return
+		case r.Context().Err() != nil:
+			s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("request with idempotency key %q still in flight", key))
+			return
 		}
+		// The owner recorded nothing (or panicked): claim the key again.
+	}
+}
+
+// ingest applies one POST /v1/events body and writes its response. It
+// returns the response to record under the request's idempotency key, or
+// errUnrecorded when nothing was ingested.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (idemResult, error) {
+	unrecorded := func(code int, err error) (idemResult, error) {
+		s.writeError(w, code, err)
+		return idemResult{}, errUnrecorded
+	}
+	record := func(code int, v any) (idemResult, error) {
+		body := s.writeJSON(w, code, v)
+		if body == nil {
+			return idemResult{}, errUnrecorded
+		}
+		return idemResult{code, body}, nil
 	}
 	var req struct {
 		Events []eventJSON `json:"events"`
@@ -958,33 +975,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEventBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+		return unrecorded(http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 	}
 	if len(req.Events) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("no events in request"))
-		return
+		return unrecorded(http.StatusBadRequest, fmt.Errorf("no events in request"))
 	}
 	// Per-tenant event quota: once this dataset has accepted its budget,
-	// further ingestion is shed before any work happens. Nothing was
-	// ingested, so the idempotency reservation is abandoned (deferred
-	// above) and a retry re-contends after the operator raises the quota.
+	// further ingestion is shed before any work happens, unrecorded, so a
+	// retry ingests once the operator raises the quota.
 	if qmax := s.quota.MaxEvents; qmax > 0 && int64(s.metrics.eventsIn.Load()) >= qmax {
 		w.Header().Set("Retry-After", retryAfter)
-		s.writeError(w, http.StatusTooManyRequests, fmt.Errorf("dataset %s event quota (%d events) exhausted", s.name, qmax))
-		return
+		return unrecorded(http.StatusTooManyRequests, fmt.Errorf("dataset %s event quota (%d events) exhausted", s.name, qmax))
 	}
 	// Read-only gate: while any shard's WAL disk is full, writes are shed
 	// here (503 + Retry-After + X-Read-Only) after one rate-limited probe
-	// for recovered space. Nothing was ingested, so the idempotency
-	// reservation is abandoned (deferred above) and a retry re-contends.
+	// for recovered space, unrecorded, so a retry ingests once it returns.
 	fab := s.fabric
 	if !fab.ensureWritable(s.now()) {
 		s.metrics.readOnlyRejects.Add(1)
 		w.Header().Set("Retry-After", retryAfter)
 		w.Header().Set("X-Read-Only", "true")
-		s.writeError(w, http.StatusServiceUnavailable, errReadOnly)
-		return
+		return unrecorded(http.StatusServiceUnavailable, errReadOnly)
 	}
 	// Each valid event routes to the shard owning its system, and one call
 	// per shard applies its events in request order, shards in the order
@@ -1078,23 +1089,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if accepted == 0 {
 			code = http.StatusBadRequest
 		}
-		respond(code, eventsResponse{Accepted: accepted, Rejected: rejected, DatasetVersion: version})
+		return record(code, eventsResponse{Accepted: accepted, Rejected: rejected, DatasetVersion: version})
 	case iofault.IsDiskFull(failed):
 		// Disk full is the one append fault the server survives degraded:
 		// the shard is latched read-only, reads keep serving, and the client
-		// is told to retry once space returns.
+		// is told to retry once space returns. With nothing durable the
+		// outcome is unrecorded, so that retry ingests.
 		w.Header().Set("Retry-After", retryAfter)
 		w.Header().Set("X-Read-Only", "true")
 		if accepted == 0 {
-			// Nothing durable: the reservation is abandoned (deferred
-			// above) so the retry re-contends after space recovers.
-			s.writeError(w, http.StatusServiceUnavailable, errReadOnly)
-			return
+			return unrecorded(http.StatusServiceUnavailable, errReadOnly)
 		}
-		respond(http.StatusServiceUnavailable, apiError{Error: errReadOnly.Error()})
-	default:
-		respond(http.StatusInternalServerError, apiError{Error: "event log unavailable"})
+		return record(http.StatusServiceUnavailable, apiError{Error: errReadOnly.Error()})
 	}
+	return record(http.StatusInternalServerError, apiError{Error: "event log unavailable"})
 }
 
 // errReadOnly answers writes while a shard's WAL disk is full.
@@ -1200,19 +1208,20 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		ln.Close()
 		return err
 	}
-	s.setBase(ctx)
+	// life is the serve lifetime: requests, the background tickers and
+	// OnStart run under it, and it ends only after Shutdown has drained
+	// every handler, so a request caught by shutdown is served under a live
+	// context instead of failing with a cancelled one.
+	life, end := context.WithCancel(context.WithoutCancel(ctx))
 	uln := &unreadConns{Listener: ln, fresh: map[*unreadConn]bool{}}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return ctx },
+		BaseContext:       func(net.Listener) context.Context { return life },
 		ConnState:         uln.track,
 	}
 	hs.RegisterOnShutdown(uln.closeAll)
 
-	// Background work runs on tickers under a derived context, which stops
-	// them on any exit path, including an immediate Serve error.
-	dctx, dcancel := context.WithCancel(ctx)
 	var bg sync.WaitGroup
 	every := func(d time.Duration, fn func(now time.Time)) {
 		bg.Add(1)
@@ -1222,7 +1231,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 			defer t.Stop()
 			for {
 				select {
-				case <-dctx.Done():
+				case <-life.Done():
 					return
 				case now := <-t.C:
 					fn(now)
@@ -1243,27 +1252,21 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 	// drives every tenant fabric that wants supervision (multi-shard or
 	// standby-backed), and tenants created mid-serve join on the next tick.
 	if s.fabric.needsSupervision() {
-		every(s.fabric.hbEvery, func(time.Time) { s.fabric.tick(dctx) })
+		every(s.fabric.hbEvery, func(time.Time) { s.fabric.tick(life) })
 	}
 	every(s.fabric.hbEvery, func(time.Time) {
 		s.eachTenant(func(_ string, ts *Server) {
 			if ts.fabric.needsSupervision() {
-				ts.fabric.tick(dctx)
+				ts.fabric.tick(life)
 			}
 		})
 	})
-	// Shutdown ordering: stop accepting, join in-flight handlers, then stop
-	// the background tickers and close every shard's journal. Handlers may
-	// touch the journals, so they must outlive them.
+	// Shutdown ordering: stop accepting and drain in-flight handlers
+	// (hs.Shutdown, below), then end the lifetime, stopping the tickers, and
+	// close every shard's journal. Handlers may touch the journals, so they
+	// must outlive them. This also runs on an immediate Serve error.
 	defer func() {
-		done := make(chan struct{})
-		go func() { s.inflight.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(shutdownGrace):
-			s.logf("hpcserve: gave up waiting for in-flight requests")
-		}
-		dcancel()
+		end()
 		bg.Wait()
 		// Close syncs and closes the root's journals; closing the registry
 		// does the same for every named tenant, making every WAL tree
@@ -1272,7 +1275,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		s.reg.CloseAll()
 	}()
 	if cfg.OnStart != nil {
-		go cfg.OnStart(dctx, s)
+		go cfg.OnStart(life, s)
 	}
 
 	s.logf("hpcserve: listening on http://%s (window %s, %d systems, dataset v%d)",

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -378,7 +379,7 @@ func TestSingleflightDedup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, oc, err := c.Do("k", func() (any, error) {
+		v, oc, err := c.Do(context.Background(), "k", func() (any, error) {
 			computes.Add(1)
 			close(leaderIn)
 			<-release
@@ -394,7 +395,7 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, oc, err := c.Do("k", func() (any, error) {
+			v, oc, err := c.Do(context.Background(), "k", func() (any, error) {
 				computes.Add(1)
 				return "v", nil
 			})
@@ -426,10 +427,10 @@ func TestSingleflightDedup(t *testing.T) {
 func TestCacheErrorNotCached(t *testing.T) {
 	c := newResultCache(16)
 	boom := fmt.Errorf("boom")
-	if _, _, err := c.Do("k", func() (any, error) { return nil, boom }); err != boom {
+	if _, _, err := c.Do(context.Background(), "k", func() (any, error) { return nil, boom }); err != boom {
 		t.Fatalf("err = %v", err)
 	}
-	v, oc, err := c.Do("k", func() (any, error) { return "ok", nil })
+	v, oc, err := c.Do(context.Background(), "k", func() (any, error) { return "ok", nil })
 	if err != nil || v != "ok" || oc != outcomeMiss {
 		t.Errorf("retry after error: %v, %v, %v (errors must not be cached)", v, oc, err)
 	}
@@ -439,7 +440,7 @@ func TestCacheEviction(t *testing.T) {
 	c := newResultCache(2)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.Do(key, func() (any, error) { return i, nil }); err != nil {
+		if _, _, err := c.Do(context.Background(), key, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,17 +448,61 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("cache len = %d, want 2", c.Len())
 	}
 	// k0 was evicted; k2 is still present.
-	if _, oc, _ := c.Do("k2", func() (any, error) { return nil, nil }); oc != outcomeHit {
+	if _, oc, _ := c.Do(context.Background(), "k2", func() (any, error) { return nil, nil }); oc != outcomeHit {
 		t.Errorf("k2 outcome = %v, want hit", oc)
 	}
-	if _, oc, _ := c.Do("k0", func() (any, error) { return 0, nil }); oc != outcomeMiss {
+	if _, oc, _ := c.Do(context.Background(), "k0", func() (any, error) { return 0, nil }); oc != outcomeMiss {
 		t.Errorf("k0 outcome = %v, want miss (evicted)", oc)
+	}
+}
+
+// TestSingleflightWaiterOwnDeadline: a caller waiting on another caller's
+// computation returns when its own context ends, not when the leader does,
+// and the leader's result is still cached for the callers after it.
+func TestSingleflightWaiterOwnDeadline(t *testing.T) {
+	c := newResultCache(16)
+	release := make(chan struct{})
+	leaderIn := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.Do(context.Background(), "k", func() (any, error) {
+			close(leaderIn)
+			<-release
+			return "v", nil
+		})
+	}()
+	<-leaderIn
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	type result struct {
+		oc  outcome
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		_, oc, err := c.Do(ctx, "k", func() (any, error) { return "recomputed", nil })
+		waiter <- result{oc, err}
+	}()
+	select {
+	case res := <-waiter:
+		if res.oc != outcomeShared || !errors.Is(res.err, context.DeadlineExceeded) {
+			t.Errorf("waiter = %v, %v; want shared, deadline exceeded", res.oc, res.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked on the leader 5s past its own 50ms deadline")
+	}
+	close(release)
+	<-leaderDone
+	if v, oc, err := c.Do(context.Background(), "k", func() (any, error) { return "recomputed", nil }); v != "v" || oc != outcomeHit || err != nil {
+		t.Errorf("after the leader: %v, %v, %v; want the leader's value as a hit", v, oc, err)
 	}
 }
 
 // TestServeGracefulShutdownNoLeak starts a real listener, serves a request,
 // cancels the context, and verifies ServeListener returns cleanly without
-// leaking goroutines (the decay ticker, the serve loop, per-conn handlers).
+// leaking goroutines (the maintenance ticker, the serve loop, per-conn
+// handlers).
 func TestServeGracefulShutdownNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -587,6 +632,72 @@ func TestShutdownClosesUnusedConns(t *testing.T) {
 	unused.SetReadDeadline(time.Now().Add(time.Second))
 	if n, err := unused.Read(make([]byte, 1)); err == nil {
 		t.Fatalf("unused connection still open after shutdown (read %d bytes)", n)
+	}
+}
+
+// TestShutdownAppliesLateEventsPost: a POST /v1/events whose headers
+// complete just after shutdown began is served under a live context and
+// applied, not failed by the cancelled serve context.
+func TestShutdownAppliesLateEventsPost(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeListener(ctx, ln, Config{Dataset: testDS(), Window: trace.Day, Logf: func(string, ...any) {}})
+	}()
+	addr := ln.Addr().String()
+	partial, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer partial.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := client.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never came up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	body := `{"events":[{"system":1,"node":0,"category":"HW","hw":"CPU"}]}`
+	head := fmt.Sprintf("POST /v1/events HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n", len(body))
+	if _, err := partial.Write([]byte(head)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the server read the partial headers
+
+	cancel()
+	time.Sleep(50 * time.Millisecond) // shutdown has begun
+	if _, err := partial.Write([]byte("\r\n" + body)); err != nil {
+		t.Fatal(err)
+	}
+	partial.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(partial), nil)
+	if err != nil {
+		t.Fatalf("late POST cut off by shutdown: %v", err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var out eventsResponse
+	if err != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(got, &out) != nil || out.Accepted != 1 {
+		t.Fatalf("late POST = %d %s (%v), want 200 with accepted 1", resp.StatusCode, got, err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ServeListener returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeListener did not return after cancel")
 	}
 }
 

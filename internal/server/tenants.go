@@ -157,11 +157,7 @@ func (s *Server) tenantRoute(pattern string) http.Handler {
 			s.writeTenantError(w, canon, err)
 			return
 		}
-		s.inflight.Add(1)
-		defer func() {
-			release()
-			s.inflight.Done()
-		}()
+		defer release()
 		ts.routes()[pattern].ServeHTTP(w, r)
 	})
 }
@@ -184,21 +180,14 @@ func (s *Server) eachTenant(fn func(name string, ts *Server)) {
 	}
 }
 
-// setBase rebases the lifecycle context detached computations run under —
-// ServeListener points the root and every already-open tenant at the serve
-// context; tenants built later inherit it at build time.
-func (s *Server) setBase(ctx context.Context) {
-	s.base = ctx
-	s.eachTenant(func(_ string, ts *Server) { ts.base = ctx })
-}
-
-// Close flushes a server's durable state: every shard's journal is synced
-// and closed, so the directory can be reopened (or deleted) by another
-// owner. The server owns every journal its fabric holds: the registry
+// Close cancels the server's detached computations and flushes its durable
+// state: every shard's journal is synced and closed, so the directory can
+// be reopened (or deleted) by another owner. The server owns every journal its fabric holds: the registry
 // closes a tenant after draining it, and ServeListener closes the root
 // after its final drain. A caller of New that serves the Handler itself
 // calls Close when done.
 func (s *Server) Close() error {
+	s.stopDetached()
 	s.fabric.syncAll()
 	for i := range s.fabric.shards {
 		s.fabric.detachJournal(i)
@@ -284,7 +273,6 @@ func (s *Server) buildTenantResource(name, dir string, m registry.Manifest) (reg
 	}
 	ts.name = m.Name
 	ts.quota = m.Quota
-	ts.base = s.base
 	return ts, nil
 }
 
