@@ -79,6 +79,8 @@ var ErrBadHeader = errors.New("lanl: required column missing from header")
 type Issue struct {
 	Line int
 	Err  error
+	// class attributes the problem to the validation taxonomy.
+	class validate.Class
 }
 
 // Result bundles imported failures with per-row issues.
@@ -148,12 +150,12 @@ func ImportFailures(r io.Reader, m Mapping) (*Result, error) {
 			return out, nil
 		}
 		if err != nil {
-			out.Issues = append(out.Issues, Issue{Line: line, Err: err})
+			out.Issues = append(out.Issues, Issue{Line: line, Err: err, class: validate.BadRow})
 			continue
 		}
-		f, err := parseRow(rec, m, sysIdx, nodeIdx, startIdx, fixedIdx, downIdx, causeIdx)
+		f, class, err := parseRow(rec, m, sysIdx, nodeIdx, startIdx, fixedIdx, downIdx, causeIdx)
 		if err != nil {
-			out.Issues = append(out.Issues, Issue{Line: line, Err: err})
+			out.Issues = append(out.Issues, Issue{Line: line, Err: err, class: class})
 			continue
 		}
 		out.Failures = append(out.Failures, f)
@@ -161,7 +163,9 @@ func ImportFailures(r io.Reader, m Mapping) (*Result, error) {
 	}
 }
 
-func parseRow(rec []string, m Mapping, sysIdx, nodeIdx, startIdx, fixedIdx, downIdx int, causeIdx map[trace.Category]int) (trace.Failure, error) {
+// parseRow decodes one record, attributing a failure to its validation
+// class: timestamp problems are bad timestamps, everything else a bad field.
+func parseRow(rec []string, m Mapping, sysIdx, nodeIdx, startIdx, fixedIdx, downIdx int, causeIdx map[trace.Category]int) (trace.Failure, validate.Class, error) {
 	var f trace.Failure
 	get := func(i int) string {
 		if i < 0 || i >= len(rec) {
@@ -171,25 +175,25 @@ func parseRow(rec []string, m Mapping, sysIdx, nodeIdx, startIdx, fixedIdx, down
 	}
 	var err error
 	if f.System, err = strconv.Atoi(get(sysIdx)); err != nil {
-		return f, fmt.Errorf("system: %w", err)
+		return f, validate.BadField, fmt.Errorf("system: %w", err)
 	}
 	if f.Node, err = strconv.Atoi(get(nodeIdx)); err != nil {
-		return f, fmt.Errorf("node: %w", err)
+		return f, validate.BadField, fmt.Errorf("node: %w", err)
 	}
 	if f.Time, err = parseTime(get(startIdx), m.TimeLayouts); err != nil {
-		return f, fmt.Errorf("started: %w", err)
+		return f, validate.BadTimestamp, fmt.Errorf("started: %w", err)
 	}
 	// Downtime: explicit minutes column first, then fixed-started.
 	if s := get(downIdx); s != "" {
 		mins, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			return f, fmt.Errorf("downtime: %w", err)
+			return f, validate.BadField, fmt.Errorf("downtime: %w", err)
 		}
 		f.Downtime = time.Duration(mins * float64(time.Minute))
 	} else if s := get(fixedIdx); s != "" {
 		fixed, err := parseTime(s, m.TimeLayouts)
 		if err != nil {
-			return f, fmt.Errorf("fixed: %w", err)
+			return f, validate.BadTimestamp, fmt.Errorf("fixed: %w", err)
 		}
 		if fixed.After(f.Time) {
 			f.Downtime = fixed.Sub(f.Time)
@@ -198,7 +202,6 @@ func parseRow(rec []string, m Mapping, sysIdx, nodeIdx, startIdx, fixedIdx, down
 	// Root cause: the single non-empty category column wins; ties go to
 	// the first in canonical category order (mirrors the LANL convention
 	// of one classification per record).
-	found := false
 	for _, cat := range trace.Categories {
 		i, ok := causeIdx[cat]
 		if !ok {
@@ -210,13 +213,9 @@ func parseRow(rec []string, m Mapping, sysIdx, nodeIdx, startIdx, fixedIdx, down
 		}
 		f.Category = cat
 		applySubtype(&f, text)
-		found = true
-		break
+		return f, 0, nil
 	}
-	if !found {
-		return f, errors.New("no root cause recorded")
-	}
-	return f, nil
+	return f, validate.BadField, errors.New("no root cause recorded")
 }
 
 func parseTime(s string, layouts []string) (time.Time, error) {
@@ -386,53 +385,6 @@ func ImportDataset(r io.Reader, m Mapping) (*trace.Dataset, *Result, error) {
 // anchor to.
 const ImportFile = "lanl-failures"
 
-// classifyIssue maps an import issue onto the validation taxonomy: CSV-level
-// problems are bad rows, timestamp problems bad timestamps, everything else
-// a bad field.
-func classifyIssue(err error) validate.Class {
-	var pe *csv.ParseError
-	switch {
-	case errors.As(err, &pe):
-		return validate.BadRow
-	case strings.Contains(err.Error(), "timestamp"):
-		return validate.BadTimestamp
-	default:
-		return validate.BadField
-	}
-}
-
-// checkImported applies the policy's plausibility checks to one imported
-// failure: epoch range, negative and absurd downtimes. Repair clamps
-// downtimes; range violations are never repairable.
-func checkImported(f trace.Failure, p validate.Policy) (trace.Failure, []validate.Diagnostic) {
-	var ds []validate.Diagnostic
-	if !p.InRange(f.Time) {
-		ds = append(ds, validate.Diagnostic{Class: validate.TimestampOutOfRange, Severity: validate.Error,
-			Msg: fmt.Sprintf("timestamp %s outside plausible epoch [%s, %s)",
-				f.Time.Format(time.RFC3339), p.MinTime.Format(time.RFC3339), p.MaxTime.Format(time.RFC3339))})
-	}
-	if f.Downtime < 0 {
-		if p.Mode == validate.Repair {
-			ds = append(ds, validate.Diagnostic{Class: validate.NegativeDowntime, Severity: validate.Warning,
-				Repaired: true, Msg: fmt.Sprintf("negative downtime %s clamped to 0", f.Downtime)})
-			f.Downtime = 0
-		} else {
-			ds = append(ds, validate.Diagnostic{Class: validate.NegativeDowntime, Severity: validate.Error,
-				Msg: fmt.Sprintf("negative downtime %s", f.Downtime)})
-		}
-	} else if p.AbsurdDowntime > 0 && f.Downtime > p.AbsurdDowntime {
-		if p.Mode == validate.Repair {
-			ds = append(ds, validate.Diagnostic{Class: validate.AbsurdDowntime, Severity: validate.Warning,
-				Repaired: true, Msg: fmt.Sprintf("downtime %s clamped to %s", f.Downtime, p.AbsurdDowntime)})
-			f.Downtime = p.AbsurdDowntime
-		} else {
-			ds = append(ds, validate.Diagnostic{Class: validate.AbsurdDowntime, Severity: validate.Error,
-				Msg: fmt.Sprintf("absurd downtime %s (limit %s)", f.Downtime, p.AbsurdDowntime)})
-		}
-	}
-	return f, ds
-}
-
 // ImportDatasetWith imports a failure table under a validation policy. On
 // top of the row-level import it classifies every skipped row into the
 // validation taxonomy, applies the policy's plausibility checks and repairs,
@@ -454,7 +406,7 @@ func ImportDatasetWith(r io.Reader, m Mapping, p validate.Policy) (*trace.Datase
 		}
 		rep.Skip(ImportFile)
 		rep.Add(validate.Diagnostic{File: ImportFile, Line: is.Line,
-			Class: classifyIssue(is.Err), Severity: validate.Error, Msg: is.Err.Error()})
+			Class: is.class, Severity: validate.Error, Msg: is.Err.Error()})
 	}
 	kept := make([]trace.Failure, 0, len(res.Failures))
 	lines := make([]int, 0, len(res.Failures))
@@ -463,7 +415,7 @@ func ImportDatasetWith(r io.Reader, m Mapping, p validate.Policy) (*trace.Datase
 		if i < len(res.Lines) {
 			line = res.Lines[i]
 		}
-		f, diags := checkImported(f, p)
+		f, diags := trace.CheckFailure(f, p)
 		dead, fixed := false, false
 		for _, d := range diags {
 			d.File, d.Line = ImportFile, line

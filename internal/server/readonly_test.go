@@ -1,11 +1,14 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/hpcfail/hpcfail/internal/checkpoint"
 	"github.com/hpcfail/hpcfail/internal/iofault"
 	"github.com/hpcfail/hpcfail/internal/trace"
 	"github.com/hpcfail/hpcfail/internal/wal"
@@ -147,5 +150,42 @@ func TestDiskFullIdempotencyNotPoisoned(t *testing.T) {
 	inj.SetDiskFull(false)
 	if resp := post(); resp.StatusCode != http.StatusOK {
 		t.Fatalf("retried ingest after recovery = %d, want 200 (503 must not be replayed)", resp.StatusCode)
+	}
+}
+
+// TestSnapshotFailureCounted: a periodic snapshot whose write fails is
+// counted in hpcserve_wal_append_errors_total, as that metric's help text
+// says, and leaves the shard serving.
+func TestSnapshotFailureCounted(t *testing.T) {
+	inj := iofault.NewInject(iofault.Disk, iofault.InjectSpec{})
+	clock := &fakeClock{t: day(100)}
+	s, err := New(Config{
+		Dataset:        testDS(),
+		Window:         trace.Day,
+		ShardWAL:       wal.Options{Dir: t.TempDir(), FS: inj, Policy: wal.SyncAlways},
+		SnapshotPolicy: checkpoint.Fixed{Every: time.Hour},
+		Now:            clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	if resp, b := postEvents(t, ts.URL, `{"events":[{"system":1,"node":0,"category":"HW","hw":"CPU"}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest = %d; body: %s", resp.StatusCode, b)
+	}
+	// Every appended record is already synced, so the next write is the
+	// snapshot file's, due once the policy's hour has passed.
+	inj.FailNextWrite(errors.New("injected snapshot write failure"))
+	s.fabric.maintain(clock.Now().Add(2 * time.Hour))
+
+	metrics := string(fetchMetrics(t, ts))
+	if !strings.Contains(metrics, "hpcserve_wal_append_errors_total 1\n") {
+		t.Errorf("failed snapshot not counted:\n%s", metrics)
+	}
+	if resp, b := postEvents(t, ts.URL, `{"events":[{"system":1,"node":1,"category":"NET"}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest after failed snapshot = %d; body: %s", resp.StatusCode, b)
 	}
 }

@@ -485,6 +485,7 @@ func (f *fabric) maintain(now time.Time) {
 			f.logf("hpcserve: shard %d wal sync: %v", i, err)
 		}
 		if wrote, err := j.MaybeSnapshot(now); err != nil {
+			f.walAppendErrs.Add(1)
 			if iofault.IsDiskFull(err) {
 				f.markDiskFull(i)
 			}

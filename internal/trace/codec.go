@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,6 +30,24 @@ const (
 	NeutronsFile    = "neutrons.csv"
 )
 
+// The dataset's tables, each with the column names its writer emits as
+// the header row and the parser its rows go through on load.
+var (
+	systemsTable = table[SystemInfo]{SystemsFile,
+		[]string{"id", "group", "nodes", "procs_per_node", "start", "end"}, fieldParser(parseSystem)}
+	failuresTable = table[Failure]{FailuresFile,
+		[]string{"system", "node", "time", "category", "hw", "sw", "env", "downtime_s"}, parseFailure}
+	jobsTable = table[Job]{JobsFile,
+		[]string{"system", "id", "user", "submit", "dispatch", "end", "procs", "nodes", "failed_by_node"}, fieldParser(parseJob)}
+	tempsTable = table[TempSample]{TempsFile,
+		[]string{"system", "node", "time", "celsius"}, fieldParser(parseTemp)}
+	maintenanceTable = table[MaintenanceEvent]{MaintenanceFile,
+		[]string{"system", "node", "time", "scheduled", "hardware"}, fieldParser(parseMaintenance)}
+	neutronsTable = table[NeutronSample]{NeutronsFile,
+		[]string{"time", "counts_per_minute"}, fieldParser(parseNeutron)}
+	layoutColumns = []string{"node", "rack", "position", "row", "aisle"}
+)
+
 // LayoutFile returns the per-system layout file name.
 func LayoutFile(system int) string {
 	return fmt.Sprintf("layout_%d.csv", system)
@@ -47,7 +64,7 @@ func parseTime(s string) (time.Time, error) {
 // WriteFailures writes failures as CSV with a header row.
 func WriteFailures(w io.Writer, failures []Failure) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"system", "node", "time", "category", "hw", "sw", "env", "downtime_s"}); err != nil {
+	if err := cw.Write(failuresTable.columns); err != nil {
 		return err
 	}
 	for _, f := range failures {
@@ -77,67 +94,11 @@ func WriteFailures(w io.Writer, failures []Failure) error {
 	return cw.Error()
 }
 
-// ReadFailures parses CSV produced by WriteFailures.
-func ReadFailures(r io.Reader) ([]Failure, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 8
-	var out []Failure
-	for line := 0; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("failures line %d: %w", line+1, err)
-		}
-		if line == 0 {
-			continue // header
-		}
-		f, err := parseFailure(rec)
-		if err != nil {
-			return nil, fmt.Errorf("failures line %d: %w", line+1, err)
-		}
-		out = append(out, f)
-	}
-}
-
-func parseFailure(rec []string) (Failure, error) {
-	var f Failure
-	var err error
-	if f.System, err = strconv.Atoi(rec[0]); err != nil {
-		return f, fmt.Errorf("system: %w", err)
-	}
-	if f.Node, err = strconv.Atoi(rec[1]); err != nil {
-		return f, fmt.Errorf("node: %w", err)
-	}
-	if f.Time, err = parseTime(rec[2]); err != nil {
-		return f, err
-	}
-	if f.Category, err = ParseCategory(rec[3]); err != nil {
-		return f, err
-	}
-	if f.HW, err = ParseHWComponent(rec[4]); err != nil {
-		return f, err
-	}
-	if f.SW, err = ParseSWClass(rec[5]); err != nil {
-		return f, err
-	}
-	if f.Env, err = ParseEnvClass(rec[6]); err != nil {
-		return f, err
-	}
-	secs, err := strconv.ParseInt(rec[7], 10, 64)
-	if err != nil {
-		return f, fmt.Errorf("downtime: %w", err)
-	}
-	f.Downtime = time.Duration(secs) * time.Second
-	return f, nil
-}
-
 // WriteJobs writes jobs as CSV with a header row. Node lists are encoded as
 // space-separated IDs inside one field.
 func WriteJobs(w io.Writer, jobs []Job) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"system", "id", "user", "submit", "dispatch", "end", "procs", "nodes", "failed_by_node"}); err != nil {
+	if err := cw.Write(jobsTable.columns); err != nil {
 		return err
 	}
 	for _, j := range jobs {
@@ -165,30 +126,6 @@ func WriteJobs(w io.Writer, jobs []Job) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadJobs parses CSV produced by WriteJobs.
-func ReadJobs(r io.Reader) ([]Job, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 9
-	var out []Job
-	for line := 0; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("jobs line %d: %w", line+1, err)
-		}
-		if line == 0 {
-			continue
-		}
-		j, err := parseJob(rec)
-		if err != nil {
-			return nil, fmt.Errorf("jobs line %d: %w", line+1, err)
-		}
-		out = append(out, j)
-	}
 }
 
 func parseJob(rec []string) (Job, error) {
@@ -240,7 +177,7 @@ func parseJob(rec []string) (Job, error) {
 // WriteTemps writes temperature samples as CSV with a header row.
 func WriteTemps(w io.Writer, temps []TempSample) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"system", "node", "time", "celsius"}); err != nil {
+	if err := cw.Write(tempsTable.columns); err != nil {
 		return err
 	}
 	for _, t := range temps {
@@ -256,30 +193,6 @@ func WriteTemps(w io.Writer, temps []TempSample) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadTemps parses CSV produced by WriteTemps.
-func ReadTemps(r io.Reader) ([]TempSample, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	var out []TempSample
-	for line := 0; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("temps line %d: %w", line+1, err)
-		}
-		if line == 0 {
-			continue
-		}
-		t, err := parseTemp(rec)
-		if err != nil {
-			return nil, fmt.Errorf("temps line %d: %w", line+1, err)
-		}
-		out = append(out, t)
-	}
 }
 
 func parseTemp(rec []string) (TempSample, error) {
@@ -303,7 +216,7 @@ func parseTemp(rec []string) (TempSample, error) {
 // WriteMaintenance writes maintenance events as CSV with a header row.
 func WriteMaintenance(w io.Writer, events []MaintenanceEvent) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"system", "node", "time", "scheduled", "hardware"}); err != nil {
+	if err := cw.Write(maintenanceTable.columns); err != nil {
 		return err
 	}
 	for _, m := range events {
@@ -320,30 +233,6 @@ func WriteMaintenance(w io.Writer, events []MaintenanceEvent) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadMaintenance parses CSV produced by WriteMaintenance.
-func ReadMaintenance(r io.Reader) ([]MaintenanceEvent, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
-	var out []MaintenanceEvent
-	for line := 0; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("maintenance line %d: %w", line+1, err)
-		}
-		if line == 0 {
-			continue
-		}
-		m, err := parseMaintenance(rec)
-		if err != nil {
-			return nil, fmt.Errorf("maintenance line %d: %w", line+1, err)
-		}
-		out = append(out, m)
-	}
 }
 
 func parseMaintenance(rec []string) (MaintenanceEvent, error) {
@@ -370,7 +259,7 @@ func parseMaintenance(rec []string) (MaintenanceEvent, error) {
 // WriteNeutrons writes neutron samples as CSV with a header row.
 func WriteNeutrons(w io.Writer, samples []NeutronSample) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time", "counts_per_minute"}); err != nil {
+	if err := cw.Write(neutronsTable.columns); err != nil {
 		return err
 	}
 	for _, s := range samples {
@@ -384,30 +273,6 @@ func WriteNeutrons(w io.Writer, samples []NeutronSample) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadNeutrons parses CSV produced by WriteNeutrons.
-func ReadNeutrons(r io.Reader) ([]NeutronSample, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 2
-	var out []NeutronSample
-	for line := 0; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("neutrons line %d: %w", line+1, err)
-		}
-		if line == 0 {
-			continue
-		}
-		s, err := parseNeutron(rec)
-		if err != nil {
-			return nil, fmt.Errorf("neutrons line %d: %w", line+1, err)
-		}
-		out = append(out, s)
-	}
 }
 
 func parseNeutron(rec []string) (NeutronSample, error) {
@@ -425,7 +290,7 @@ func parseNeutron(rec []string) (NeutronSample, error) {
 // WriteSystems writes system descriptors as CSV with a header row.
 func WriteSystems(w io.Writer, systems []SystemInfo) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "group", "nodes", "procs_per_node", "start", "end"}); err != nil {
+	if err := cw.Write(systemsTable.columns); err != nil {
 		return err
 	}
 	for _, s := range systems {
@@ -443,30 +308,6 @@ func WriteSystems(w io.Writer, systems []SystemInfo) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadSystems parses CSV produced by WriteSystems.
-func ReadSystems(r io.Reader) ([]SystemInfo, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 6
-	var out []SystemInfo
-	for line := 0; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("systems line %d: %w", line+1, err)
-		}
-		if line == 0 {
-			continue
-		}
-		s, err := parseSystem(rec)
-		if err != nil {
-			return nil, fmt.Errorf("systems line %d: %w", line+1, err)
-		}
-		out = append(out, s)
-	}
 }
 
 func parseSystem(rec []string) (SystemInfo, error) {
@@ -498,7 +339,7 @@ func parseSystem(rec []string) (SystemInfo, error) {
 // WriteLayout writes one system's layout as CSV with a header row.
 func WriteLayout(w io.Writer, l *layout.Layout) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"node", "rack", "position", "row", "aisle"}); err != nil {
+	if err := cw.Write(layoutColumns); err != nil {
 		return err
 	}
 	for _, n := range l.Nodes() {
@@ -519,31 +360,25 @@ func WriteLayout(w io.Writer, l *layout.Layout) error {
 }
 
 // ReadLayout parses CSV produced by WriteLayout into a layout for system.
+// Parsing is strict: the first malformed row aborts with a file:line error.
 func ReadLayout(r io.Reader, system int) (*layout.Layout, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
 	l := layout.New(system)
-	for line := 0; ; line++ {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return l, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("layout line %d: %w", line+1, err)
-		}
-		if line == 0 {
-			continue
-		}
-		vals := make([]int, 5)
+	t := table[int]{LayoutFile(system), layoutColumns, func(rec []string, _ validate.Policy) (int, []validate.Diagnostic) {
+		var v [5]int
 		for i, s := range rec {
-			if vals[i], err = strconv.Atoi(s); err != nil {
-				return nil, fmt.Errorf("layout line %d field %d: %w", line+1, i, err)
+			var err error
+			if v[i], err = strconv.Atoi(s); err != nil {
+				return 0, badField(fmt.Errorf("field %d: %w", i, err))
 			}
 		}
-		if err := l.SetPlace(vals[0], layout.Place{Rack: vals[1], Position: vals[2], Row: vals[3], Aisle: vals[4]}); err != nil {
-			return nil, fmt.Errorf("layout line %d: %w", line+1, err)
-		}
+		// Placing the node here, not after the read, anchors a rejected
+		// place to its own line.
+		return v[0], badField(l.SetPlace(v[0], layout.Place{Rack: v[1], Position: v[2], Row: v[3], Aisle: v[4]}))
+	}}
+	if err := t.read(r, validate.StrictPolicy(), &validate.Report{}, func(int, int) {}); err != nil {
+		return nil, err
 	}
+	return l, nil
 }
 
 // SaveDir writes the full dataset into a directory, one CSV file per record

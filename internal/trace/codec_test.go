@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,10 +10,33 @@ import (
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/layout"
+	"github.com/hpcfail/hpcfail/internal/validate"
 )
 
 func ts(h int) time.Time {
 	return time.Date(2001, 3, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(h) * time.Hour)
+}
+
+// readAll decodes a whole table under Strict through the one table reader.
+func readAll[T any](t table[T], r io.Reader) ([]T, error) {
+	var out []T
+	err := t.read(r, validate.StrictPolicy(), &validate.Report{}, func(v T, _ int) { out = append(out, v) })
+	return out, err
+}
+
+// ValidateFailuresCSV decodes a failures CSV stream, sanitizes it against
+// the given system catalog (nil skips reference checks), and enforces the
+// policy's error budget: the load pipeline for one failures stream.
+func ValidateFailuresCSV(r io.Reader, systems []SystemInfo, p validate.Policy) ([]Failure, *validate.Report, error) {
+	fs, lines, rep, err := DecodeFailuresCSV(r, p)
+	if err != nil {
+		return nil, rep, err
+	}
+	fs, err = SanitizeFailures(FailuresFile, fs, lines, systems, p, rep)
+	if err != nil {
+		return nil, rep, err
+	}
+	return fs, rep, p.CheckBudget(rep)
 }
 
 func sampleFailures() []Failure {
@@ -31,7 +55,7 @@ func TestFailureCSVRoundtrip(t *testing.T) {
 	if err := WriteFailures(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFailures(&buf)
+	out, err := readAll(failuresTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,19 +66,19 @@ func TestFailureCSVRoundtrip(t *testing.T) {
 
 func TestFailureCSVErrors(t *testing.T) {
 	bad := "system,node,time,category,hw,sw,env,downtime_s\nX,0,2001-03-01T00:00:00Z,HW,,,,0\n"
-	if _, err := ReadFailures(strings.NewReader(bad)); err == nil {
+	if _, err := readAll(failuresTable, strings.NewReader(bad)); err == nil {
 		t.Error("bad system field should fail")
 	}
 	badCat := "system,node,time,category,hw,sw,env,downtime_s\n1,0,2001-03-01T00:00:00Z,NOPE,,,,0\n"
-	if _, err := ReadFailures(strings.NewReader(badCat)); err == nil {
+	if _, err := readAll(failuresTable, strings.NewReader(badCat)); err == nil {
 		t.Error("bad category should fail")
 	}
 	badTime := "system,node,time,category,hw,sw,env,downtime_s\n1,0,yesterday,HW,,,,0\n"
-	if _, err := ReadFailures(strings.NewReader(badTime)); err == nil {
+	if _, err := readAll(failuresTable, strings.NewReader(badTime)); err == nil {
 		t.Error("bad time should fail")
 	}
-	short := "system,node\n"
-	if _, err := ReadFailures(strings.NewReader(short)); err == nil {
+	short := "system,node\n1,2\n"
+	if _, err := readAll(failuresTable, strings.NewReader(short)); err == nil {
 		t.Error("wrong column count should fail")
 	}
 }
@@ -69,7 +93,7 @@ func TestJobCSVRoundtrip(t *testing.T) {
 	if err := WriteJobs(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadJobs(&buf)
+	out, err := readAll(jobsTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +111,7 @@ func TestTempsCSVRoundtrip(t *testing.T) {
 	if err := WriteTemps(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadTemps(&buf)
+	out, err := readAll(tempsTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +129,7 @@ func TestMaintenanceCSVRoundtrip(t *testing.T) {
 	if err := WriteMaintenance(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadMaintenance(&buf)
+	out, err := readAll(maintenanceTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +147,7 @@ func TestNeutronCSVRoundtrip(t *testing.T) {
 	if err := WriteNeutrons(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadNeutrons(&buf)
+	out, err := readAll(neutronsTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +165,7 @@ func TestSystemsCSVRoundtrip(t *testing.T) {
 	if err := WriteSystems(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadSystems(&buf)
+	out, err := readAll(systemsTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

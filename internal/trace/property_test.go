@@ -43,7 +43,7 @@ func TestFailureCSVRoundtripProperty(t *testing.T) {
 		if err := WriteFailures(&buf, in); err != nil {
 			return false
 		}
-		out, err := ReadFailures(&buf)
+		out, err := readAll(failuresTable, &buf)
 		if err != nil {
 			return false
 		}

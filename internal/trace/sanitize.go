@@ -16,51 +16,86 @@ import (
 	"github.com/hpcfail/hpcfail/internal/validate"
 )
 
-// This file is the dataset validation/repair engine: tolerant CSV decoding
-// with line-anchored diagnostics, cross-record sanitation (duplicates,
+// This file is the dataset validation/repair engine: the one table reader
+// every dataset CSV table decodes through, with line-anchored diagnostics,
+// the failure plausibility rules, cross-record sanitation (duplicates,
 // overlapping outages, dangling references), and the policy-aware directory
-// loader. The strict readers in codec.go stay byte-compatible with old
-// datasets; everything here is for field data that is not guaranteed clean.
+// loader.
 
-// DecodeFailuresCSV reads a failures CSV stream under a validation policy.
-// It never panics on arbitrary input. Under Strict the first problem aborts
-// with an error; under Lenient broken rows are skipped with one diagnostic
-// each; under Repair near-miss timestamps are coerced, out-of-range
-// downtimes clamped, and stray subtype labels zeroed. It returns the decoded
-// failures, the 1-based CSV line of each, and the report.
-func DecodeFailuresCSV(r io.Reader, p validate.Policy) ([]Failure, []int, *validate.Report, error) {
-	rep := &validate.Report{}
+// rowParser decodes one row whose field count the reader has checked,
+// classifying every problem. The row is unusable iff a returned diagnostic
+// has Error severity; what Repair fixed comes back as repaired warnings.
+type rowParser[T any] func(rec []string, p validate.Policy) (T, []validate.Diagnostic)
+
+// table is one dataset CSV table: its file name, its column names (the
+// header row its writer emits) and its row parser.
+type table[T any] struct {
+	file    string
+	columns []string
+	parse   rowParser[T]
+}
+
+// fieldParser lifts a parser whose only failure is one bad field.
+func fieldParser[T any](parse func([]string) (T, error)) rowParser[T] {
+	return func(rec []string, _ validate.Policy) (T, []validate.Diagnostic) {
+		v, err := parse(rec)
+		return v, badField(err)
+	}
+}
+
+// badField reports err, if any, as a row's bad field.
+func badField(err error) []validate.Diagnostic {
+	if err == nil {
+		return nil
+	}
+	return []validate.Diagnostic{{Class: validate.BadField, Severity: validate.Error, Msg: err.Error()}}
+}
+
+// read is the one path from CSV bytes to records: it decodes every row of
+// the table under p and hands each kept record, with its 1-based CSV line,
+// to keep. Every field is scrubbed of BOM and control bytes and trimmed.
+// The first row is the header iff its first field names the first column.
+// Under Strict the first problem aborts with a file:line error; otherwise a
+// broken row is skipped with a diagnostic per problem, scrubbed junk is an
+// EncodingJunk warning (repaired under Repair), and rep tallies every data
+// row scanned, skipped and repaired.
+func (t table[T]) read(r io.Reader, p validate.Policy, rep *validate.Report, keep func(v T, line int)) error {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	cr.LazyQuotes = p.Mode != validate.Strict
-	var out []Failure
-	var lines []int
+	cr.ReuseRecord = true
+	// Scans are tallied once per table, not per row: each tally is a map
+	// lookup.
+	scanned := 0
+	defer func() {
+		if scanned > 0 {
+			rep.Scan(t.file, scanned)
+		}
+	}()
 	first := true
 	lastOffset := int64(-1)
 	for {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {
-			return out, lines, rep, nil
+			return nil
 		}
 		if err != nil {
 			if p.Mode == validate.Strict {
-				return nil, nil, rep, fmt.Errorf("%s: %w", FailuresFile, err)
+				return fmt.Errorf("%s: %w", t.file, err)
 			}
 			line := 0
 			var pe *csv.ParseError
 			if errors.As(err, &pe) {
 				line = pe.StartLine
 			}
-			rep.Scan(FailuresFile, 1)
-			rep.Skip(FailuresFile)
-			rep.Add(validate.Diagnostic{
-				File: FailuresFile, Line: line, Class: validate.BadRow,
-				Severity: validate.Error, Msg: err.Error(),
-			})
+			scanned++
+			rep.Skip(t.file)
+			rep.Add(validate.Diagnostic{File: t.file, Line: line, Class: validate.BadRow,
+				Severity: validate.Error, Msg: err.Error()})
 			if cr.InputOffset() == lastOffset {
 				// The reader cannot advance past this error; stop rather
 				// than report it forever.
-				return out, lines, rep, nil
+				return nil
 			}
 			lastOffset = cr.InputOffset()
 			continue
@@ -75,66 +110,76 @@ func DecodeFailuresCSV(r io.Reader, p validate.Policy) ([]Failure, []int, *valid
 		}
 		if first {
 			first = false
-			if len(rec) > 0 && strings.EqualFold(rec[0], "system") {
+			if strings.EqualFold(rec[0], t.columns[0]) {
 				continue // header row
 			}
 		}
-		rep.Scan(FailuresFile, 1)
-		rowRepaired := false
+		scanned++
+		var ds []validate.Diagnostic
 		if junk {
-			d := validate.Diagnostic{
-				File: FailuresFile, Line: line, Class: validate.EncodingJunk,
-				Severity: validate.Warning, Repaired: p.Mode == validate.Repair,
-				Msg: "BOM or control bytes scrubbed from record",
-			}
-			if p.Mode == validate.Strict {
-				return nil, nil, rep, fmt.Errorf("%s:%d: %s", FailuresFile, line, d.Msg)
-			}
-			rowRepaired = rowRepaired || d.Repaired
-			rep.Add(d)
+			ds = append(ds, validate.Diagnostic{Class: validate.EncodingJunk, Severity: validate.Warning,
+				Repaired: p.Mode == validate.Repair, Msg: "BOM or control bytes scrubbed from record"})
 		}
-		if len(rec) != 8 {
-			d := validate.Diagnostic{
-				File: FailuresFile, Line: line, Class: validate.BadRow,
-				Severity: validate.Error,
-				Msg:      fmt.Sprintf("want 8 fields, got %d", len(rec)),
-			}
-			if p.Mode == validate.Strict {
-				return nil, nil, rep, fmt.Errorf("%s:%d: %s", FailuresFile, line, d.Msg)
-			}
-			rep.Skip(FailuresFile)
-			rep.Add(d)
-			continue
+		var v T
+		if len(rec) != len(t.columns) {
+			ds = append(ds, validate.Diagnostic{Class: validate.BadRow, Severity: validate.Error,
+				Msg: fmt.Sprintf("want %d fields, got %d", len(t.columns), len(rec))})
+		} else {
+			var pds []validate.Diagnostic
+			v, pds = t.parse(rec, p)
+			ds = append(ds, pds...)
 		}
-		f, diags := parseFailureLenient(rec, p)
-		dead := false
-		for _, d := range diags {
-			d.File, d.Line = FailuresFile, line
-			if d.Severity == validate.Error {
-				dead = true
-				if p.Mode == validate.Strict {
-					return nil, nil, rep, fmt.Errorf("%s:%d: [%s] %s", FailuresFile, line, d.Class, d.Msg)
-				}
+		dead, repaired := false, false
+		for _, d := range ds {
+			if p.Mode == validate.Strict {
+				return fmt.Errorf("%s:%d: [%s] %s", t.file, line, d.Class, d.Msg)
 			}
-			rowRepaired = rowRepaired || d.Repaired
+			d.File, d.Line = t.file, line
+			dead = dead || d.Severity == validate.Error
+			repaired = repaired || d.Repaired
 			rep.Add(d)
 		}
 		if dead {
-			rep.Skip(FailuresFile)
+			rep.Skip(t.file)
 			continue
 		}
-		if rowRepaired {
-			rep.Repair(FailuresFile)
+		if repaired {
+			rep.Repair(t.file)
 		}
-		out = append(out, f)
-		lines = append(lines, line)
+		keep(v, line)
 	}
 }
 
-// parseFailureLenient parses one 8-field failure row, classifying every
-// problem. Under Repair it coerces what the repair set allows; the row is
-// unusable iff any returned diagnostic has Error severity.
-func parseFailureLenient(rec []string, p validate.Policy) (Failure, []validate.Diagnostic) {
+// DecodeFailuresCSV reads a failures CSV stream under a validation policy.
+// It never panics on arbitrary input. Under Strict the first problem aborts
+// with an error; under Lenient broken rows are skipped with one diagnostic
+// each; under Repair near-miss timestamps are coerced, out-of-range
+// downtimes clamped, and stray subtype labels zeroed. It returns the decoded
+// failures, the 1-based CSV line of each, and the report.
+func DecodeFailuresCSV(r io.Reader, p validate.Policy) ([]Failure, []int, *validate.Report, error) {
+	rep := &validate.Report{}
+	fs, lines, err := decodeFailures(r, p, rep)
+	return fs, lines, rep, err
+}
+
+// decodeFailures reads a failures table under p into rep, returning the
+// kept failures and the CSV line of each.
+func decodeFailures(r io.Reader, p validate.Policy, rep *validate.Report) ([]Failure, []int, error) {
+	var fs []Failure
+	var lines []int
+	if err := failuresTable.read(r, p, rep, func(f Failure, line int) {
+		fs = append(fs, f)
+		lines = append(lines, line)
+	}); err != nil {
+		return nil, nil, err
+	}
+	return fs, lines, nil
+}
+
+// parseFailure parses one 8-field failure row, classifying every problem.
+// Under Repair it coerces what the repair set allows; the row is unusable
+// iff any returned diagnostic has Error severity.
+func parseFailure(rec []string, p validate.Policy) (Failure, []validate.Diagnostic) {
 	var f Failure
 	var ds []validate.Diagnostic
 	fail := func(c validate.Class, format string, args ...any) {
@@ -164,9 +209,8 @@ func parseFailureLenient(rec []string, p validate.Policy) (Failure, []validate.D
 	} else {
 		fail(validate.BadTimestamp, "unparseable timestamp %q", rec[2])
 	}
-	if timeOK && !p.InRange(f.Time) {
-		fail(validate.TimestampOutOfRange, "timestamp %s outside plausible epoch [%s, %s)",
-			f.Time.Format(timeLayout), p.MinTime.Format(timeLayout), p.MaxTime.Format(timeLayout))
+	if timeOK {
+		ds = checkEpoch(ds, f.Time, p)
 	}
 	catOK := false
 	if f.Category, err = ParseCategory(rec[3]); err != nil {
@@ -209,23 +253,54 @@ func parseFailureLenient(rec []string, p validate.Policy) (Failure, []validate.D
 			return f, ds
 		}
 	}
-	f.Downtime = time.Duration(secs) * time.Second
-	if f.Downtime < 0 {
-		if p.Mode == validate.Repair {
-			f.Downtime = 0
-			repaired(validate.NegativeDowntime, "negative downtime %ds clamped to 0", secs)
-		} else {
-			fail(validate.NegativeDowntime, "negative downtime %ds", secs)
-		}
-	} else if p.AbsurdDowntime > 0 && f.Downtime > p.AbsurdDowntime {
-		if p.Mode == validate.Repair {
-			f.Downtime = p.AbsurdDowntime
-			repaired(validate.AbsurdDowntime, "downtime %ds clamped to %s", secs, p.AbsurdDowntime)
-		} else {
-			fail(validate.AbsurdDowntime, "absurd downtime %ds (limit %s)", secs, p.AbsurdDowntime)
-		}
-	}
+	f.Downtime, ds = checkDowntime(ds, time.Duration(secs)*time.Second, p)
 	return f, ds
+}
+
+// CheckFailure applies the failure plausibility rules to one decoded
+// failure: its timestamp must fall inside the policy's plausible epoch and
+// its downtime be neither negative nor absurd. Repair clamps the downtime;
+// an out-of-range timestamp is never repairable. The failures table and the
+// LANL importer both hold their records to these rules.
+func CheckFailure(f Failure, p validate.Policy) (Failure, []validate.Diagnostic) {
+	ds := checkEpoch(nil, f.Time, p)
+	f.Downtime, ds = checkDowntime(ds, f.Downtime, p)
+	return f, ds
+}
+
+// checkEpoch appends a TimestampOutOfRange error to ds when t falls outside
+// the policy's plausible epoch.
+func checkEpoch(ds []validate.Diagnostic, t time.Time, p validate.Policy) []validate.Diagnostic {
+	if p.InRange(t) {
+		return ds
+	}
+	return append(ds, validate.Diagnostic{Class: validate.TimestampOutOfRange, Severity: validate.Error,
+		Msg: fmt.Sprintf("timestamp %s outside plausible epoch [%s, %s)",
+			t.Format(timeLayout), p.MinTime.Format(timeLayout), p.MaxTime.Format(timeLayout))})
+}
+
+// checkDowntime returns downtime d, clamped under Repair when negative or
+// absurd, and appends the finding to ds.
+func checkDowntime(ds []validate.Diagnostic, d time.Duration, p validate.Policy) (time.Duration, []validate.Diagnostic) {
+	var c validate.Class
+	var clamped time.Duration
+	var fixed, failed string
+	switch {
+	case d < 0:
+		c, clamped = validate.NegativeDowntime, 0
+		fixed = fmt.Sprintf("negative downtime %s clamped to 0", d)
+		failed = fmt.Sprintf("negative downtime %s", d)
+	case p.AbsurdDowntime > 0 && d > p.AbsurdDowntime:
+		c, clamped = validate.AbsurdDowntime, p.AbsurdDowntime
+		fixed = fmt.Sprintf("downtime %s clamped to %s", d, p.AbsurdDowntime)
+		failed = fmt.Sprintf("absurd downtime %s (limit %s)", d, p.AbsurdDowntime)
+	default:
+		return d, ds
+	}
+	if p.Mode == validate.Repair {
+		return clamped, append(ds, validate.Diagnostic{Class: c, Severity: validate.Warning, Repaired: true, Msg: fixed})
+	}
+	return d, append(ds, validate.Diagnostic{Class: c, Severity: validate.Error, Msg: failed})
 }
 
 // SanitizeFailures applies the cross-record checks: references against the
@@ -298,15 +373,22 @@ func SanitizeFailures(file string, failures []Failure, lines []int, systems []Sy
 	}
 
 	// Overlap resolution per node, in time order (line order breaks ties so
-	// the later row is always the one reported).
+	// the later row is always the one reported). Nodes go in the order of
+	// their first record, so the findings and Strict's error are the same
+	// on every run.
 	byNode := make(map[NodeKey][]int)
+	var nodes []NodeKey
 	for i, ok := range keep {
 		if ok {
 			k := NodeKey{System: fs[i].System, Node: fs[i].Node}
+			if _, seen := byNode[k]; !seen {
+				nodes = append(nodes, k)
+			}
 			byNode[k] = append(byNode[k], i)
 		}
 	}
-	for _, idxs := range byNode {
+	for _, k := range nodes {
+		idxs := byNode[k]
 		sort.Slice(idxs, func(a, b int) bool {
 			fa, fb := fs[idxs[a]], fs[idxs[b]]
 			if !fa.Time.Equal(fb.Time) {
@@ -371,22 +453,6 @@ func SanitizeFailures(file string, failures []Failure, lines []int, systems []Sy
 		}
 	}
 	return out, nil
-}
-
-// ValidateFailuresCSV decodes a failures CSV stream, sanitizes it against
-// the given system catalog (nil skips reference checks), and enforces the
-// policy's error budget. The returned failures are non-nil-safe to use even
-// when the budget error is returned.
-func ValidateFailuresCSV(r io.Reader, systems []SystemInfo, p validate.Policy) ([]Failure, *validate.Report, error) {
-	fs, lines, rep, err := DecodeFailuresCSV(r, p)
-	if err != nil {
-		return nil, rep, err
-	}
-	fs, err = SanitizeFailures(FailuresFile, fs, lines, systems, p, rep)
-	if err != nil {
-		return nil, rep, err
-	}
-	return fs, rep, p.CheckBudget(rep)
 }
 
 // SanitizeDataset validates an in-memory dataset under a policy: failures
@@ -481,166 +547,61 @@ func SanitizeDataset(ds *Dataset, p validate.Policy) (*Dataset, *validate.Report
 // reported, and the caller should move on.
 var errSkipRecord = errors.New("skip record")
 
-// lenientTable reads one non-failure CSV table under a policy: the header
-// row is skipped, rows with CSV-level problems are BadRow, rows the parse
-// function rejects are BadField. Strict aborts on the first problem.
-func lenientTable[T any](file string, r io.Reader, fields int, parse func([]string) (T, error), p validate.Policy, rep *validate.Report) ([]T, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.LazyQuotes = p.Mode != validate.Strict
-	var out []T
-	first := true
-	lastOffset := int64(-1)
-	for {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			if p.Mode == validate.Strict {
-				return nil, fmt.Errorf("%s: %w", file, err)
-			}
-			line := 0
-			var pe *csv.ParseError
-			if errors.As(err, &pe) {
-				line = pe.StartLine
-			}
-			rep.Scan(file, 1)
-			rep.Skip(file)
-			rep.Add(validate.Diagnostic{File: file, Line: line, Class: validate.BadRow,
-				Severity: validate.Error, Msg: err.Error()})
-			if cr.InputOffset() == lastOffset {
-				return out, nil
-			}
-			lastOffset = cr.InputOffset()
-			continue
-		}
-		lastOffset = cr.InputOffset()
-		line, _ := cr.FieldPos(0)
-		if first {
-			first = false
-			continue // header
-		}
-		rep.Scan(file, 1)
-		junkRepaired := false
-		if p.Mode != validate.Strict {
-			junk := false
-			for i := range rec {
-				clean, scrubbed := validate.ScrubField(rec[i])
-				rec[i] = strings.TrimSpace(clean)
-				junk = junk || scrubbed
-			}
-			if junk {
-				junkRepaired = p.Mode == validate.Repair
-				rep.Add(validate.Diagnostic{File: file, Line: line, Class: validate.EncodingJunk,
-					Severity: validate.Warning, Repaired: junkRepaired,
-					Msg: "BOM or control bytes scrubbed from record"})
-			}
-		}
-		if len(rec) != fields {
-			if p.Mode == validate.Strict {
-				return nil, fmt.Errorf("%s:%d: want %d fields, got %d", file, line, fields, len(rec))
-			}
-			rep.Skip(file)
-			rep.Add(validate.Diagnostic{File: file, Line: line, Class: validate.BadRow,
-				Severity: validate.Error, Msg: fmt.Sprintf("want %d fields, got %d", fields, len(rec))})
-			continue
-		}
-		v, err := parse(rec)
-		if err != nil {
-			if p.Mode == validate.Strict {
-				return nil, fmt.Errorf("%s:%d: %w", file, line, err)
-			}
-			rep.Skip(file)
-			rep.Add(validate.Diagnostic{File: file, Line: line, Class: validate.BadField,
-				Severity: validate.Error, Msg: err.Error()})
-			continue
-		}
-		if junkRepaired {
-			rep.Repair(file)
-		}
-		out = append(out, v)
+// into returns a loader that reads table t into *dst.
+func into[T any](t table[T], dst *[]T, p validate.Policy, rep *validate.Report) func(io.Reader) error {
+	return func(r io.Reader) error {
+		return t.read(r, p, rep, func(v T, _ int) { *dst = append(*dst, v) })
 	}
 }
 
 // LoadDirWith reads a dataset directory under a validation policy. The
 // systems and failures tables are required; every other table is optional
-// and degrades to an empty series with a MissingTable diagnostic. Failures
-// get the full decode/sanitize treatment (including reference checks
-// against the systems catalog); the remaining tables are read row-leniently
-// under the same mode. A dataset is returned together with the report even
-// when the error budget is exceeded, so callers can inspect what loaded.
+// and degrades to an empty series with a MissingTable diagnostic. Every
+// table goes through the one table reader under the policy; failures then
+// get the cross-record sanitizer, with reference checks against the systems
+// catalog. A dataset is returned together with the report even when the
+// error budget is exceeded, so callers can inspect what loaded.
 func LoadDirWith(dir string, p validate.Policy) (*Dataset, *validate.Report, error) {
 	rep := &validate.Report{}
 	d := &Dataset{Layouts: make(map[int]*layout.Layout)}
-
-	open := func(name string) (*os.File, error) { return os.Open(filepath.Join(dir, name)) }
-
-	sf, err := open(SystemsFile)
-	if err != nil {
-		return nil, rep, fmt.Errorf("load dataset: %w", err)
+	tables := []struct {
+		file     string
+		required bool
+		load     func(io.Reader) error
+	}{
+		{SystemsFile, true, into(systemsTable, &d.Systems, p, rep)},
+		{FailuresFile, true, func(r io.Reader) error {
+			fs, lines, err := decodeFailures(r, p, rep)
+			if err != nil {
+				return err
+			}
+			d.Failures, err = SanitizeFailures(FailuresFile, fs, lines, d.Systems, p, rep)
+			return err
+		}},
+		{JobsFile, false, into(jobsTable, &d.Jobs, p, rep)},
+		{TempsFile, false, into(tempsTable, &d.Temps, p, rep)},
+		{MaintenanceFile, false, into(maintenanceTable, &d.Maintenance, p, rep)},
+		{NeutronsFile, false, into(neutronsTable, &d.Neutrons, p, rep)},
 	}
-	d.Systems, err = lenientTable(SystemsFile, sf, 6, parseSystem, p, rep)
-	sf.Close()
-	if err != nil {
-		return nil, rep, err
-	}
-
-	ff, err := open(FailuresFile)
-	if err != nil {
-		return nil, rep, fmt.Errorf("load dataset: %w", err)
-	}
-	fs, lines, frep, err := DecodeFailuresCSV(ff, p)
-	ff.Close()
-	rep.Merge(frep)
-	if err != nil {
-		return nil, rep, err
-	}
-	if d.Failures, err = SanitizeFailures(FailuresFile, fs, lines, d.Systems, p, rep); err != nil {
-		return nil, rep, err
-	}
-
-	optional := func(name string, read func(io.Reader) error) error {
-		f, err := open(name)
-		if os.IsNotExist(err) {
-			rep.Add(validate.Diagnostic{File: name, Class: validate.MissingTable,
+	for _, t := range tables {
+		f, err := os.Open(filepath.Join(dir, t.file))
+		if !t.required && os.IsNotExist(err) {
+			rep.Add(validate.Diagnostic{File: t.file, Class: validate.MissingTable,
 				Severity: validate.Info, Msg: "optional table missing; series degrades to empty"})
-			return nil
+			continue
 		}
 		if err != nil {
-			return fmt.Errorf("load dataset: %w", err)
+			return nil, rep, fmt.Errorf("load dataset: %w", err)
 		}
-		defer f.Close()
-		return read(f)
-	}
-	if err := optional(JobsFile, func(r io.Reader) (e error) {
-		d.Jobs, e = lenientTable(JobsFile, r, 9, parseJob, p, rep)
-		return
-	}); err != nil {
-		return nil, rep, err
-	}
-	if err := optional(TempsFile, func(r io.Reader) (e error) {
-		d.Temps, e = lenientTable(TempsFile, r, 4, parseTemp, p, rep)
-		return
-	}); err != nil {
-		return nil, rep, err
-	}
-	if err := optional(MaintenanceFile, func(r io.Reader) (e error) {
-		d.Maintenance, e = lenientTable(MaintenanceFile, r, 5, parseMaintenance, p, rep)
-		return
-	}); err != nil {
-		return nil, rep, err
-	}
-	if err := optional(NeutronsFile, func(r io.Reader) (e error) {
-		d.Neutrons, e = lenientTable(NeutronsFile, r, 2, parseNeutron, p, rep)
-		return
-	}); err != nil {
-		return nil, rep, err
+		err = t.load(f)
+		f.Close()
+		if err != nil {
+			return nil, rep, err
+		}
 	}
 
 	for _, s := range d.Systems {
-		path := filepath.Join(dir, LayoutFile(s.ID))
-		f, err := os.Open(path)
+		f, err := os.Open(filepath.Join(dir, LayoutFile(s.ID)))
 		if os.IsNotExist(err) {
 			continue // layouts are optional per system, silently
 		}
@@ -651,7 +612,7 @@ func LoadDirWith(dir string, p validate.Policy) (*Dataset, *validate.Report, err
 		f.Close()
 		if rerr != nil {
 			if p.Mode == validate.Strict {
-				return nil, rep, fmt.Errorf("read %s: %w", LayoutFile(s.ID), rerr)
+				return nil, rep, rerr
 			}
 			rep.Add(validate.Diagnostic{File: LayoutFile(s.ID), Class: validate.BadRow,
 				Severity: validate.Warning, Msg: fmt.Sprintf("layout unreadable, dropped: %v", rerr)})

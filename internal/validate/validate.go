@@ -496,8 +496,19 @@ func CoerceTime(s, canonical string) (t time.Time, coerced bool, err error) {
 }
 
 // ScrubField strips a UTF-8 BOM and ASCII control characters from a field,
-// reporting whether anything was removed.
+// reporting whether anything was removed. Invalid UTF-8 comes back as
+// U+FFFD, which also counts as scrubbed.
 func ScrubField(s string) (string, bool) {
+	// Printable ASCII, the bulk of every table, has nothing to scrub.
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 && c != '\t' || c >= 0x7f {
+			return scrub(s)
+		}
+	}
+	return s, false
+}
+
+func scrub(s string) (string, bool) {
 	const bom = "\uFEFF"
 	clean := s
 	for strings.Contains(clean, bom) {
