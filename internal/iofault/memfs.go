@@ -59,7 +59,7 @@ const (
 //
 // Within one directory, pending entry mutations apply in FIFO order at
 // SyncDir — the model cannot reorder a rename after a later remove, which
-// is the one hazard WriteSnapshotFile's rename-then-syncdir ordering
+// is the one hazard WriteSnapshotFileFS's rename-then-syncdir ordering
 // guards against on real disks.
 //
 // MemFS is safe for concurrent use.

@@ -131,8 +131,14 @@ func ImportFailures(r io.Reader, m Mapping) (*Result, error) {
 	}
 	fixedIdx, _ := need(m.Fixed) // optional
 	downIdx, _ := need(m.Downtime)
+	// Canonical category order, not map order, so a header missing several
+	// mapped columns always names the same one.
 	causeIdx := make(map[trace.Category]int, len(m.RootCauses))
-	for cat, name := range m.RootCauses {
+	for _, cat := range trace.Categories {
+		name, ok := m.RootCauses[cat]
+		if !ok {
+			continue
+		}
 		i, err := need(name)
 		if err != nil {
 			return nil, err

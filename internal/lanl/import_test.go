@@ -100,6 +100,24 @@ func TestImportMissingColumn(t *testing.T) {
 	}
 }
 
+// TestImportMissingRootCausesDeterministic: a header missing several mapped
+// root-cause columns must name the same one on every import, not whichever
+// a map iteration reaches first.
+func TestImportMissingRootCausesDeterministic(t *testing.T) {
+	header := "System,nodenumz,Prob Started,Prob Fixed,Down Time,Hardware,Software\n"
+	msgs := map[string]bool{}
+	for range 64 {
+		_, err := ImportFailures(strings.NewReader(header), DefaultMapping())
+		if !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("want ErrBadHeader, got %v", err)
+		}
+		msgs[err.Error()] = true
+	}
+	if len(msgs) != 1 {
+		t.Fatalf("64 imports of one header gave %d different errors: %v", len(msgs), msgs)
+	}
+}
+
 func TestHeaderNormalization(t *testing.T) {
 	// Extra whitespace and case differences in headers are tolerated.
 	csv := "system, NODENUMZ ,prob  started,Prob Fixed,Down Time,Facilities,HARDWARE,Human Error,Network,Undetermined,Software\n" +

@@ -27,8 +27,7 @@ func crashSchedule(t *testing.T, fs iofault.FS, events []trace.Failure, ckpts ma
 	j, _, err := OpenJournal(JournalConfig{
 		Engine: eng,
 		Store:  st,
-		WAL:    wal.Options{Dir: "/wal", SegmentBytes: 512},
-		FS:     fs,
+		WAL:    wal.Options{Dir: "/wal", SegmentBytes: 512, FS: fs},
 		Now:    func() time.Time { return day(99) },
 	})
 	if err != nil {
@@ -117,8 +116,7 @@ func TestCrashConsistencySweep(t *testing.T) {
 			j, stats, err := OpenJournal(JournalConfig{
 				Engine: eng,
 				Store:  st,
-				WAL:    wal.Options{Dir: "/wal", SegmentBytes: 512},
-				FS:     fs,
+				WAL:    wal.Options{Dir: "/wal", SegmentBytes: 512, FS: fs},
 				Now:    func() time.Time { return day(99) },
 			})
 			if err != nil {

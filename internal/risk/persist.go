@@ -90,19 +90,14 @@ type persistedSnapshot struct {
 	WireSnapshot
 }
 
-// snapshotTempPattern names the temp files WriteSnapshotFile stages through;
+// snapshotTempPattern names the temp files WriteSnapshotFileFS stages through;
 // OpenJournal sweeps stale ones (crash or error path leftovers) on startup.
 const snapshotTempPattern = ".snapshot-*"
 
-// WriteSnapshotFile atomically persists an engine snapshot that covers the
-// first applied WAL records: temp file, fsync, rename. A crash mid-write
-// leaves the previous snapshot intact.
-func WriteSnapshotFile(path string, snap Snapshot, applied uint64) error {
-	return WriteSnapshotFileFS(iofault.Disk, path, snap, applied)
-}
-
-// WriteSnapshotFileFS is WriteSnapshotFile over an explicit filesystem, so
-// fault-injection tests can fail or crash any step of the write protocol.
+// WriteSnapshotFileFS atomically persists an engine snapshot that covers
+// the first applied WAL records: temp file, fsync, rename. A crash
+// mid-write leaves the previous snapshot intact. fsys nil means the real
+// disk; fault-injection tests fail or crash any step of the protocol here.
 func WriteSnapshotFileFS(fsys iofault.FS, path string, snap Snapshot, applied uint64) error {
 	fsys = iofault.Or(fsys)
 	data, err := encodeSnapshot(snap, applied, time.Now().UTC())
@@ -144,13 +139,9 @@ func WriteSnapshotFileFS(fsys iofault.FS, path string, snap Snapshot, applied ui
 	return nil
 }
 
-// ReadSnapshotFile loads a persisted snapshot. A missing file returns
-// os.ErrNotExist (callers treat that as "cold start").
-func ReadSnapshotFile(path string) (Snapshot, uint64, error) {
-	return ReadSnapshotFileFS(iofault.Disk, path)
-}
-
-// ReadSnapshotFileFS is ReadSnapshotFile over an explicit filesystem.
+// ReadSnapshotFileFS loads a persisted snapshot through fsys (nil means the
+// real disk). A missing file returns os.ErrNotExist (callers treat that as
+// "cold start").
 func ReadSnapshotFileFS(fsys iofault.FS, path string) (Snapshot, uint64, error) {
 	data, err := iofault.Or(fsys).ReadFile(path)
 	if err != nil {
@@ -230,14 +221,11 @@ type JournalConfig struct {
 	// Engine is the engine to make durable. Required.
 	Engine *Engine
 	// WAL configures the log (Dir required). Policy/Interval/SegmentBytes
-	// pass through to wal.Open.
+	// pass through to wal.Open. WAL.FS is the filesystem for everything
+	// under Dir: the log, the snapshot machinery and recovery reads. Nil
+	// means the real disk; fault-injection and crash-sweep tests substitute
+	// an iofault.MemFS or iofault.Inject there.
 	WAL wal.Options
-	// FS is the filesystem the journal's snapshot machinery and recovery
-	// reads (and, unless WAL.FS overrides it, the log) run over. Nil means
-	// the real disk.
-	// Fault-injection and crash-sweep tests substitute an iofault.MemFS or
-	// iofault.Inject here.
-	FS iofault.FS
 	// SnapshotPolicy spaces periodic engine snapshots using a checkpoint
 	// policy (checkpoint.Fixed for constant spacing, checkpoint.RiskAware
 	// to snapshot more often while failures are arriving). Nil disables
@@ -308,13 +296,7 @@ func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 	if cfg.WAL.Dir == "" {
 		return nil, stats, errors.New("risk: journal needs a WAL directory")
 	}
-	// One filesystem for everything under the WAL dir: cfg.FS wins, else the
-	// WAL's own FS (so injecting at either layer injects both), else disk.
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = cfg.WAL.FS
-	}
-	fsys = iofault.Or(fsys)
+	fsys := iofault.Or(cfg.WAL.FS)
 
 	// Sweep snapshot temp files stranded by a crash mid-write: they are
 	// never valid state (the rename is what commits a snapshot) and on a

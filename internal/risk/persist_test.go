@@ -265,7 +265,7 @@ func TestMaybeSnapshotPolicySpacing(t *testing.T) {
 	if wrote, err := j.MaybeSnapshot(now.Add(2 * time.Hour)); err != nil || !wrote {
 		t.Fatalf("MaybeSnapshot past interval: wrote=%v err=%v", wrote, err)
 	}
-	snap, applied, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFile))
+	snap, applied, err := ReadSnapshotFileFS(nil, filepath.Join(dir, SnapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestCheckpointSyncsWAL(t *testing.T) {
 func TestOpenJournalRefusesSnapshotAheadOfWAL(t *testing.T) {
 	dir := t.TempDir()
 	e := testEngine(t)
-	if err := WriteSnapshotFile(filepath.Join(dir, SnapshotFile), e.Snapshot(), 5); err != nil {
+	if err := WriteSnapshotFileFS(nil, filepath.Join(dir, SnapshotFile), e.Snapshot(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := OpenJournal(JournalConfig{
@@ -395,7 +395,7 @@ func TestOpenJournalRefusesWALGap(t *testing.T) {
 	}
 	// Roll the snapshot back to a position below the first surviving
 	// record, as if the covering snapshot's rename never became durable.
-	if err := WriteSnapshotFile(filepath.Join(dir, SnapshotFile), j.Engine().Snapshot(), 1); err != nil {
+	if err := WriteSnapshotFileFS(nil, filepath.Join(dir, SnapshotFile), j.Engine().Snapshot(), 1); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -430,10 +430,10 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), SnapshotFile)
-	if err := WriteSnapshotFile(path, e.Snapshot(), 7); err != nil {
+	if err := WriteSnapshotFileFS(nil, path, e.Snapshot(), 7); err != nil {
 		t.Fatal(err)
 	}
-	snap, applied, err := ReadSnapshotFile(path)
+	snap, applied, err := ReadSnapshotFileFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -457,6 +457,55 @@ func TestRecoveryAfterCrashMidRotation(t *testing.T) {
 	})
 }
 
+// TestStandbySealedSegmentNotWarm: bytes trailing the last record of a
+// sealed segment are mid-log damage, which promotion refuses to lead over.
+// A standby over that log must refuse it too — its catchup fails and it is
+// never warm — rather than apply every record and only fail at Promote.
+func TestStandbySealedSegmentNotWarm(t *testing.T) {
+	dir := t.TempDir()
+	leader, _, err := OpenJournal(JournalConfig{Engine: testEngine(t), WAL: wal.Options{Dir: dir, SegmentBytes: 256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range liveEvents(6) {
+		if err := leader.Observe(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(names) < 2 {
+		t.Fatalf("segments: %v, %v; the test needs a sealed segment", names, err)
+	}
+	sealed, err := os.OpenFile(names[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sealed.Write([]byte{0, 0, 0, 9, 1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sb, err := NewStandby(StandbyConfig{Dir: dir, Engine: testEngine(t)})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
+	}
+	if n, err := sb.Catchup(); err == nil {
+		t.Errorf("Catchup applied %d records past a damaged sealed segment", n)
+	}
+	if sb.Warm() {
+		t.Error("a standby over a damaged sealed segment is warm")
+	}
+	if j, err := sb.Promote(nil, wal.Options{}, nil); err == nil {
+		j.Close()
+		t.Error("Promote led over a damaged sealed segment")
+	}
+}
+
 // TestStandbyCatchupErrorKeepsStoreWithEngine: when the follower fails
 // part-way through a drain (here a corrupt header on the newest segment),
 // the records it yielded before the failure are applied — its position has

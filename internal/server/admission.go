@@ -88,6 +88,10 @@ func (l *limiter) admit(ctx context.Context) (release func(), ok bool) {
 	}, true
 }
 
+// breakerCooldown is how long an open circuit stays open before one trial
+// compute probes recovery.
+const breakerCooldown = 10 * time.Second
+
 // Breaker states.
 const (
 	breakerClosed = iota
@@ -100,7 +104,6 @@ const (
 type breaker struct {
 	mu        sync.Mutex
 	threshold int
-	cooldown  time.Duration
 	now       func() time.Time
 
 	state    int
@@ -109,14 +112,11 @@ type breaker struct {
 	trips    uint64 // closed->open transitions, for metrics
 }
 
-func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *breaker {
+func newBreaker(threshold int, now func() time.Time) *breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
-	if cooldown <= 0 {
-		cooldown = 10 * time.Second
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown, now: now}
+	return &breaker{threshold: threshold, now: now}
 }
 
 // allow reports whether a compute attempt may proceed. While open, it
@@ -128,7 +128,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
+		if b.now().Sub(b.openedAt) >= breakerCooldown {
 			b.state = breakerHalfOpen
 			return true
 		}

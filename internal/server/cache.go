@@ -47,6 +47,9 @@ func newFlightCache[V any](size int) *flightCache[V] {
 	}
 }
 
+// resultCacheSize bounds each tenant's analysis result cache, in entries.
+const resultCacheSize = 256
+
 // newResultCache builds the analysis result cache.
 func newResultCache(size int) *flightCache[any] { return newFlightCache[any](size) }
 

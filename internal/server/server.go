@@ -105,8 +105,6 @@ type Config struct {
 	CorrelationWindows []time.Duration
 	// RequestTimeout bounds each request's computation; defaults to 10s.
 	RequestTimeout time.Duration
-	// CacheSize bounds the condprob result cache; defaults to 256 entries.
-	CacheSize int
 	// Limits overrides per-route admission limits; routes not listed keep
 	// their defaults (see defaultLimits). A zero-Concurrency entry makes
 	// that route unlimited.
@@ -114,9 +112,6 @@ type Config struct {
 	// BreakerThreshold is how many consecutive condprob compute failures
 	// open the circuit; defaults to 5.
 	BreakerThreshold int
-	// BreakerCooldown is how long the circuit stays open before one trial
-	// compute probes recovery; defaults to 10s.
-	BreakerCooldown time.Duration
 	// Middleware, when set, wraps the routed handler — the chaos injector
 	// (internal/faultinject) plugs in here.
 	Middleware func(http.Handler) http.Handler
@@ -142,9 +137,6 @@ type Config struct {
 	// ShardDeadline bounds one shard's slice of a scatter-gather query;
 	// defaults to DefaultShardDeadline.
 	ShardDeadline time.Duration
-	// HeartbeatInterval spaces supervision ticks; defaults to
-	// DefaultHeartbeatInterval.
-	HeartbeatInterval time.Duration
 	// HeartbeatDeadline expires a Ready shard that has not heartbeaten;
 	// defaults to store.DefaultHeartbeatDeadline.
 	HeartbeatDeadline time.Duration
@@ -290,10 +282,6 @@ func newServer(cfg Config) (*Server, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	cacheSize := cfg.CacheSize
-	if cacheSize <= 0 {
-		cacheSize = 256
-	}
 	limits := defaultLimits()
 	for route, lim := range cfg.Limits {
 		limits[route] = lim
@@ -306,7 +294,7 @@ func newServer(cfg Config) (*Server, error) {
 	return &Server{
 		fabric:       fab,
 		frozen:       cfg.FrozenDataset,
-		cache:        newResultCache(cacheSize),
+		cache:        newResultCache(resultCacheSize),
 		metrics:      newMetrics(),
 		idem:         newFlightCache[idemResult](1024),
 		limits:       limiters,
@@ -1252,9 +1240,9 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 	// drives every tenant fabric that wants supervision (multi-shard or
 	// standby-backed), and tenants created mid-serve join on the next tick.
 	if s.fabric.needsSupervision() {
-		every(s.fabric.hbEvery, func(time.Time) { s.fabric.tick(life) })
+		every(DefaultHeartbeatInterval, func(time.Time) { s.fabric.tick(life) })
 	}
-	every(s.fabric.hbEvery, func(time.Time) {
+	every(DefaultHeartbeatInterval, func(time.Time) {
 		s.eachTenant(func(_ string, ts *Server) {
 			if ts.fabric.needsSupervision() {
 				ts.fabric.tick(life)

@@ -114,7 +114,6 @@ type fabric struct {
 	window time.Duration
 	// deadline bounds each shard's slice of a scatter-gather query.
 	deadline time.Duration
-	hbEvery  time.Duration
 	// walTmpl is the per-shard WAL option template; Dir is the root under
 	// which each shard keeps its own segment tree (empty = no durability).
 	walTmpl wal.Options
@@ -685,7 +684,6 @@ func newFabric(cfg Config, w time.Duration, now func() time.Time, logf func(stri
 		fleet:       fleetCopy(ds.Systems),
 		owner:       owner,
 		deadline:    cmp.Or(max(cfg.ShardDeadline, 0), DefaultShardDeadline),
-		hbEvery:     cmp.Or(max(cfg.HeartbeatInterval, 0), DefaultHeartbeatInterval),
 		walTmpl:     cfg.ShardWAL,
 		rootWAL:     cfg.Shards == 0,
 		snapPolicy:  cfg.SnapshotPolicy,
@@ -731,7 +729,7 @@ func newFabric(cfg Config, w time.Duration, now func() time.Time, logf func(stri
 		sh := &shard{
 			idx:     i,
 			systems: fleetCopy(st.Snapshot().Dataset().Systems),
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, now),
+			breaker: newBreaker(cfg.BreakerThreshold, now),
 			st:      st,
 			engine:  engine,
 			journal: journal,

@@ -234,11 +234,8 @@ func (s *Server) buildTenantResource(name, dir string, m registry.Manifest) (reg
 		FrozenDataset:      s.tmpl.FrozenDataset,
 		CorrelationWindows: s.tmpl.CorrelationWindows,
 		RequestTimeout:     s.tmpl.RequestTimeout,
-		CacheSize:          s.tmpl.CacheSize,
 		BreakerThreshold:   s.tmpl.BreakerThreshold,
-		BreakerCooldown:    s.tmpl.BreakerCooldown,
 		ShardDeadline:      s.tmpl.ShardDeadline,
-		HeartbeatInterval:  s.tmpl.HeartbeatInterval,
 		HeartbeatDeadline:  s.tmpl.HeartbeatDeadline,
 		SpaceProbeInterval: s.tmpl.SpaceProbeInterval,
 		SnapshotPolicy:     s.tmpl.SnapshotPolicy,

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -158,15 +159,15 @@ func (t table[T]) read(r io.Reader, p validate.Policy, rep *validate.Report, kee
 // failures, the 1-based CSV line of each, and the report.
 func DecodeFailuresCSV(r io.Reader, p validate.Policy) ([]Failure, []int, *validate.Report, error) {
 	rep := &validate.Report{}
-	fs, lines, err := decodeFailures(r, p, rep)
+	fs, lines, err := decodeFailures(r, 0, p, rep)
 	return fs, lines, rep, err
 }
 
 // decodeFailures reads a failures table under p into rep, returning the
-// kept failures and the CSV line of each.
-func decodeFailures(r io.Reader, p validate.Policy, rep *validate.Report) ([]Failure, []int, error) {
-	var fs []Failure
-	var lines []int
+// kept failures and the CSV line of each; rows sizes both slices up front.
+func decodeFailures(r io.Reader, rows int, p validate.Policy, rep *validate.Report) ([]Failure, []int, error) {
+	fs := make([]Failure, 0, rows)
+	lines := make([]int, 0, rows)
 	if err := failuresTable.read(r, p, rep, func(f Failure, line int) {
 		fs = append(fs, f)
 		lines = append(lines, line)
@@ -547,11 +548,33 @@ func SanitizeDataset(ds *Dataset, p validate.Policy) (*Dataset, *validate.Report
 // reported, and the caller should move on.
 var errSkipRecord = errors.New("skip record")
 
-// into returns a loader that reads table t into *dst.
-func into[T any](t table[T], dst *[]T, p validate.Policy, rep *validate.Report) func(io.Reader) error {
-	return func(r io.Reader) error {
+// into returns a loader that reads table t into *dst, sized for rows.
+func into[T any](t table[T], dst *[]T, p validate.Policy, rep *validate.Report) func(io.Reader, int) error {
+	return func(r io.Reader, rows int) error {
+		*dst = make([]T, 0, rows)
 		return t.read(r, p, rep, func(v T, _ int) { *dst = append(*dst, v) })
 	}
+}
+
+// countRows counts f's lines through a fixed buffer — an upper bound on its
+// data rows that sizes the table's slice once, where append doubling would
+// copy it repeatedly — and seeks back to the start. The file is never held
+// in memory whole.
+func countRows(f *os.File) (int, error) {
+	var buf [32 << 10]byte
+	rows := 1 // a last line without a newline
+	for {
+		n, err := f.Read(buf[:])
+		rows += bytes.Count(buf[:n], []byte{'\n'})
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	_, err := f.Seek(0, io.SeekStart)
+	return rows, err
 }
 
 // LoadDirWith reads a dataset directory under a validation policy. The
@@ -567,11 +590,11 @@ func LoadDirWith(dir string, p validate.Policy) (*Dataset, *validate.Report, err
 	tables := []struct {
 		file     string
 		required bool
-		load     func(io.Reader) error
+		load     func(r io.Reader, rows int) error
 	}{
 		{SystemsFile, true, into(systemsTable, &d.Systems, p, rep)},
-		{FailuresFile, true, func(r io.Reader) error {
-			fs, lines, err := decodeFailures(r, p, rep)
+		{FailuresFile, true, func(r io.Reader, rows int) error {
+			fs, lines, err := decodeFailures(r, rows, p, rep)
 			if err != nil {
 				return err
 			}
@@ -593,7 +616,10 @@ func LoadDirWith(dir string, p validate.Policy) (*Dataset, *validate.Report, err
 		if err != nil {
 			return nil, rep, fmt.Errorf("load dataset: %w", err)
 		}
-		err = t.load(f)
+		rows, err := countRows(f)
+		if err == nil {
+			err = t.load(f, rows)
+		}
 		f.Close()
 		if err != nil {
 			return nil, rep, err

@@ -226,3 +226,53 @@ func TestLogOverMemFSEndToEnd(t *testing.T) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(want))
 	}
 }
+
+// readFailFS fails every read of a segment once the handle has read more
+// than after bytes, as a disk returning EIO mid-file would.
+type readFailFS struct {
+	iofault.FS
+	after int
+}
+
+type readFailFile struct {
+	iofault.File
+	left int
+}
+
+func (r readFailFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := r.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &readFailFile{File: f, left: r.after}, nil
+}
+
+func (f *readFailFile) Read(p []byte) (int, error) {
+	if f.left -= len(p); f.left < 0 {
+		return 0, &os.PathError{Op: "read", Path: f.Name(), Err: syscall.EIO}
+	}
+	return f.File.Read(p)
+}
+
+// TestOpenReadErrorKeepsLog: a read that fails says nothing about what the
+// segment holds, so it is an error for Open, never a torn tail to truncate
+// away with the acknowledged records behind it.
+func TestOpenReadErrorKeepsLog(t *testing.T) {
+	dir := t.TempDir()
+	l := open(t, Options{Dir: dir})
+	appendN(t, l, 0, 20)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := Open(Options{Dir: dir, FS: readFailFS{FS: iofault.Disk, after: 200}}); err == nil {
+		l.Close()
+		t.Error("Open read through an I/O error without reporting it")
+	} else if !errors.Is(err, syscall.EIO) {
+		t.Errorf("Open error %v, want EIO", err)
+	}
+	l = open(t, Options{Dir: dir})
+	defer l.Close()
+	if l.Count() != 20 {
+		t.Fatalf("after an I/O error during Open the log holds %d records, want 20", l.Count())
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/hpcfail/hpcfail/internal/iofault"
 )
@@ -27,33 +28,52 @@ import (
 var ErrGap = errors.New("wal: follower position compacted away")
 
 // Follower is a read-only cursor over a WAL directory. It is not safe for
-// concurrent use; the standby serializes access.
+// concurrent use; the standby serializes access. Its read loop is the only
+// code that scans record frames, and it holds the log's one corruption
+// rule:
+//
+//   - a newest segment shorter than a header holds no records (a rotation
+//     that crashed, or is still running, before its header landed);
+//   - a torn tail of the newest segment ends the log: the follower stops
+//     there and yields the records once the leader completes them;
+//   - a sealed segment (one with a successor) must hold whole records up to
+//     its last byte, and its successor must start where it ended;
+//   - a read that fails is an error, never a torn tail.
+//
+// Open recovers by draining a follower, so a standby applies exactly the
+// records its promotion would keep, and fails where that promotion would.
 type Follower struct {
-	dir string
-	fs  iofault.FS
-	pos uint64 // global index of the next record to yield
-	seg string // basename of the segment containing pos ("" = locate lazily)
-	off int64  // byte offset of the next record within seg
+	dir  string
+	fs   iofault.FS
+	pos  uint64 // global index of the record at off
+	skip uint64 // records to pass over before yielding (a Seek target ahead of pos)
+	seg  string // basename of the segment containing pos ("" = locate lazily)
+	off  int64  // byte offset of the next record within seg
+	torn bool   // the last read stopped at bytes that are not a whole record
+	stub string // newest segment left out for being shorter than a header
+	// entered, when set, sees every segment the follower steps into, in
+	// order; Open collects its segment list this way.
+	entered func(segment)
 }
 
-// OpenFollower opens a tailing cursor at the oldest surviving record of the
-// log in dir. A missing or empty directory is fine — the follower starts at
-// record 0 and picks segments up as the leader creates them.
-func OpenFollower(dir string) (*Follower, error) {
-	return OpenFollowerFS(nil, dir)
-}
-
-// OpenFollowerFS is OpenFollower over an explicit filesystem (nil means
-// the real disk); the follower must read through the same FS the leader
-// writes through, or fault-injection tests would tail a log that does not
-// exist. Only the oldest segment's header is read: the follower stands on
-// that segment's first record and checks every later segment's start as it
-// steps into it, the same chain Open verifies.
+// OpenFollowerFS opens a tailing cursor at the oldest surviving record of
+// the log in dir, reading through fsys (nil means the real disk); the
+// follower must read through the same FS the leader writes through, or
+// fault-injection tests would tail a log that does not exist. A missing or
+// empty directory is fine — the follower starts at record 0 and picks
+// segments up as the leader creates them.
 func OpenFollowerFS(fsys iofault.FS, dir string) (*Follower, error) {
+	return openFollower(fsys, dir, nil)
+}
+
+// openFollower is OpenFollowerFS with an entered hook. Only the oldest
+// segment's header is read: the follower stands on that segment's first
+// record and checks every later segment's start as it steps into it.
+func openFollower(fsys iofault.FS, dir string, entered func(segment)) (*Follower, error) {
 	if dir == "" {
 		return nil, errors.New("wal: follower needs a directory")
 	}
-	f := &Follower{dir: dir, fs: iofault.Or(fsys)}
+	f := &Follower{dir: dir, fs: iofault.Or(fsys), entered: entered}
 	names, err := f.segmentList()
 	if err != nil {
 		return nil, err
@@ -63,7 +83,7 @@ func OpenFollowerFS(fsys iofault.FS, dir string) (*Follower, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.pos, f.seg, f.off = first, names[0], int64(headerSize)
+		f.enter(names[0], first)
 	}
 	return f, nil
 }
@@ -71,23 +91,29 @@ func OpenFollowerFS(fsys iofault.FS, dir string) (*Follower, error) {
 // Position returns the global index of the next record the follower will
 // yield — equivalently, how many records it has consumed (plus any the
 // leader compacted before the follower started).
-func (f *Follower) Position() uint64 { return f.pos }
+func (f *Follower) Position() uint64 { return f.pos + f.skip }
 
 // Seek repositions the follower to the given global record index (used
 // after restoring a leader snapshot that already covers earlier records).
-// The segment holding the index is located lazily on the next read.
+// The segment holding the index is located lazily on the next read; a
+// target past the durable tail leaves the follower at the tail.
 func (f *Follower) Seek(pos uint64) {
-	f.pos = pos
-	f.seg = ""
-	f.off = 0
+	f.pos, f.skip, f.seg = pos, 0, ""
+}
+
+// enter stands the follower at the first record of segment name.
+func (f *Follower) enter(name string, first uint64) {
+	f.seg, f.off, f.pos = name, int64(headerSize), first
+	if f.entered != nil {
+		f.entered(segment{path: filepath.Join(f.dir, name), first: first})
+	}
 }
 
 // segmentList reads the directory and returns segment basenames ascending.
 // A directory that does not exist yet reads as empty. A newest segment
-// shorter than a header holds no records — a rotation that crashed (or is
-// still running) before its header landed — so it is left out, exactly as
-// Open discards it; a short segment with successors stays in the list and
-// fails its header read.
+// shorter than a header holds no records, so it is left out (and named in
+// f.stub for Open to remove); a short segment with successors stays in the
+// list and fails its header read.
 func (f *Follower) segmentList() ([]string, error) {
 	names, err := segmentFiles(f.fs, f.dir)
 	if err != nil {
@@ -96,6 +122,7 @@ func (f *Follower) segmentList() ([]string, error) {
 		}
 		return nil, err
 	}
+	f.stub = ""
 	if n := len(names); n > 0 {
 		// A segment gone since the listing was a stub Open discarded.
 		fi, err := f.fs.Stat(filepath.Join(f.dir, names[n-1]))
@@ -103,62 +130,28 @@ func (f *Follower) segmentList() ([]string, error) {
 			return nil, fmt.Errorf("wal: follower: %w", err)
 		}
 		if err != nil || fi.Size() < int64(headerSize) {
-			names = names[:n-1]
+			f.stub, names = names[n-1], names[:n-1]
 		}
 	}
 	return names, nil
 }
 
-// locate finds the segment containing f.pos and the byte offset of that
-// record, scanning record frames from the segment header. It returns ErrGap
-// when f.pos is below the oldest live record — the leader compacted past us.
-func (f *Follower) locate(names []string) error {
-	if len(names) == 0 {
-		return nil // nothing to read yet
-	}
-	// Pick the last segment whose first index is <= pos.
-	chosen := ""
-	var chosenFirst uint64
-	for _, name := range names {
-		first, err := readSegmentFirst(f.fs, filepath.Join(f.dir, name))
-		if err != nil {
-			return err
-		}
-		if first <= f.pos {
-			chosen, chosenFirst = name, first
-		}
-	}
-	if chosen == "" {
-		// Every live segment starts past pos: the records at pos were
-		// compacted away.
-		return fmt.Errorf("%w (want record %d, oldest live segment starts later)", ErrGap, f.pos)
-	}
-	// Scan frames forward to the target record.
-	file, err := iofault.Open(f.fs, filepath.Join(f.dir, chosen))
+// locate stands the follower at the start of the oldest live segment,
+// leaving the records before its position to skip, so a sought follower
+// reads every live record through the one read loop, as Open does. It
+// returns ErrGap when the position is below the oldest live record — the
+// leader compacted past us.
+func (f *Follower) locate(oldest string) error {
+	first, err := readSegmentFirst(f.fs, filepath.Join(f.dir, oldest))
 	if err != nil {
-		return fmt.Errorf("wal: follower: %w", err)
+		return err
 	}
-	defer file.Close()
-	if _, err := file.Seek(int64(headerSize), io.SeekStart); err != nil {
-		return fmt.Errorf("wal: follower: %w", err)
+	target := f.Position()
+	if first > target {
+		return fmt.Errorf("%w (want record %d, oldest live segment starts at %d)", ErrGap, target, first)
 	}
-	cr := &countReader{r: file}
-	idx := chosenFirst
-	var buf []byte
-	for idx < f.pos {
-		payload, ok := readRecord(cr, buf)
-		if !ok {
-			// The target record is not readable yet (leader mid-write or pos
-			// past the durable tail). Stand at the valid prefix end; reads
-			// will resume once the record completes.
-			break
-		}
-		buf = payload
-		idx++
-	}
-	f.seg = chosen
-	f.off = int64(headerSize) + cr.n
-	f.pos = idx
+	f.enter(oldest, first)
+	f.skip = target - first
 	return nil
 }
 
@@ -166,15 +159,15 @@ func (f *Follower) locate(names []string) error {
 func readSegmentFirst(fsys iofault.FS, path string) (uint64, error) {
 	file, err := iofault.Open(fsys, path)
 	if err != nil {
-		return 0, fmt.Errorf("wal: follower: %w", err)
+		return 0, fmt.Errorf("wal: %w", err)
 	}
 	defer file.Close()
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(file, hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: follower: %s: short header: %w", filepath.Base(path), err)
+		return 0, fmt.Errorf("wal: %s: short header: %w", filepath.Base(path), err)
 	}
 	if string(hdr[:len(magic)]) != magic {
-		return 0, fmt.Errorf("wal: follower: %s: bad magic %q", filepath.Base(path), hdr[:len(magic)])
+		return 0, fmt.Errorf("wal: %s: bad magic %q", filepath.Base(path), hdr[:len(magic)])
 	}
 	return binary.BigEndian.Uint64(hdr[len(magic):]), nil
 }
@@ -189,19 +182,16 @@ func (f *Follower) Next(max int, fn func(idx uint64, payload []byte) error) (int
 	if err != nil {
 		return 0, err
 	}
-	if f.seg == "" {
-		if err := f.locate(names); err != nil {
+	// A segment compacted away while we were not looking is relocated like a
+	// fresh Seek (which reports ErrGap if the position itself is gone).
+	if f.seg == "" || !slices.Contains(names, f.seg) {
+		f.seg = ""
+		if len(names) == 0 {
+			return 0, nil // nothing to read yet
+		}
+		if err := f.locate(names[0]); err != nil {
 			return 0, err
 		}
-		if f.seg == "" {
-			return 0, nil
-		}
-	}
-	// The current segment may have been compacted away while we were not
-	// looking; relocate (which reports ErrGap if pos itself is gone).
-	if !containsName(names, f.seg) {
-		f.seg = ""
-		return f.Next(max, fn)
 	}
 	read := 0
 	var buf []byte
@@ -214,50 +204,57 @@ func (f *Follower) Next(max int, fn func(idx uint64, payload []byte) error) (int
 			file.Close()
 			return read, fmt.Errorf("wal: follower: %w", err)
 		}
-		cr := &countReader{r: file}
 		for max <= 0 || read < max {
-			payload, ok := readRecord(cr, buf)
-			if !ok {
+			payload, rerr := readRecord(file, buf)
+			if rerr == io.EOF || rerr == errTorn {
+				f.torn = rerr == errTorn
 				break
 			}
+			if rerr != nil {
+				file.Close()
+				return read, fmt.Errorf("wal: follower: %s: %w", f.seg, rerr)
+			}
 			buf = payload
-			if fn != nil {
-				if err := fn(f.pos, payload); err != nil {
-					file.Close()
-					return read, err
+			if f.skip > 0 {
+				f.skip--
+			} else {
+				if fn != nil {
+					if err := fn(f.pos, payload); err != nil {
+						file.Close()
+						return read, err
+					}
 				}
+				read++
 			}
 			f.pos++
 			f.off += int64(frameSize + len(payload))
-			read++
 		}
 		file.Close()
 		if max > 0 && read >= max {
 			return read, nil
 		}
-		// Exhausted the current segment's valid prefix: if a successor
-		// segment starts exactly at our position, the current one is sealed —
-		// move on. Otherwise we are at the durable tail (or waiting out a
-		// torn in-flight append) and stop here.
-		next := nameAfter(names, f.seg)
-		if next == "" {
+		// Exhausted the current segment's whole records. Without a successor
+		// we are at the durable tail (or waiting out a torn in-flight append),
+		// and a Seek target past it leaves us here. With one, this segment is
+		// sealed: it must end on a record boundary, and the successor must
+		// start at our position.
+		i := slices.Index(names, f.seg)
+		if i+1 == len(names) {
+			f.skip = 0
 			return read, nil
 		}
+		if f.torn {
+			return read, fmt.Errorf("wal: %s: corrupt record mid-log (valid to byte %d)", f.seg, f.off)
+		}
+		next := names[i+1]
 		first, err := readSegmentFirst(f.fs, filepath.Join(f.dir, next))
 		if err != nil {
 			return read, err
 		}
 		if first != f.pos {
-			if first < f.pos {
-				return read, fmt.Errorf("wal: follower: segment %s starts at %d, behind position %d", next, first, f.pos)
-			}
-			// first > pos with a sealed successor: records between pos and
-			// first fail their frame check — mid-log corruption, the same
-			// condition Open refuses to start over.
-			return read, fmt.Errorf("wal: follower: segment %s: corrupt record mid-log before index %d", f.seg, first)
+			return read, fmt.Errorf("wal: %s starts at record %d, want %d (missing segment?)", next, first, f.pos)
 		}
-		f.seg = next
-		f.off = int64(headerSize)
+		f.enter(next, first)
 	}
 }
 
@@ -268,24 +265,6 @@ func (f *Follower) Pending() (uint64, error) {
 	c := *f
 	n, err := c.Next(0, nil)
 	return uint64(n), err
-}
-
-func containsName(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-func nameAfter(names []string, name string) string {
-	for i, n := range names {
-		if n == name && i+1 < len(names) {
-			return names[i+1]
-		}
-	}
-	return ""
 }
 
 // Ship-batch wire format: how a run of WAL records crosses the replication

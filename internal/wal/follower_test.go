@@ -42,9 +42,9 @@ func TestFollowerTailsLiveLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := OpenFollower(dir)
+	f, err := OpenFollowerFS(nil, dir)
 	if err != nil {
-		t.Fatalf("OpenFollower: %v", err)
+		t.Fatalf("OpenFollowerFS: %v", err)
 	}
 	if got := tail(t, f, 0); len(got) != 5 || got[0] != "record-0000" || got[4] != "record-0004" {
 		t.Fatalf("first drain = %v", got)
@@ -80,7 +80,7 @@ func TestFollowerCrossesSegmentsWithMax(t *testing.T) {
 		t.Fatalf("Segments = %d, want rotation", l.Segments())
 	}
 
-	f, err := OpenFollower(dir)
+	f, err := OpenFollowerFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFollowerSeekAndPending(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := OpenFollower(dir)
+	f, err := OpenFollowerFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFollowerGapAfterCompact(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenFollower(dir)
+	f, err := OpenFollowerFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +151,9 @@ func TestFollowerGapAfterCompact(t *testing.T) {
 
 func TestFollowerEmptyAndLateDirectory(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFollower(dir)
+	f, err := OpenFollowerFS(nil, dir)
 	if err != nil {
-		t.Fatalf("OpenFollower(empty): %v", err)
+		t.Fatalf("OpenFollowerFS(empty): %v", err)
 	}
 	if got := tail(t, f, 0); len(got) != 0 {
 		t.Fatalf("empty-dir drain = %v", got)
@@ -259,7 +259,7 @@ func TestFollowerIgnoresTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := OpenFollower(dir)
+	f, err := OpenFollowerFS(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -34,9 +35,10 @@ func fuzzSegmentAt(first uint64, payloads ...[]byte) []byte {
 // never panics, always terminates, and any well-formed record prefix is
 // recovered intact — appending garbage after a valid segment image must
 // not change what replays. Differentially, the bytes also become the newest
-// segment after a valid sealed one: Open fails exactly when a follower
-// draining the directory fails, and otherwise the follower yields exactly
-// the records Open counts.
+// segment after a valid sealed one, and then the sealed segment ahead of a
+// valid successor: Open fails exactly when a follower draining the
+// directory fails, and otherwise the follower yields the records ReplayBytes
+// reads and Open counts them.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -50,6 +52,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(fuzzSegmentAt(uint64(len(fuzzSealed)), []byte("three")))
 	f.Add(append(fuzzSegmentAt(uint64(len(fuzzSealed))), 0x00, 0x00))
 	f.Add([]byte(magic)[:5])
+	f.Add(append(fuzzSegment([]byte("one"), []byte("two"), []byte("three")), 0, 0, 0, 9, 1, 2, 3, 4, 5))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var records [][]byte
@@ -91,21 +94,47 @@ func FuzzWALReplay(f *testing.F) {
 // the fuzz bytes after.
 var fuzzSealed = [][]byte{[]byte("one"), []byte("two")}
 
-// checkFollowerMatchesOpen writes data as the newest segment after a valid
-// sealed segment holding fuzzSealed, drains a follower over the directory,
-// then opens the log there (Open repairs the tail, so the follower reads
-// first). records are data's valid prefix as ReplayBytes yields it.
+// fuzzSuccessor is the record the valid successor of a sealed fuzz segment
+// holds.
+var fuzzSuccessor = []byte("three")
+
+// checkFollowerMatchesOpen runs the differential twice. First data is the
+// newest segment after a valid sealed one holding fuzzSealed: the log holds
+// those records plus data's valid prefix. Then data is the sealed first
+// segment, ahead of a valid successor starting where data's valid prefix
+// ends: the log holds that prefix plus fuzzSuccessor, or, when data is not
+// whole records to its last byte, both Open and a follower fail. records is
+// data's valid prefix as ReplayBytes yields it.
 func checkFollowerMatchesOpen(t *testing.T, data []byte, records [][]byte) {
+	t.Helper()
+	var first uint64
+	header := len(data) >= headerSize && string(data[:len(magic)]) == magic
+	if header {
+		first = binary.BigEndian.Uint64(data[len(magic):headerSize])
+	}
+	// A stub newest segment holds no records; any other must continue the
+	// sealed one.
+	newest := len(data) < headerSize || header && first == uint64(len(fuzzSealed))
+	checkDrain(t, 0, append(append([][]byte(nil), fuzzSealed...), records...), newest,
+		fuzzSegment(fuzzSealed...), data)
+
+	whole := header && len(fuzzSegmentAt(first, records...)) == len(data)
+	checkDrain(t, first, append(records, fuzzSuccessor), whole,
+		data, fuzzSegmentAt(first+uint64(len(records)), fuzzSuccessor))
+}
+
+// checkDrain writes segs as a log directory, drains a follower over it, then
+// opens the log there (Open repairs the tail, so the follower reads first).
+// When ok, both must succeed, the follower must yield want from index
+// first on, and Open must count to its end; otherwise both must fail.
+func checkDrain(t *testing.T, first uint64, want [][]byte, ok bool, segs ...[]byte) {
 	t.Helper()
 	fs := iofault.NewMemFS()
 	if err := fs.MkdirAll("/wal", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, img := range map[string][]byte{
-		"/wal/wal-00000001.seg": fuzzSegment(fuzzSealed...),
-		"/wal/wal-00000002.seg": data,
-	} {
-		f, err := fs.OpenFile(name, os.O_CREATE|os.O_WRONLY, 0o644)
+	for i, img := range segs {
+		f, err := fs.OpenFile(fmt.Sprintf("/wal/wal-%08d.seg", i+1), os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,27 +149,25 @@ func checkFollowerMatchesOpen(t *testing.T, data []byte, records [][]byte) {
 	fol, ferr := OpenFollowerFS(fs, "/wal")
 	if ferr == nil {
 		_, ferr = fol.Next(0, func(idx uint64, p []byte) error {
-			if idx != uint64(len(followed)) {
-				t.Fatalf("follower yielded index %d, want %d", idx, len(followed))
+			if want := first + uint64(len(followed)); idx != want {
+				t.Fatalf("follower yielded index %d, want %d", idx, want)
 			}
 			followed = append(followed, append([]byte(nil), p...))
 			return nil
 		})
 	}
 	l, oerr := Open(Options{Dir: "/wal", FS: fs})
-	if (ferr != nil) != (oerr != nil) {
-		t.Fatalf("follower error %v, Open error %v: they must fail together", ferr, oerr)
+	if oerr == nil {
+		defer l.Close()
 	}
-	if oerr != nil {
+	if (ferr == nil) != ok || (oerr == nil) != ok {
+		t.Fatalf("follower error %v, Open error %v, want success %v for both", ferr, oerr, ok)
+	}
+	if !ok {
 		return
 	}
-	defer l.Close()
-	if uint64(len(followed)) != l.Count() {
-		t.Fatalf("follower yielded %d records, Open counts %d", len(followed), l.Count())
-	}
-	want := append(append([][]byte(nil), fuzzSealed...), records...)
-	if len(data) < headerSize {
-		want = fuzzSealed // a stub newest segment holds no records
+	if end := first + uint64(len(followed)); end != l.Count() {
+		t.Fatalf("follower ends at record %d, Open counts %d", end, l.Count())
 	}
 	if len(followed) != len(want) {
 		t.Fatalf("follower yielded %d records, want %d", len(followed), len(want))

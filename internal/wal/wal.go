@@ -10,11 +10,12 @@
 // Layout: a directory of fixed-prefix segment files (wal-00000001.seg,
 // ...), each starting with an 8-byte magic and the global index of its
 // first record, followed by length+CRC32C-framed records. Appends go to the
-// newest segment and rotate once it exceeds the size bound. On open, the
-// final segment's torn tail (a record cut short by a crash mid-write) is
-// detected by the framing checks and truncated away; records before the
-// tear are kept. A Follower (follower.go) is the one reader of records: it
-// iterates every surviving record in append order.
+// newest segment and rotate once it exceeds the size bound. A Follower
+// (follower.go) is the one reader of records: its read loop is the only
+// code that scans frames, and it holds the one corruption rule. Open
+// recovers by draining a follower from the oldest segment, then truncates
+// the final segment's torn tail (a record cut short by a crash mid-write)
+// to the last whole record; records before the tear are kept.
 //
 // Three fsync policies trade durability for ingest throughput:
 //
@@ -142,12 +143,14 @@ type Log struct {
 type segment struct {
 	path  string
 	first uint64 // global index of its first record
-	n     uint64 // records it holds
 }
 
-// Open opens (creating if needed) the log in opts.Dir, scans every segment
-// to count records, and truncates the final segment's torn tail. The
-// returned log appends after the last surviving record.
+// Open opens (creating if needed) the log in opts.Dir. Recovery is a
+// Follower drain from the oldest segment, so Open keeps exactly the records
+// a standby over the directory applies and refuses what it refuses (see
+// Follower for the rule); it then removes a newest segment shorter than a
+// header and truncates a torn tail to the last whole record. The returned
+// log appends after the last surviving record.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: empty directory")
@@ -174,68 +177,35 @@ func Open(opts Options) (*Log, error) {
 		l.now = time.Now
 	}
 
-	names, err := segmentFiles(fsys, opts.Dir)
+	fol, err := openFollower(fsys, opts.Dir, func(s segment) { l.segs = append(l.segs, s) })
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range names {
-		path := filepath.Join(opts.Dir, name)
-		last := i == len(names)-1
-		if last {
-			// A crash during rotation can leave the newest segment with a
-			// torn header; it holds no records, so discard it.
-			if fi, serr := fsys.Stat(path); serr == nil && fi.Size() < int64(headerSize) {
-				if err := fsys.Remove(path); err != nil {
-					return nil, fmt.Errorf("wal: removing torn segment %s: %w", name, err)
-				}
-				break
-			}
-		}
-		first, n, validLen, err := scanSegment(fsys, path)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %s: %w", name, err)
-		}
-		if !last {
-			// A tear inside a non-final segment is not a crash artifact
-			// (later segments exist, so this one was complete once): refuse
-			// rather than silently drop acknowledged records.
-			if fi, serr := fsys.Stat(path); serr == nil && fi.Size() != validLen {
-				return nil, fmt.Errorf("wal: %s: corrupt record mid-log (valid to byte %d of %d)", name, validLen, fi.Size())
-			}
-		} else if fi, serr := fsys.Stat(path); serr == nil && fi.Size() != validLen {
-			// Torn tail of the newest segment: truncate to the valid prefix.
-			if err := fsys.Truncate(path, validLen); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", name, err)
-			}
-		}
-		if i == 0 {
-			l.count = first
-		} else if first != l.count {
-			return nil, fmt.Errorf("wal: %s starts at record %d, want %d (missing segment?)", name, first, l.count)
-		}
-		l.segs = append(l.segs, segment{path: path, first: first, n: n})
-		l.count = first + n
-		if last {
-			l.fSize = validLen
+	if _, err := fol.Next(0, nil); err != nil {
+		return nil, err
+	}
+	if fol.stub != "" {
+		// A crash during rotation tore the newest segment's header.
+		if err := fsys.Remove(filepath.Join(opts.Dir, fol.stub)); err != nil {
+			return nil, fmt.Errorf("wal: removing torn segment %s: %w", fol.stub, err)
 		}
 	}
+	l.count = fol.pos
 	if len(l.segs) == 0 {
 		if err := l.rotate(); err != nil {
 			return nil, err
 		}
 	} else {
 		path := l.segs[len(l.segs)-1].path
-		f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		if fol.torn {
+			if err := fsys.Truncate(path, fol.off); err != nil {
+				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", fol.seg, err)
+			}
+		}
+		if l.f, err = fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.f = f
-		l.fSize = fi.Size()
+		l.fSize = fol.off
 	}
 	l.lastSync = l.now()
 	return l, nil
@@ -257,80 +227,45 @@ func segmentFiles(fsys iofault.FS, dir string) ([]string, error) {
 	return names, nil
 }
 
-// scanSegment reads one segment, returning its first-record index, how many
-// valid records it holds, and the byte length of the valid prefix. A short
-// or checksum-failing record ends the scan without error (that is the torn
-// tail Open truncates); a corrupt header is an error.
-func scanSegment(fsys iofault.FS, path string) (first, n uint64, validLen int64, err error) {
-	f, err := iofault.Open(fsys, path)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer f.Close()
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("short header: %w", err)
-	}
-	if string(hdr[:len(magic)]) != magic {
-		return 0, 0, 0, fmt.Errorf("bad magic %q", hdr[:len(magic)])
-	}
-	first = binary.BigEndian.Uint64(hdr[len(magic):])
-	validLen = int64(headerSize)
-	r := &countReader{r: f}
-	for {
-		payload, ok := readRecord(r, nil)
-		if !ok {
-			return first, n, validLen, nil
-		}
-		_ = payload
-		n++
-		validLen = int64(headerSize) + r.n
-	}
-}
+// errTorn reports bytes that are not a whole, intact record.
+var errTorn = errors.New("wal: torn record")
 
-// countReader counts consumed bytes so the scanner knows the valid prefix.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readRecord reads one framed record into buf (growing it as needed),
-// reporting false on EOF, a short read, an oversized length, or a checksum
-// mismatch — all treated as "no more valid records".
-func readRecord(r io.Reader, buf []byte) ([]byte, bool) {
+// readRecord reads one framed record into buf (growing it as needed). It
+// returns io.EOF when r ends exactly on a record boundary, errTorn when the
+// bytes there are not a whole record (a short read, an oversized or empty
+// length, a checksum mismatch), and any other error r reports — a failed
+// read says nothing about what the file holds.
+func readRecord(r io.Reader, buf []byte) ([]byte, error) {
 	var frame [frameSize]byte
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
-		return nil, false
+		if err == io.ErrUnexpectedEOF {
+			err = errTorn
+		}
+		return nil, err
 	}
 	length := binary.BigEndian.Uint32(frame[:4])
 	sum := binary.BigEndian.Uint32(frame[4:])
-	if length > MaxRecord {
-		return nil, false
-	}
 	// An empty record's frame would be eight zero bytes (CRC32C of nothing
 	// is zero) — indistinguishable from a zeroed gap left by dropped pages,
 	// a sparse hole, or an unwritten tail. Append refuses empty payloads,
 	// so a zero-length frame here is always damage, never data.
-	if length == 0 {
-		return nil, false
+	if length == 0 || length > MaxRecord {
+		return nil, errTorn
 	}
 	if cap(buf) < int(length) {
 		buf = make([]byte, length)
 	}
 	buf = buf[:length]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, false
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errTorn
+		}
+		return nil, err
 	}
 	if crc32.Checksum(buf, castagnoli) != sum {
-		return nil, false
+		return nil, errTorn
 	}
-	return buf, true
+	return buf, nil
 }
 
 // rotate syncs and closes the current segment and starts the next one.
@@ -470,7 +405,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.fSize += int64(len(buf))
 	idx := l.count
 	l.count++
-	l.segs[len(l.segs)-1].n++
 	l.dirty = true
 	switch l.policy {
 	case SyncAlways:
@@ -564,7 +498,7 @@ func (l *Log) Close() error {
 // segment, so some covered records may survive; that only costs replay
 // time, never correctness.
 func (l *Log) Compact(upTo uint64) error {
-	for len(l.segs) > 1 && l.segs[0].first+l.segs[0].n <= upTo {
+	for len(l.segs) > 1 && l.segs[1].first <= upTo {
 		if err := l.fs.Remove(l.segs[0].path); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -587,8 +521,8 @@ func ReplayBytes(data []byte, fn func(payload []byte) error) (int, error) {
 	n := 0
 	var buf []byte
 	for {
-		payload, ok := readRecord(r, buf)
-		if !ok {
+		payload, err := readRecord(r, buf)
+		if err != nil {
 			return n, nil
 		}
 		buf = payload

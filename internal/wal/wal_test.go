@@ -235,6 +235,46 @@ func TestMidLogCorruptionRefused(t *testing.T) {
 	}
 }
 
+// TestSealedSegmentTrailingBytes pins the one corruption rule on sealed
+// segments: a segment with a successor must hold whole records up to its
+// last byte. Open and a follower draining the directory both refuse one
+// that does not, whether bytes trail its last record or that record fails
+// its checksum.
+func TestSealedSegmentTrailingBytes(t *testing.T) {
+	records := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
+	sealed := fuzzSegment(records...)
+	flipped := bytes.Clone(sealed)
+	flipped[len(flipped)-1] ^= 0xff
+	for name, img := range map[string][]byte{
+		"trailing-bytes": append(bytes.Clone(sealed), 0, 0, 0, 9, 1, 2, 3, 4, 5),
+		"last-crc":       flipped,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, data := range map[string][]byte{
+				"wal-00000001.seg": img,
+				"wal-00000002.seg": fuzzSegmentAt(uint64(len(records))),
+			} {
+				if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := OpenFollowerFS(nil, dir)
+			if err != nil {
+				t.Fatalf("OpenFollowerFS: %v", err)
+			}
+			n, ferr := f.Next(0, nil)
+			if ferr == nil {
+				t.Errorf("follower drained %d records past a damaged sealed segment", n)
+			}
+			if l, err := Open(Options{Dir: dir}); err == nil {
+				l.Close()
+				t.Errorf("Open accepted a damaged sealed segment (follower error: %v)", ferr)
+			}
+		})
+	}
+}
+
 // TestTornHeaderSegmentDiscarded simulates a crash during rotation: a
 // newest segment shorter than its header holds no records and is removed.
 func TestTornHeaderSegmentDiscarded(t *testing.T) {
