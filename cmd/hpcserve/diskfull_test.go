@@ -57,14 +57,13 @@ func TestKillAndRecoverDiskFull(t *testing.T) {
 	ctx := context.Background()
 
 	// Victim: every acked event fsynced, snapshots off, and a WAL filesystem
-	// that turns sticky disk-full after ~1.5 KiB of appends. Probing is
-	// un-throttled so recovery happens on the first write after space frees.
+	// that turns sticky disk-full after ~1.5 KiB of appends. While it is
+	// read-only, every upkeep round probes for space.
 	victim, _ := startServe(t, bin,
 		"-data", dataDir, "-addr", addr1,
 		"-wal", walDir, "-wal-fsync", "always", "-snapshot-every", "0",
 		"-wal-fault-enospc-after-bytes", "1536",
-		"-wal-fault-clear-file", clearFile,
-		"-space-probe-every", "-1ms")
+		"-wal-fault-clear-file", clearFile)
 
 	// A fast-fail client (no retries) so the first read-only rejection
 	// surfaces immediately instead of being retried away.
@@ -115,10 +114,19 @@ func TestKillAndRecoverDiskFull(t *testing.T) {
 		t.Errorf("readyz status = %q, want read-only; body: %s", ready.Status, body)
 	}
 
-	// Operator frees space. The next write probes, clears the latch, and
-	// ingest resumes — no restart.
+	// Operator frees space. The next upkeep round probes and clears the
+	// latch, /readyz says so, and ingest resumes — no restart.
 	if err := os.WriteFile(clearFile, []byte("ok"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ready.Status != "ready"; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz still %q 10s after space was freed", ready.Status)
+		}
+		if body, err = vc.Get(ctx, "/readyz"); err != nil {
+			t.Fatalf("readyz while recovering: %v", err)
+		}
+		json.Unmarshal(body, &ready)
 	}
 	extra := 3
 	for i := acked; i < acked+extra; i++ {

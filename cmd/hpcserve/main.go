@@ -20,7 +20,11 @@
 // observes them and the engine state is snapshotted periodically; on
 // startup the snapshot is restored and the WAL tail replayed — into both
 // the engine and the dataset store — so a crashed server resumes with state
-// identical to an uninterrupted run.
+// identical to an uninterrupted run. One upkeep loop (every 500ms, or every
+// -wal-fsync-interval under -wal-fsync interval when that is shorter)
+// flushes a quiet interval-policy WAL, writes the snapshots -snapshot-every
+// makes due, and, after a full disk has made a shard read-only, probes for
+// space until writes can resume.
 //
 // With -shards N, the fleet is split into N supervised fault domains by
 // consistent hashing on system ID; each shard has its own store, engine and
@@ -90,11 +94,10 @@ func run(args []string) error {
 	corrWindows := fs.String("correlation-windows", "", "comma-separated correlation-mining windows: day, week, month or Go durations (empty = day,week)")
 	walDir := fs.String("wal", "", "write-ahead-log directory (empty = no durability)")
 	walFsync := fs.String("wal-fsync", "interval", "WAL fsync policy: always, interval or never")
-	walFsyncEvery := fs.Duration("wal-fsync-interval", 100*time.Millisecond, "max time appends stay unsynced under -wal-fsync=interval")
+	walFsyncEvery := fs.Duration("wal-fsync-interval", 100*time.Millisecond, "fsync spacing under -wal-fsync=interval (an acked append reaches disk within two of these)")
 	snapEvery := fs.Duration("snapshot-every", 5*time.Minute, "engine snapshot spacing under -wal (0 = WAL only)")
 	faultENOSPC := fs.Int64("wal-fault-enospc-after-bytes", 0, "fault injection: WAL filesystem turns sticky disk-full after this many bytes written (0 = off)")
 	faultClear := fs.String("wal-fault-clear-file", "", "fault injection: creating this file clears the injected disk-full condition (operator 'freed space')")
-	probeEvery := fs.Duration("space-probe-every", 0, "min interval between disk-space recovery probes while read-only (0 = server default, negative = probe every attempt)")
 	shards := fs.Int("shards", 0, "split the fleet into N supervised fault-domain shards (0 = single-store layout)")
 	standby := fs.Bool("standby", false, "give every shard a warm standby replaying its WAL (needs -shards and -wal)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "enable deterministic fault injection with this seed (0 = off)")
@@ -164,7 +167,7 @@ func run(args []string) error {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-	cfg := server.Config{FrozenDataset: !*liveIngest, Window: *window, CorrelationWindows: corrWins, Logf: logf, SpaceProbeInterval: *probeEvery}
+	cfg := server.Config{FrozenDataset: !*liveIngest, Window: *window, CorrelationWindows: corrWins, Logf: logf}
 
 	// Optional storage-fault injection: wrap the real filesystem so the WAL
 	// (and snapshot machinery) hit a deterministic ENOSPC wall mid-run. Used

@@ -397,13 +397,22 @@ func Apply(eng *Engine, st *store.Store, events []trace.Failure, errs []error) e
 	return err
 }
 
-// Sync flushes outstanding WAL appends regardless of fsync policy — the
-// serving layer calls it on its maintenance tick and during shutdown so a
-// quiet SyncInterval log never sits dirty for long.
+// Sync flushes outstanding WAL appends regardless of fsync policy; the
+// serving layer calls it during shutdown.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.log.Sync()
+}
+
+// Flush syncs outstanding WAL appends when the fsync policy makes a sync
+// due (wal.Log.Flush). The serving layer calls it every upkeep round, so a
+// SyncInterval log that no later append follows still syncs on the first
+// round at least one interval after its last sync.
+func (j *Journal) Flush() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.log.Flush()
 }
 
 // MaybeSnapshot writes an engine snapshot when the spacing policy says one

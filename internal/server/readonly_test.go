@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -15,18 +16,17 @@ import (
 )
 
 // newReadOnlyTestServer builds a journal-backed server whose WAL sits on a
-// fault-injecting filesystem, with space probing un-throttled so recovery
-// is deterministic in-process.
-func newReadOnlyTestServer(t *testing.T) (*httptest.Server, *iofault.Inject) {
+// fault-injecting filesystem. Nothing ticks in-process: the test drives
+// each upkeep round (and so each space probe) with SuperviseTick.
+func newReadOnlyTestServer(t *testing.T) (*httptest.Server, *Server, *iofault.Inject) {
 	t.Helper()
 	inj := iofault.NewInject(iofault.Disk, iofault.InjectSpec{})
 	clock := &fakeClock{t: day(100)}
 	s, err := New(Config{
-		Dataset:            testDS(),
-		Window:             trace.Day,
-		ShardWAL:           wal.Options{Dir: t.TempDir(), FS: inj},
-		Now:                clock.Now,
-		SpaceProbeInterval: -1, // probe on every gated attempt
+		Dataset:  testDS(),
+		Window:   trace.Day,
+		ShardWAL: wal.Options{Dir: t.TempDir(), FS: inj},
+		Now:      clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,15 +34,15 @@ func newReadOnlyTestServer(t *testing.T) (*httptest.Server, *iofault.Inject) {
 	t.Cleanup(func() { s.Close() })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return ts, inj
+	return ts, s, inj
 }
 
 // TestDiskFullEntersReadOnly: an ENOSPC WAL append latches the server into
 // sticky read-only mode — writes get 503 with Retry-After and X-Read-Only,
 // reads keep serving, /readyz reports "read-only" — and clearing the fault
-// lets the next write probe its way back to normal service.
+// lets the next upkeep round probe its way back to normal service.
 func TestDiskFullEntersReadOnly(t *testing.T) {
-	ts, inj := newReadOnlyTestServer(t)
+	ts, s, inj := newReadOnlyTestServer(t)
 
 	if resp, b := postEvents(t, ts.URL, `{"events":[{"system":1,"node":0,"category":"HW","hw":"CPU"}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy ingest = %d; body: %s", resp.StatusCode, b)
@@ -95,8 +95,14 @@ func TestDiskFullEntersReadOnly(t *testing.T) {
 		t.Errorf("metrics missing wal append error counter:\n%s", metrics)
 	}
 
-	// Space comes back: the next write probes, clears the latch, and lands.
+	// Space comes back, but only a probe lifts the latch: a write before
+	// the next upkeep round is still gated.
 	inj.SetDiskFull(false)
+	if resp, _ := postEvents(t, ts.URL, `{"events":[{"system":1,"node":3,"category":"HW","hw":"CPU"}]}`); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest before the probe = %d, want 503", resp.StatusCode)
+	}
+	// The round probes, clears the latch, and the write lands.
+	s.SuperviseTick(context.Background())
 	if resp, b := postEvents(t, ts.URL, `{"events":[{"system":1,"node":3,"category":"HW","hw":"CPU"}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery ingest = %d, want 200; body: %s", resp.StatusCode, b)
 	}
@@ -125,7 +131,7 @@ func TestDiskFullEntersReadOnly(t *testing.T) {
 // accepted must NOT be recorded under the idempotency key — the client's
 // retry after space recovers should re-contend and succeed, not replay 503.
 func TestDiskFullIdempotencyNotPoisoned(t *testing.T) {
-	ts, inj := newReadOnlyTestServer(t)
+	ts, s, inj := newReadOnlyTestServer(t)
 
 	inj.SetDiskFull(true)
 	post := func() *http.Response {
@@ -148,6 +154,7 @@ func TestDiskFullIdempotencyNotPoisoned(t *testing.T) {
 		t.Fatalf("disk-full ingest = %d, want 503", resp.StatusCode)
 	}
 	inj.SetDiskFull(false)
+	s.SuperviseTick(context.Background())
 	if resp := post(); resp.StatusCode != http.StatusOK {
 		t.Fatalf("retried ingest after recovery = %d, want 200 (503 must not be replayed)", resp.StatusCode)
 	}
@@ -179,7 +186,8 @@ func TestSnapshotFailureCounted(t *testing.T) {
 	// Every appended record is already synced, so the next write is the
 	// snapshot file's, due once the policy's hour has passed.
 	inj.FailNextWrite(errors.New("injected snapshot write failure"))
-	s.fabric.maintain(clock.Now().Add(2 * time.Hour))
+	clock.Advance(2 * time.Hour)
+	s.SuperviseTick(context.Background())
 
 	metrics := string(fetchMetrics(t, ts))
 	if !strings.Contains(metrics, "hpcserve_wal_append_errors_total 1\n") {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -93,7 +94,7 @@ func TestShardKilledMidObserveAppendsOnce(t *testing.T) {
 	}
 }
 
-// TestMaintainKeepsQuietSystemPinned: the maintenance tick leaves a quiet
+// TestMaintainKeepsQuietSystemPinned: an upkeep round leaves a quiet
 // system's events alone even when another system's feed has moved past its
 // window, so ?at=-pinned answers for the quiet system do not change.
 func TestMaintainKeepsQuietSystemPinned(t *testing.T) {
@@ -119,7 +120,7 @@ func TestMaintainKeepsQuietSystemPinned(t *testing.T) {
 	if !bytes.Contains(before, []byte(`"contributions"`)) {
 		t.Fatalf("pinned top has no elevated node before the tick:\n%s", before)
 	}
-	s.fabric.maintain(time.Now())
+	s.SuperviseTick(context.Background())
 	if _, after := getRaw(t, pinned); !bytes.Equal(after, before) {
 		t.Fatalf("quiet system's pinned top changed across a tick:\n%s\nvs\n%s", before, after)
 	}

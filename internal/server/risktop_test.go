@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -116,11 +117,12 @@ func checkBoundedRiskTop(t *testing.T, base, label string) {
 	}
 }
 
-// TestMaintainDecaysOnFeedClock: the maintenance tick decays the risk
-// engine to the newest event it has seen, not to the wall clock, so a
-// server fed historical events keeps its ?at=-pinned answers and state.
+// TestMaintainDecaysOnFeedClock: an upkeep round at wall-clock time leaves
+// the risk engine as the feed left it (windows slide on each system's
+// newest event, not on the clock), so a server fed historical events keeps
+// its ?at=-pinned answers and state.
 func TestMaintainDecaysOnFeedClock(t *testing.T) {
-	ts, s, _ := newTestServerFull(t, nil)
+	ts, s, clock := newTestServerFull(t, nil)
 	resp, body := postEvents(t, ts.URL, `{"events":[
 		{"system":1,"node":0,"category":"HW","hw":"CPU","time":"2000-04-09T20:00:00Z"},
 		{"system":1,"node":2,"category":"NET","time":"2000-04-09T22:00:00Z"}]}`)
@@ -134,7 +136,8 @@ func TestMaintainDecaysOnFeedClock(t *testing.T) {
 		t.Fatalf("pinned top has no elevated node before the tick:\n%s", before)
 	}
 
-	s.fabric.maintain(time.Now())
+	clock.Advance(time.Since(clock.Now())) // the round runs at wall-clock time
+	s.SuperviseTick(context.Background())
 
 	if _, after := getRaw(t, pinned); !bytes.Equal(after, before) {
 		t.Fatalf("pinned top changed across a wall-clock tick:\n%s\nvs\n%s", before, after)

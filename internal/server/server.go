@@ -140,11 +140,6 @@ type Config struct {
 	// HeartbeatDeadline expires a Ready shard that has not heartbeaten;
 	// defaults to store.DefaultHeartbeatDeadline.
 	HeartbeatDeadline time.Duration
-	// SpaceProbeInterval spaces the disk-space probes that let a shard leave
-	// read-only mode after its WAL filled (see DESIGN.md §5i). Zero means
-	// the 5s default; negative probes on every gated write attempt (tests
-	// use that for determinism).
-	SpaceProbeInterval time.Duration
 	// TenantRoot, when set, is the directory the dataset registry keeps
 	// named tenants under: <TenantRoot>/<name>/tenant.json next to that
 	// tenant's WAL tree at <TenantRoot>/<name>/shard-NNN/. Tenants found
@@ -269,14 +264,6 @@ func newServer(cfg Config) (*Server, error) {
 	fab, err := newFabric(cfg, w, now, logf)
 	if err != nil {
 		return nil, err
-	}
-	switch {
-	case cfg.SpaceProbeInterval < 0:
-		fab.probeEvery = 0 // probe on every gated write attempt
-	case cfg.SpaceProbeInterval == 0:
-		fab.probeEvery = 5 * time.Second
-	default:
-		fab.probeEvery = cfg.SpaceProbeInterval
 	}
 	timeout := cfg.RequestTimeout
 	if timeout <= 0 {
@@ -976,10 +963,10 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (idemResult, err
 		return unrecorded(http.StatusTooManyRequests, fmt.Errorf("dataset %s event quota (%d events) exhausted", s.name, qmax))
 	}
 	// Read-only gate: while any shard's WAL disk is full, writes are shed
-	// here (503 + Retry-After + X-Read-Only) after one rate-limited probe
-	// for recovered space, unrecorded, so a retry ingests once it returns.
+	// here (503 + Retry-After + X-Read-Only), unrecorded, so a retry
+	// ingests once an upkeep round's probe finds space again.
 	fab := s.fabric
-	if !fab.ensureWritable(s.now()) {
+	if fab.readOnly() {
 		s.metrics.readOnlyRejects.Add(1)
 		w.Header().Set("Retry-After", retryAfter)
 		w.Header().Set("X-Read-Only", "true")
@@ -1045,11 +1032,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (idemResult, err
 		}
 		if failed == nil && errors.Is(err, risk.ErrAppend) {
 			failed = err
-			s.logf("server: %v", err)
-			fab.walAppendErrs.Add(1)
-			if iofault.IsDiskFull(err) {
-				fab.markDiskFull(owner)
-			}
+			fab.walFault(owner, "ingest", err)
 		}
 	}
 	accepted := 0
@@ -1188,6 +1171,20 @@ func (c *unreadConn) closeUnread() {
 	}
 }
 
+// upkeepPeriod spaces ServeListener's upkeep rounds: DefaultHeartbeatInterval,
+// lowered to the flush spacing of an interval-policy WAL template when that
+// is shorter, so a dirty log is synced by the first round at least one
+// interval after its last sync.
+func upkeepPeriod(cfg Config) time.Duration {
+	d := DefaultHeartbeatInterval
+	for _, o := range []wal.Options{cfg.ShardWAL, cfg.TenantWAL} {
+		if o.Policy == wal.SyncInterval {
+			d = min(d, o.SyncEvery())
+		}
+	}
+	return d
+}
+
 // ServeListener serves on an existing listener (which it takes ownership
 // of) until ctx is cancelled. Tests use it with a 127.0.0.1:0 listener.
 func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
@@ -1196,10 +1193,10 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		ln.Close()
 		return err
 	}
-	// life is the serve lifetime: requests, the background tickers and
-	// OnStart run under it, and it ends only after Shutdown has drained
-	// every handler, so a request caught by shutdown is served under a live
-	// context instead of failing with a cancelled one.
+	// life is the serve lifetime: requests, the upkeep loop and OnStart run
+	// under it, and it ends only after Shutdown has drained every handler,
+	// so a request caught by shutdown is served under a live context instead
+	// of failing with a cancelled one.
 	life, end := context.WithCancel(context.WithoutCancel(ctx))
 	uln := &unreadConns{Listener: ln, fresh: map[*unreadConn]bool{}}
 	hs := &http.Server{
@@ -1210,52 +1207,30 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 	}
 	hs.RegisterOnShutdown(uln.closeAll)
 
-	var bg sync.WaitGroup
-	every := func(d time.Duration, fn func(now time.Time)) {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			t := time.NewTicker(d)
-			defer t.Stop()
-			for {
-				select {
-				case <-life.Done():
-					return
-				case now := <-t.C:
-					fn(now)
-				}
+	// The upkeep loop: one ticker runs a full round (SuperviseTick) over the
+	// root and every named tenant, so tenants created mid-serve join on the
+	// next round.
+	upkept := make(chan struct{})
+	go func() {
+		defer close(upkept)
+		t := time.NewTicker(upkeepPeriod(cfg))
+		defer t.Stop()
+		for {
+			select {
+			case <-life.Done():
+				return
+			case <-t.C:
+				s.SuperviseTick(life)
 			}
-		}()
-	}
-	// Periodic maintenance: each shard's journal gets its WAL synced and its
-	// snapshot policy consulted (engine memory needs no tick; see
-	// fabric.maintain).
-	every(30*time.Second, func(now time.Time) {
-		s.fabric.maintain(now)
-		s.eachTenant(func(_ string, ts *Server) { ts.fabric.maintain(now) })
-	})
-	// Supervision: heartbeats, standby replication catchup, and automatic
-	// failover. A one-shard fabric without a standby has nothing to fail
-	// over to and gets no ticker. Named tenants share one ticker: each tick
-	// drives every tenant fabric that wants supervision (multi-shard or
-	// standby-backed), and tenants created mid-serve join on the next tick.
-	if s.fabric.needsSupervision() {
-		every(DefaultHeartbeatInterval, func(time.Time) { s.fabric.tick(life) })
-	}
-	every(DefaultHeartbeatInterval, func(time.Time) {
-		s.eachTenant(func(_ string, ts *Server) {
-			if ts.fabric.needsSupervision() {
-				ts.fabric.tick(life)
-			}
-		})
-	})
+		}
+	}()
 	// Shutdown ordering: stop accepting and drain in-flight handlers
-	// (hs.Shutdown, below), then end the lifetime, stopping the tickers, and
-	// close every shard's journal. Handlers may touch the journals, so they
-	// must outlive them. This also runs on an immediate Serve error.
+	// (hs.Shutdown, below), then end the lifetime, stopping the upkeep loop,
+	// and close every shard's journal. Handlers may touch the journals, so
+	// they must outlive them. This also runs on an immediate Serve error.
 	defer func() {
 		end()
-		bg.Wait()
+		<-upkept
 		// Close syncs and closes the root's journals; closing the registry
 		// does the same for every named tenant, making every WAL tree
 		// reopenable.

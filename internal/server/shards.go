@@ -42,8 +42,8 @@ var (
 // DefaultShardDeadline bounds one shard's slice of a scatter-gather query.
 const DefaultShardDeadline = 2 * time.Second
 
-// DefaultHeartbeatInterval spaces supervision ticks (heartbeats, standby
-// catchup, failover checks).
+// DefaultHeartbeatInterval spaces upkeep rounds (see fabric.tick), unless
+// an interval-policy WAL needs them closer (see upkeepPeriod).
 const DefaultHeartbeatInterval = 500 * time.Millisecond
 
 // shard is one fault domain: the mutable component set is swapped as a unit
@@ -66,11 +66,10 @@ type shard struct {
 	stall atomic.Int64
 	// diskFull is the sticky read-only latch: set when a WAL append (or
 	// sync/snapshot) fails with ENOSPC, cleared only by a successful space
-	// probe. While set, the shard rejects writes but keeps serving reads —
-	// the durable state it already acknowledged stays queryable.
+	// probe in an upkeep round. While set, the shard rejects writes but
+	// keeps serving reads — the durable state it already acknowledged stays
+	// queryable.
 	diskFull atomic.Bool
-	// lastProbe rate-limits space probes (unix nanos of the last attempt).
-	lastProbe atomic.Int64
 
 	mu      sync.RWMutex
 	st      *store.Store
@@ -124,9 +123,6 @@ type fabric struct {
 	// corrWindows are the correlation windows every shard's miner maintains
 	// (nil = correlate.DefaultWindows); promotion rebuilds miners with them.
 	corrWindows []time.Duration
-	// probeEvery spaces disk-space probes while a shard is read-only
-	// (0 = probe on every write attempt; tests use that for determinism).
-	probeEvery time.Duration
 	// roEntries counts read-only-mode entries; walAppendErrs counts WAL
 	// append/sync/snapshot failures. Both feed /metrics.
 	roEntries     atomic.Uint64
@@ -277,61 +273,20 @@ func (f *fabric) detachJournal(i int) {
 	}
 }
 
-// markDiskFull latches shard i into read-only mode. It reports whether this
-// call made the transition (the caller counts entries exactly once).
-func (f *fabric) markDiskFull(i int) bool {
-	if f.shards[i].diskFull.CompareAndSwap(false, true) {
+// walFault counts a failed WAL append, sync or snapshot on shard i, logs
+// it, and latches the shard into read-only mode when the cause is ENOSPC.
+func (f *fabric) walFault(i int, what string, err error) {
+	f.walAppendErrs.Add(1)
+	f.logf("hpcserve: shard %d %s: %v", i, what, err)
+	if iofault.IsDiskFull(err) && f.shards[i].diskFull.CompareAndSwap(false, true) {
 		f.roEntries.Add(1)
 		f.logf("hpcserve: shard %d: WAL disk full, entering read-only mode (reads keep serving)", i)
-		return true
 	}
-	return false
 }
 
-// tryClearDiskFull probes shard i's filesystem for recovered space and, on
-// success, leaves read-only mode. Probes are rate-limited by probeEvery so a
-// write storm against a full disk does not turn into a probe storm. It
-// reports whether the shard is writable now.
-func (f *fabric) tryClearDiskFull(i int, now time.Time) bool {
-	sh := f.shards[i]
-	if !sh.diskFull.Load() {
-		return true
-	}
-	if f.probeEvery > 0 {
-		last := sh.lastProbe.Load()
-		if now.UnixNano()-last < int64(f.probeEvery) {
-			return false
-		}
-		if !sh.lastProbe.CompareAndSwap(last, now.UnixNano()) {
-			return false // another request owns this probe slot
-		}
-	}
-	_, _, j := sh.view()
-	if j == nil {
-		return false
-	}
-	if err := j.ProbeSpace(); err != nil {
-		return false
-	}
-	sh.diskFull.Store(false)
-	f.logf("hpcserve: shard %d: disk space recovered, leaving read-only mode", i)
-	return true
-}
-
-// ensureWritable probes every read-only shard once (rate-limited) and
-// reports whether the whole fabric accepts writes. Ingest gates on this so a
-// disk-full episode turns into fast 503s instead of per-event append faults.
-func (f *fabric) ensureWritable(now time.Time) bool {
-	ok := true
-	for i, sh := range f.shards {
-		if sh.diskFull.Load() && !f.tryClearDiskFull(i, now) {
-			ok = false
-		}
-	}
-	return ok
-}
-
-// readOnly reports whether any shard is in read-only mode.
+// readOnly reports whether any shard is in read-only mode. Ingest gates on
+// it, so a disk-full episode turns into fast 503s instead of per-event
+// append faults; only an upkeep round's space probe lifts the latch.
 func (f *fabric) readOnly() bool {
 	for _, sh := range f.shards {
 		if sh.diskFull.Load() {
@@ -389,11 +344,48 @@ func (f *fabric) promote(i int) error {
 	return nil
 }
 
-// tick is one supervision round: heartbeat every Ready shard, expire the
-// silent ones, drain every standby's replication tail, and promote warm
-// standbys of Down shards. ServeListener runs it on every heartbeat tick;
-// deterministic tests drive it directly.
+// tick is one upkeep round, the only periodic work a fabric gets. Where
+// the fabric needs supervision it first supervises; then every journaled
+// shard that is read-only probes for recovered space (and, until a probe
+// succeeds, skips the rest, which would allocate), flushes its WAL when the
+// fsync policy makes that due, and consults its snapshot policy at the
+// fabric's clock. It never prunes engine state: Observe slides each
+// system's window on that system's own newest event and MaxEventsPerSystem
+// caps what is left, so memory stays bounded while a quiet system keeps its
+// ?at=-pinned answers. ServeListener runs it every upkeep period;
+// SuperviseTick drives it by hand.
 func (f *fabric) tick(ctx context.Context) {
+	if f.needsSupervision() {
+		f.supervise(ctx)
+	}
+	now := f.now()
+	for i, sh := range f.shards {
+		_, _, j := sh.view()
+		if j == nil {
+			continue
+		}
+		if sh.diskFull.Load() {
+			if j.ProbeSpace() != nil {
+				continue
+			}
+			sh.diskFull.Store(false)
+			f.logf("hpcserve: shard %d: disk space recovered, leaving read-only mode", i)
+		}
+		if err := j.Flush(); err != nil {
+			f.walFault(i, "wal sync", err)
+		}
+		if wrote, err := j.MaybeSnapshot(now); err != nil {
+			f.walFault(i, "snapshot", err)
+		} else if wrote {
+			f.logf("hpcserve: shard %d snapshot written (%d wal records applied)", i, j.WALCount())
+		}
+	}
+}
+
+// supervise heartbeats every Ready shard, expires the silent ones, drains
+// every standby's replication tail, and promotes warm standbys of Down
+// shards.
+func (f *fabric) supervise(ctx context.Context) {
 	for i := range f.shards {
 		if f.sup.State(i) != store.ShardReady {
 			continue
@@ -454,45 +446,10 @@ func (f *fabric) catchupStandbys() {
 	}
 }
 
-// needsSupervision reports whether supervision ticks should run: a
-// one-shard fabric without a standby has nothing to fail over to.
+// needsSupervision reports whether upkeep rounds supervise: a one-shard
+// fabric without a standby has nothing to fail over to.
 func (f *fabric) needsSupervision() bool {
 	return f.n() > 1 || f.shards[0].getStandby() != nil
-}
-
-// maintain runs the periodic per-shard upkeep the serve loop schedules: WAL
-// sync and the snapshot policy. It never prunes engine state: Observe slides
-// each system's window on that system's own newest event and
-// MaxEventsPerSystem caps what is left, so memory stays bounded while a
-// quiet system keeps its ?at=-pinned answers.
-func (f *fabric) maintain(now time.Time) {
-	for i := range f.shards {
-		_, _, j := f.shards[i].view()
-		if j == nil {
-			continue
-		}
-		// A read-only shard skips sync and snapshots (both allocate) and
-		// probes for recovered space instead.
-		if f.shards[i].diskFull.Load() && !f.tryClearDiskFull(i, now) {
-			continue
-		}
-		if err := j.Sync(); err != nil {
-			f.walAppendErrs.Add(1)
-			if iofault.IsDiskFull(err) {
-				f.markDiskFull(i)
-			}
-			f.logf("hpcserve: shard %d wal sync: %v", i, err)
-		}
-		if wrote, err := j.MaybeSnapshot(now); err != nil {
-			f.walAppendErrs.Add(1)
-			if iofault.IsDiskFull(err) {
-				f.markDiskFull(i)
-			}
-			f.logf("hpcserve: shard %d snapshot: %v", i, err)
-		} else if wrote {
-			f.logf("hpcserve: shard %d snapshot written (%d wal records applied)", i, j.WALCount())
-		}
-	}
 }
 
 // syncAll flushes every shard's WAL — the first step of Server.Close.
@@ -624,12 +581,19 @@ func (s *Server) PromoteShard(i int) error {
 }
 
 // CatchupStandbys drains every standby's replication tail once — the
-// deterministic stand-in for the supervision ticker's continuous catchup.
+// deterministic stand-in for the upkeep loop's continuous catchup.
 func (s *Server) CatchupStandbys() { s.fabric.catchupStandbys() }
 
-// SuperviseTick runs one supervision round (heartbeats, expiry, catchup,
-// auto-failover) synchronously.
-func (s *Server) SuperviseTick(ctx context.Context) { s.fabric.tick(ctx) }
+// SuperviseTick runs one upkeep round synchronously over this dataset and
+// every named tenant: supervision (heartbeats, expiry, catchup,
+// auto-failover) where a fabric needs it, then each journaled shard's
+// disk-space probe, due WAL flush and snapshot policy. ServeListener runs it
+// on its one ticker; a caller serving Handler itself gets upkeep only by
+// calling it.
+func (s *Server) SuperviseTick(ctx context.Context) {
+	s.fabric.tick(ctx)
+	s.eachTenant(func(_ string, ts *Server) { ts.fabric.tick(ctx) })
+}
 
 // fleetCopy deep-copies a system catalog, sorted ascending by ID.
 func fleetCopy(systems []trace.SystemInfo) []trace.SystemInfo {

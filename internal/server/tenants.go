@@ -237,7 +237,6 @@ func (s *Server) buildTenantResource(name, dir string, m registry.Manifest) (reg
 		BreakerThreshold:   s.tmpl.BreakerThreshold,
 		ShardDeadline:      s.tmpl.ShardDeadline,
 		HeartbeatDeadline:  s.tmpl.HeartbeatDeadline,
-		SpaceProbeInterval: s.tmpl.SpaceProbeInterval,
 		SnapshotPolicy:     s.tmpl.SnapshotPolicy,
 		Now:                s.now,
 		Logf:               s.logf,

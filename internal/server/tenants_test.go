@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -259,10 +260,9 @@ func TestTenantQuotaEvents(t *testing.T) {
 // writes, and per-tenant readiness reports the split.
 func TestTenantReadOnlySiblingWritable(t *testing.T) {
 	inj := iofault.NewInject(iofault.Disk, iofault.InjectSpec{})
-	ts, _ := newTestServer(t, func(cfg *Config) {
+	ts, s, _ := newTestServerFull(t, func(cfg *Config) {
 		cfg.TenantRoot = t.TempDir()
 		cfg.TenantWAL = wal.Options{FS: inj}
-		cfg.SpaceProbeInterval = -1 // tenants probe on every gated attempt
 	})
 	createTenant(t, ts.URL, `{"name":"a","seed":3,"scale":0.01}`, nil)
 	createTenant(t, ts.URL, `{"name":"b","seed":4,"scale":0.01}`, nil)
@@ -285,7 +285,7 @@ func TestTenantReadOnlySiblingWritable(t *testing.T) {
 	}
 	inj.SetDiskFull(false)
 
-	// b's latch is sticky until its own next write probes: reads of its
+	// b's latch is sticky until an upkeep round probes: reads of its
 	// readiness still say read-only, while sibling a and the default tenant
 	// ingest normally.
 	var ready map[string]any
@@ -323,7 +323,12 @@ func TestTenantReadOnlySiblingWritable(t *testing.T) {
 		t.Errorf("root readyz datasets.a = %q, want ready", got)
 	}
 
-	// Space is back: b's next write probes, clears the latch, and lands.
+	// Space is back, but b's writes stay gated until a round probes.
+	if resp, _ := doReq(t, http.MethodPost, ts.URL+"/v1/d/b/events", ev, nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest into b before the probe = %d, want 503", resp.StatusCode)
+	}
+	// The round probes b, clears its latch, and b's next write lands.
+	s.SuperviseTick(context.Background())
 	if resp, b := doReq(t, http.MethodPost, ts.URL+"/v1/d/b/events", ev, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery ingest into b = %d; body: %s", resp.StatusCode, b)
 	}

@@ -45,7 +45,9 @@ const (
 	// SyncAlways fsyncs after every append.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs when Options.Interval has elapsed since the last
-	// sync (checked on append and on explicit Sync calls).
+	// sync, checked by Flush: on every append, and wherever the owner drives
+	// Flush periodically so a quiet log's last appends do not wait for the
+	// next one.
 	SyncInterval
 	// SyncNever never fsyncs; the OS flushes when it pleases.
 	SyncNever
@@ -108,7 +110,8 @@ type Options struct {
 	SegmentBytes int64
 	// Policy selects the fsync policy (default SyncAlways).
 	Policy SyncPolicy
-	// Interval is the SyncInterval flush spacing; 0 means DefaultInterval.
+	// Interval is the SyncInterval flush spacing; 0 means DefaultInterval
+	// (see SyncEvery).
 	Interval time.Duration
 	// Now supplies the clock for SyncInterval; defaults to time.Now.
 	Now func() time.Time
@@ -116,6 +119,15 @@ type Options struct {
 	// (iofault.Disk). Tests substitute a fault-injecting or in-memory
 	// filesystem here.
 	FS iofault.FS
+}
+
+// SyncEvery is the SyncInterval flush spacing a log opened with these
+// options keeps: Interval, or DefaultInterval when Interval is not positive.
+func (o Options) SyncEvery() time.Duration {
+	if o.Interval <= 0 {
+		return DefaultInterval
+	}
+	return o.Interval
 }
 
 // Log is an open write-ahead log. Append/Sync/Close are safe for use from
@@ -163,15 +175,12 @@ func Open(opts Options) (*Log, error) {
 		dir:      opts.Dir,
 		segBytes: opts.SegmentBytes,
 		policy:   opts.Policy,
-		interval: opts.Interval,
+		interval: opts.SyncEvery(),
 		now:      opts.Now,
 		fs:       fsys,
 	}
 	if l.segBytes <= 0 {
 		l.segBytes = DefaultSegmentBytes
-	}
-	if l.interval <= 0 {
-		l.interval = DefaultInterval
 	}
 	if l.now == nil {
 		l.now = time.Now
@@ -406,19 +415,27 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	idx := l.count
 	l.count++
 	l.dirty = true
-	switch l.policy {
-	case SyncAlways:
-		if err := l.sync(); err != nil {
-			return 0, err
-		}
-	case SyncInterval:
-		if l.now().Sub(l.lastSync) >= l.interval {
-			if err := l.sync(); err != nil {
-				return 0, err
-			}
-		}
+	if err := l.Flush(); err != nil {
+		return 0, err
 	}
 	return idx, nil
+}
+
+// Flush syncs outstanding appends when the fsync policy makes a sync due:
+// at once under SyncAlways, once Interval has passed since the last sync
+// under SyncInterval, never under SyncNever. It is the log's one rule for
+// when a dirty log must reach stable storage; Append applies it to every
+// record.
+func (l *Log) Flush() error {
+	if l.fail != nil {
+		return l.fail
+	}
+	due := l.policy == SyncAlways ||
+		l.policy == SyncInterval && l.now().Sub(l.lastSync) >= l.interval
+	if l.closed || !l.dirty || !due {
+		return nil
+	}
+	return l.sync()
 }
 
 func (l *Log) sync() error {

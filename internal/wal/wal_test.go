@@ -149,6 +149,30 @@ func TestFirstAndDirty(t *testing.T) {
 	l.Close()
 }
 
+// TestFlushFollowsPolicy pins the one rule for when a dirty log syncs:
+// under SyncInterval a dirty log stays dirty until Interval has passed
+// since the last sync, then Flush syncs it without a further append;
+// under SyncNever Flush never syncs.
+func TestFlushFollowsPolicy(t *testing.T) {
+	now := time.Unix(1e9, 0)
+	clock := func() time.Time { return now }
+	for _, tc := range []struct {
+		policy    SyncPolicy
+		wantDirty bool // after the interval has passed
+	}{{SyncInterval, false}, {SyncNever, true}} {
+		l := open(t, Options{Dir: t.TempDir(), Policy: tc.policy, Interval: 100 * time.Millisecond, Now: clock})
+		appendN(t, l, 0, 2)
+		if err := l.Flush(); err != nil || !l.Dirty() {
+			t.Fatalf("%v: Flush before the interval = %v, dirty %v; want nil, dirty", tc.policy, err, l.Dirty())
+		}
+		now = now.Add(100 * time.Millisecond)
+		if err := l.Flush(); err != nil || l.Dirty() != tc.wantDirty {
+			t.Fatalf("%v: Flush after the interval = %v, dirty %v; want nil, dirty %v", tc.policy, err, l.Dirty(), tc.wantDirty)
+		}
+		l.Close()
+	}
+}
+
 // TestTornTailTruncated cuts the final record short at every possible byte
 // offset and asserts the valid prefix survives reopen.
 func TestTornTailTruncated(t *testing.T) {

@@ -6,13 +6,15 @@
 # degradation tests. Leader recovery and failover share one replay (a
 # standby promoted over the WAL directory), so the standby tests, the
 # sealed-segment corruption test (Open and a follower refuse it alike) and the
-# mid-rotation recovery test run here too. Shared by verify.sh and the CI
-# crashgate job so the two can never drift. CRASHGATE_DEEP=1 widens the
+# mid-rotation recovery test run here too, as does the serve loop's
+# interval-policy flush (acknowledged appends survive a power loss after a
+# quiet spell). Shared by verify.sh and the CI crashgate job so the two can
+# never drift. CRASHGATE_DEEP=1 widens the
 # sweep (~3x the crash points) for the nightly run.
 set -eu
 
 deep="${CRASHGATE_DEEP:-}"
 
 CRASHGATE_DEEP="$deep" go test -race \
-    -run 'TestCrashConsistencySweep|TestStandby|TestSealedSegment|TestRecoveryAfterCrashMidRotation|TestFsyncGatePoisonsLog|TestAppendENOSPCRollsBackAndRecovers|TestAppendShortWriteRollsBack|TestRotateENOSPCReattachesTail|TestLogOverMemFSEndToEnd|TestMemFS|TestInject|TestDiskFull|TestKillAndRecoverDiskFull|TestReadOnly' \
+    -run 'TestCrashConsistencySweep|TestStandby|TestSealedSegment|TestRecoveryAfterCrashMidRotation|TestFsyncGatePoisonsLog|TestAppendENOSPCRollsBackAndRecovers|TestAppendShortWriteRollsBack|TestRotateENOSPCReattachesTail|TestLogOverMemFSEndToEnd|TestMemFS|TestInject|TestDiskFull|TestKillAndRecoverDiskFull|TestReadOnly|TestUpkeepFlushesIntervalWAL' \
     ./internal/iofault/ ./internal/wal/ ./internal/risk/ ./internal/server/ ./internal/client/ ./cmd/hpcserve/
