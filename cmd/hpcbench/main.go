@@ -153,6 +153,9 @@ func run(args []string) (err error) {
 	if err := b.serverBench(ds); err != nil {
 		return err
 	}
+	if err := b.riskTopBench(ds); err != nil {
+		return err
+	}
 	if err := b.serveIngestBench(ds); err != nil {
 		return err
 	}
@@ -532,10 +535,51 @@ func (b *bencher) serverBench(ds *trace.Dataset) error {
 		"/v1/condprob?anchor=NET&target=SW&window=day&scope=node",
 		"/v1/condprob?anchor=SW&window=week&scope=rack",
 	}
+	for i, q := range queries {
+		queries[i] = ts.URL + q
+	}
+	return b.measureGets("server/condprob-http", queries)
+}
+
+// riskTopBench measures GET /v1/risk/top through the real handler stack
+// over an engine holding in-window events on several systems, pinned with
+// ?at= so every request ranks the same state. Its gap to risk/topk-10 is
+// the handler stack and encoding the k scores with their contributions.
+func (b *bencher) riskTopBench(ds *trace.Dataset) error {
+	srv, err := server.New(server.Config{Dataset: ds})
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	end := datasetEnd(ds)
+	systems := ds.Systems[:min(8, len(ds.Systems))]
+	cats := []string{`"category":"HW","hw":"CPU"`, `"category":"SW","sw":"OS"`, `"category":"NET"`}
+	var events []string
+	for h := 12; h > 0; h-- {
+		sys := systems[h%len(systems)]
+		at := end.Add(-time.Duration(h) * time.Hour).Format(time.RFC3339)
+		events = append(events, fmt.Sprintf(`{"system":%d,"node":%d,"time":%q,%s}`, sys.ID, h%sys.Nodes, at, cats[h%len(cats)]))
+	}
+	resp, err := http.Post(ts.URL+"/v1/events", "application/json", strings.NewReader(`{"events":[`+strings.Join(events, ",")+`]}`))
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("risk-top setup: %s", resp.Status)
+	}
+	return b.measureGets("server/risk-top-http", []string{ts.URL + "/v1/risk/top?k=20&at=" + end.Format(time.RFC3339)})
+}
+
+// measureGets times GET requests cycling through urls and returns the first
+// transport error or non-200 answer the loop met.
+func (b *bencher) measureGets(name string, urls []string) error {
 	var reqErr error
 	i := 0
-	b.measure("server/condprob-http", "server", func() {
-		resp, err := http.Get(ts.URL + queries[i%len(queries)])
+	b.measure(name, "server", func() {
+		resp, err := http.Get(urls[i%len(urls)])
 		i++
 		if err != nil {
 			reqErr = err
@@ -544,7 +588,7 @@ func (b *bencher) serverBench(ds *trace.Dataset) error {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK && reqErr == nil {
-			reqErr = fmt.Errorf("server: %s", resp.Status)
+			reqErr = fmt.Errorf("%s: %s", name, resp.Status)
 		}
 	})
 	return reqErr

@@ -279,6 +279,9 @@ type Journal struct {
 	policy   checkpoint.Policy
 	now      func() time.Time
 	lastSnap time.Time
+	// covered is the WAL count the newest snapshot covers, -1 while none
+	// exists: a due snapshot that would cover no new record is skipped.
+	covered int64
 }
 
 // OpenJournal opens (or creates) the durable state under cfg.WAL.Dir and
@@ -416,10 +419,10 @@ func (j *Journal) Flush() error {
 }
 
 // MaybeSnapshot writes an engine snapshot when the spacing policy says one
-// is due, then compacts WAL segments the snapshot covers. It reports
-// whether a snapshot was written. The policy's "last failure" input is the
-// engine's newest event time, so a RiskAware policy tightens spacing while
-// events are arriving.
+// is due and a record was appended since the last snapshot, then compacts
+// WAL segments the snapshot covers. It reports whether a snapshot was
+// written. The policy's "last failure" input is the engine's newest event
+// time, so a RiskAware policy tightens spacing while events are arriving.
 func (j *Journal) MaybeSnapshot(now time.Time) (bool, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -427,7 +430,7 @@ func (j *Journal) MaybeSnapshot(now time.Time) (bool, error) {
 		return false, nil
 	}
 	interval := j.policy.Interval(now, j.engine.LastEvent())
-	if interval <= 0 || now.Sub(j.lastSnap) < interval {
+	if interval <= 0 || now.Sub(j.lastSnap) < interval || int64(j.log.Count()) == j.covered {
 		return false, nil
 	}
 	return true, j.snapshotLocked(now)
@@ -458,7 +461,7 @@ func (j *Journal) snapshotLocked(now time.Time) error {
 	if err := j.log.Compact(applied); err != nil {
 		return err
 	}
-	j.lastSnap = now
+	j.lastSnap, j.covered = now, int64(applied)
 	return nil
 }
 

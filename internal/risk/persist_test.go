@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -271,6 +272,71 @@ func TestMaybeSnapshotPolicySpacing(t *testing.T) {
 	}
 	if applied != 5 || snap.Observed != 5 {
 		t.Fatalf("snapshot applied=%d observed=%d, want 5/5", applied, snap.Observed)
+	}
+}
+
+// TestMaybeSnapshotSkipsIdle: a due snapshot that would cover no new WAL
+// record is skipped, within a process and across a restart, while a
+// restart over an unsnapshotted WAL tail still snapshots it.
+func TestMaybeSnapshotSkipsIdle(t *testing.T) {
+	dir := t.TempDir()
+	now := day(99)
+	open := func() *Journal {
+		t.Helper()
+		j, _, err := OpenJournal(JournalConfig{
+			Engine:         testEngine(t),
+			WAL:            wal.Options{Dir: dir},
+			SnapshotPolicy: checkpoint.Fixed{Every: time.Hour},
+			Now:            func() time.Time { return now },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	snapPath := filepath.Join(dir, SnapshotFile)
+	maybe := func(j *Journal, at time.Time, want bool) {
+		t.Helper()
+		if wrote, err := j.MaybeSnapshot(at); err != nil || wrote != want {
+			t.Fatalf("MaybeSnapshot(%v) = %v, %v; want wrote=%v", at, wrote, err, want)
+		}
+	}
+	events := liveEvents(7)
+	j := open()
+	for _, f := range events[:5] {
+		if err := j.Observe(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	maybe(j, now.Add(2*time.Hour), true)
+	first, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maybe(j, now.Add(4*time.Hour), false)
+	if again, _ := os.ReadFile(snapPath); !bytes.Equal(again, first) {
+		t.Fatal("an idle MaybeSnapshot rewrote the snapshot file")
+	}
+	if err := j.Observe(events[5]); err != nil {
+		t.Fatal(err)
+	}
+	maybe(j, now.Add(6*time.Hour), true)
+	j.Close()
+
+	// Restart over a snapshot that covers the whole WAL: nothing to write.
+	j = open()
+	maybe(j, now.Add(2*time.Hour), false)
+	if err := j.Observe(events[6]); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	// Restart over an unsnapshotted tail: the first due call covers it.
+	j = open()
+	defer j.Close()
+	maybe(j, now.Add(2*time.Hour), true)
+	if _, applied, err := ReadSnapshotFileFS(nil, snapPath); err != nil || applied != 7 {
+		t.Fatalf("snapshot applied=%d err=%v, want 7", applied, err)
 	}
 }
 

@@ -310,6 +310,10 @@ func (s *Standby) Promote(policy checkpoint.Policy, opts wal.Options, now func()
 		return nil, fmt.Errorf("risk: promote: WAL holds %d records but standby applied %d — refusing to lead over a log that lost acknowledged events", c, s.applied)
 	}
 	s.promoted = true
+	covered := int64(-1)
+	if s.rec.SnapshotLoaded {
+		covered = int64(s.rec.SnapshotWALPos)
+	}
 	return &Journal{
 		engine:   s.engine,
 		log:      log,
@@ -320,6 +324,7 @@ func (s *Standby) Promote(policy checkpoint.Policy, opts wal.Options, now func()
 		policy:   policy,
 		now:      now,
 		lastSnap: now(),
+		covered:  covered,
 	}, nil
 }
 

@@ -363,18 +363,27 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v as the indented JSON response and returns the body.
+// writeJSON is the one response encoder: it writes v as one compact JSON
+// line and returns the body. It encodes before the status line, so a value
+// that fails to encode answers 500 with the error envelope (and returns
+// nil) instead of its intended code with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) []byte {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	body, err := json.MarshalIndent(v, "", "  ")
+	body, err := json.Marshal(v)
 	if err != nil {
 		s.logf("server: encoding response: %v", err)
+		s.writeJSON(w, http.StatusInternalServerError, apiError{Error: "encoding response: " + err.Error()})
 		return nil
 	}
 	body = append(body, '\n')
-	w.Write(body)
+	sendJSON(w, code, body)
 	return body
+}
+
+// sendJSON writes an encoded JSON body under code.
+func sendJSON(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
@@ -917,9 +926,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case err == nil:
 			s.metrics.idemReplays.Add(1)
 			w.Header().Set("X-Idempotent-Replay", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(res.code)
-			w.Write(res.body)
+			sendJSON(w, res.code, res.body)
 			return
 		case r.Context().Err() != nil:
 			s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("request with idempotency key %q still in flight", key))

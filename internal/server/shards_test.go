@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -388,7 +389,11 @@ func TestReadyzWarmup(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("warming readyz = %d, want 503; body %s", resp.StatusCode, body)
 	}
-	if !bytes.Contains(body, []byte(`"standby": "warming"`)) {
+	var warming struct {
+		Shards []shardStatus `json:"shards"`
+	}
+	mustDecode(t, body, &warming)
+	if !slices.ContainsFunc(warming.Shards, func(r shardStatus) bool { return r.Standby == "warming" }) {
 		t.Fatalf("warming readyz body = %s", body)
 	}
 	resp, _ = getRaw(t, ts.URL+"/healthz")
@@ -397,7 +402,11 @@ func TestReadyzWarmup(t *testing.T) {
 	}
 	srv.CatchupStandbys()
 	resp, body = getRaw(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"status": "ready"`)) {
+	var warm struct {
+		Status string `json:"status"`
+	}
+	mustDecode(t, body, &warm)
+	if resp.StatusCode != http.StatusOK || warm.Status != "ready" {
 		t.Fatalf("warm readyz = %d, body %s", resp.StatusCode, body)
 	}
 	// An unsharded, standby-less server is ready from boot — the legacy
