@@ -12,11 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
-	"time"
 
 	"github.com/hpcfail/hpcfail"
+	"github.com/hpcfail/hpcfail/internal/analysis"
 	"github.com/hpcfail/hpcfail/internal/cli"
+	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
 func main() {
@@ -26,9 +26,9 @@ func main() {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("hpcanalyze", flag.ContinueOnError)
 	data := fs.String("data", "", "dataset directory (required; use hpcgen to create one)")
-	anchor := fs.String("anchor", "", "anchor event: ENV|HW|HUMAN|NET|SW|UNDET, HW/<component>, SW/<class>, ENV/<subtype>, or empty for any failure")
+	anchor := fs.String("anchor", "", "anchor event: ENV|HW|HUMAN|NET|SW|UNDET, HW/<component>, SW/<class>, ENV/<subtype> (any case), or empty for any failure")
 	target := fs.String("target", "", "target event, same syntax; empty for any failure")
-	window := fs.String("window", "week", "window: day, week, month, or a Go duration")
+	window := fs.String("window", "week", "window: day, week, month, or a Go duration up to 10 years")
 	scope := fs.String("scope", "node", "scope: node, rack, or system")
 	group := fs.Int("group", 0, "restrict to group 1 or 2 (0 = all systems)")
 	summary := fs.Bool("summary", false, "print a dataset summary and exit")
@@ -69,19 +69,21 @@ func run(args []string) (err error) {
 		return nil
 	}
 
-	anchorPred, err := parsePred(*anchor)
+	// The query vocabulary is the API's: /v1/condprob parses its
+	// parameters with the same three parsers.
+	_, anchorPred, err := trace.ParseEventSpec(*anchor)
 	if err != nil {
 		return fmt.Errorf("anchor: %w", err)
 	}
-	targetPred, err := parsePred(*target)
+	_, targetPred, err := trace.ParseEventSpec(*target)
 	if err != nil {
 		return fmt.Errorf("target: %w", err)
 	}
-	w, err := parseWindow(*window)
+	w, err := trace.ParseWindow(*window)
 	if err != nil {
 		return err
 	}
-	sc, err := parseScope(*scope)
+	sc, err := analysis.ParseScope(*scope)
 	if err != nil {
 		return err
 	}
@@ -110,108 +112,6 @@ func run(args []string) (err error) {
 	fmt.Printf("  two-sample z=%.2f p=%.2g (significant at 5%%: %v)\n",
 		res.Test.Stat, res.Test.P, res.Significant(0.05))
 	return nil
-}
-
-// parsePred parses the CLI event syntax into a predicate.
-func parsePred(s string) (hpcfail.Pred, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.SplitN(s, "/", 2)
-	cat, err := parseCategory(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) == 1 {
-		return hpcfail.CategoryPred(cat), nil
-	}
-	switch cat {
-	case hpcfail.Hardware:
-		comp, err := parseHW(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return hpcfail.HWPred(comp), nil
-	case hpcfail.Software:
-		cls, err := parseSW(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return hpcfail.SWPred(cls), nil
-	case hpcfail.Environment:
-		sub, err := parseEnv(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return hpcfail.EnvPred(sub), nil
-	default:
-		return nil, fmt.Errorf("category %s has no subtypes", cat)
-	}
-}
-
-func parseCategory(s string) (hpcfail.Category, error) {
-	for _, c := range []hpcfail.Category{hpcfail.Environment, hpcfail.Hardware, hpcfail.Human, hpcfail.Network, hpcfail.Software, hpcfail.Undetermined} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown category %q", s)
-}
-
-func parseHW(s string) (hpcfail.HWComponent, error) {
-	for _, c := range []hpcfail.HWComponent{hpcfail.CPU, hpcfail.Memory, hpcfail.NodeBoard, hpcfail.PowerSupply, hpcfail.Fan, hpcfail.MSCBoard, hpcfail.Midplane} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown hardware component %q", s)
-}
-
-func parseSW(s string) (hpcfail.SWClass, error) {
-	for _, c := range []hpcfail.SWClass{hpcfail.DST, hpcfail.OS, hpcfail.PFS, hpcfail.CFS, hpcfail.PatchInstall, hpcfail.OtherSW} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown software class %q", s)
-}
-
-func parseEnv(s string) (hpcfail.EnvClass, error) {
-	for _, c := range []hpcfail.EnvClass{hpcfail.PowerOutage, hpcfail.PowerSpike, hpcfail.UPS, hpcfail.Chillers, hpcfail.OtherEnv} {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown environment subtype %q", s)
-}
-
-func parseWindow(s string) (time.Duration, error) {
-	switch s {
-	case "day":
-		return hpcfail.Day, nil
-	case "week":
-		return hpcfail.Week, nil
-	case "month":
-		return hpcfail.Month, nil
-	}
-	w, err := time.ParseDuration(s)
-	if err == nil && w <= 0 {
-		err = fmt.Errorf("window %q is not positive", s)
-	}
-	return w, err
-}
-
-func parseScope(s string) (hpcfail.Scope, error) {
-	switch s {
-	case "node":
-		return hpcfail.ScopeNode, nil
-	case "rack":
-		return hpcfail.ScopeRack, nil
-	case "system":
-		return hpcfail.ScopeSystem, nil
-	default:
-		return 0, fmt.Errorf("unknown scope %q", s)
-	}
 }
 
 func printSummary(ds *hpcfail.Dataset) {

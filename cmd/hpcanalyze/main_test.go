@@ -3,7 +3,6 @@ package main
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/hpcfail/hpcfail"
 	"github.com/hpcfail/hpcfail/internal/cli"
@@ -61,24 +60,45 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestParsePredForms: every event form the API accepts answers from the
+// CLI too, in any case.
 func TestParsePredForms(t *testing.T) {
-	for _, s := range []string{"ENV", "HW", "SW", "NET", "HUMAN", "UNDET",
-		"HW/CPU", "HW/Memory", "SW/PFS", "SW/OtherSW", "ENV/UPS", "ENV/Chillers"} {
-		if _, err := parsePred(s); err != nil {
-			t.Errorf("parsePred(%q): %v", s, err)
+	dir := testData(t)
+	for _, s := range []string{"ENV", "HW", "SW", "NET", "HUMAN", "UNDET", "hw", "Net",
+		"HW/CPU", "HW/Memory", "SW/PFS", "SW/OtherSW", "ENV/UPS", "ENV/Chillers", "hw/memory"} {
+		if err := run([]string{"-data", dir, "-anchor", s}); err != nil {
+			t.Errorf("-anchor %s: %v", s, err)
 		}
-	}
-	if p, err := parsePred(""); err != nil || p != nil {
-		t.Error("empty pred should be nil, nil")
 	}
 }
 
 func TestParseWindow(t *testing.T) {
-	if w, err := parseWindow("month"); err != nil || w != hpcfail.Month {
-		t.Error("month window")
+	dir := testData(t)
+	for _, w := range []string{"month", "90m", "Day"} {
+		if err := run([]string{"-data", dir, "-window", w}); err != nil {
+			t.Errorf("-window %s: %v", w, err)
+		}
 	}
-	if w, err := parseWindow("90m"); err != nil || w != 90*time.Minute {
-		t.Error("duration window")
+}
+
+// TestSharedQueryVocabulary pins inputs that /v1/condprob accepts and that
+// the CLI's own parser used to reject: hardware components missing from
+// its hard-coded list, window and scope names in another case. A window
+// past the API's range fails here as it does there.
+func TestSharedQueryVocabulary(t *testing.T) {
+	dir := testData(t)
+	for _, args := range [][]string{
+		{"-anchor", "HW/NIC"},
+		{"-target", "HW/OtherHW"},
+		{"-window", "Week"},
+		{"-scope", "Rack"},
+	} {
+		if err := run(append([]string{"-data", dir}, args...)); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+	if err := run([]string{"-data", dir, "-window", "100000h"}); err == nil {
+		t.Error("-window 100000h should fail: no API query can ask for it")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"github.com/hpcfail/hpcfail"
 	"github.com/hpcfail/hpcfail/internal/client"
-	"github.com/hpcfail/hpcfail/internal/faultinject"
 )
 
 // buildServeBinary compiles the hpcserve binary into dir. The go build
@@ -147,7 +146,7 @@ func TestKillAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(last, faultinject.AppendGarbage(raw, 11, 3), 0o644); err != nil {
+	if err := os.WriteFile(last, append(raw, "\x9d\x07torn\xff\x00\x13\x37!"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

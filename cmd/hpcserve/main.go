@@ -237,31 +237,18 @@ func run(args []string) error {
 }
 
 // parseWindowList parses the -correlation-windows value: a comma-separated
-// mix of the named analysis windows (day, week, month) and Go durations.
-// Empty input means "use the server default" (nil).
+// list of windows in the query vocabulary (trace.ParseWindow), so the miners
+// maintain no window a /v1/correlations query could not ask for. Empty
+// input means "use the server default" (nil).
 func parseWindowList(s string) ([]time.Duration, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []time.Duration
 	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		var w time.Duration
-		switch part {
-		case "day":
-			w = trace.Day
-		case "week":
-			w = trace.Week
-		case "month":
-			w = trace.Month
-		default:
-			var err error
-			if w, err = time.ParseDuration(part); err != nil {
-				return nil, fmt.Errorf("window %q: not day, week, month or a duration", part)
-			}
-		}
-		if w <= 0 {
-			return nil, fmt.Errorf("window %q must be positive", part)
+		w, err := trace.ParseWindow(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, w)
 	}

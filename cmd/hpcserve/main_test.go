@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -23,6 +24,23 @@ func TestRunBadFlags(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+}
+
+// TestCorrelationWindowsShareQueryRange: -correlation-windows parses with
+// the query vocabulary, so a window no /v1/correlations query can ask for
+// fails at boot instead of being mined for nothing, and a window name in
+// any case is accepted as it is by the API.
+func TestCorrelationWindowsShareQueryRange(t *testing.T) {
+	// The missing -data dir fails the boot later, so only a parse error
+	// names the flag.
+	err := run([]string{"-correlation-windows", "day,100000h", "-data", filepath.Join(t.TempDir(), "nope")})
+	if err == nil || !strings.Contains(err.Error(), "-correlation-windows") {
+		t.Errorf("-correlation-windows 100000h: %v, want a parse error (/v1/correlations answers 400 for it)", err)
+	}
+	ws, err := parseWindowList("Week, 48h")
+	if err != nil || len(ws) != 2 || ws[0] != hpcfail.Week || ws[1] != 48*time.Hour {
+		t.Errorf(`parseWindowList("Week, 48h") = %v, %v`, ws, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/stats"
@@ -38,6 +39,16 @@ func (s Scope) String() string {
 	default:
 		return "scope(?)"
 	}
+}
+
+// ParseScope parses a scope name (node, rack or system, any case).
+func ParseScope(s string) (Scope, error) {
+	for _, sc := range []Scope{ScopeNode, ScopeRack, ScopeSystem} {
+		if strings.EqualFold(sc.String(), s) {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scope %q", s)
 }
 
 // CondResult is one conditional-vs-baseline probability comparison — the

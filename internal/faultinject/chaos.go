@@ -1,9 +1,8 @@
 // Serving-side chaos: a deterministic HTTP middleware that injects the
 // faults a live failure-analysis service meets in production — latency
-// spikes, spurious 5xx responses, aborted connections — plus byte-level
-// corruptors for write-ahead-log images (torn tails, bit flips, appended
-// garbage). Everything is driven by one seed, so a failing chaos test
-// reproduces exactly.
+// spikes, spurious 5xx responses, aborted connections. Everything is driven
+// by one seed, so a failing chaos test reproduces exactly. (Storage faults —
+// torn writes, bit flips, crashes — live in internal/iofault.)
 package faultinject
 
 import (
@@ -117,44 +116,4 @@ func (c *Chaos) Stats() ChaosStats {
 		Errors:   c.errors.Load(),
 		Aborts:   c.aborts.Load(),
 	}
-}
-
-// TearTail returns data with the last n bytes removed — a torn final write,
-// the canonical crash artifact a WAL open must absorb. n is clamped.
-func TearTail(data []byte, n int) []byte {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(data) {
-		n = len(data)
-	}
-	return append([]byte(nil), data[:len(data)-n]...)
-}
-
-// FlipBit returns data with one bit flipped at offset off (clamped into
-// range) — silent media corruption a CRC must catch.
-func FlipBit(data []byte, off int, bit uint) []byte {
-	out := append([]byte(nil), data...)
-	if len(out) == 0 {
-		return out
-	}
-	if off < 0 {
-		off = 0
-	}
-	if off >= len(out) {
-		off = len(out) - 1
-	}
-	out[off] ^= 1 << (bit % 8)
-	return out
-}
-
-// AppendGarbage returns data with n pseudo-random bytes appended — a write
-// that landed past the true tail.
-func AppendGarbage(data []byte, n int, seed int64) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	out := append([]byte(nil), data...)
-	for i := 0; i < n; i++ {
-		out = append(out, byte(rng.Intn(256)))
-	}
-	return out
 }

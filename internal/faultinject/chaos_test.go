@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -109,32 +108,5 @@ func TestChaosZeroSpecIsTransparent(t *testing.T) {
 	st := c.Stats()
 	if st.Delays+st.Errors+st.Aborts != 0 {
 		t.Errorf("zero spec injected faults: %+v", st)
-	}
-}
-
-func TestByteCorruptors(t *testing.T) {
-	data := []byte("hello, wal segment")
-	if got := TearTail(data, 5); !bytes.Equal(got, data[:len(data)-5]) {
-		t.Errorf("TearTail = %q", got)
-	}
-	if got := TearTail(data, 1000); len(got) != 0 {
-		t.Errorf("over-long tear = %q", got)
-	}
-	flipped := FlipBit(data, 3, 2)
-	if bytes.Equal(flipped, data) {
-		t.Error("FlipBit changed nothing")
-	}
-	if !bytes.Equal(FlipBit(flipped, 3, 2), data) {
-		t.Error("FlipBit not an involution")
-	}
-	if got := AppendGarbage(data, 7, 1); len(got) != len(data)+7 || !bytes.Equal(got[:len(data)], data) {
-		t.Errorf("AppendGarbage = %q", got)
-	}
-	if !bytes.Equal(AppendGarbage(data, 7, 1), AppendGarbage(data, 7, 1)) {
-		t.Error("AppendGarbage not deterministic per seed")
-	}
-	// None of the corruptors may mutate their input.
-	if string(data) != "hello, wal segment" {
-		t.Error("corruptor mutated its input")
 	}
 }

@@ -15,8 +15,10 @@ package iofault
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"syscall"
 )
 
@@ -83,6 +85,43 @@ func Or(fsys FS) FS {
 // Open opens name read-only on fsys.
 func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
+}
+
+// WriteFileAtomic durably replaces path with data: a temp file named from
+// pattern in path's directory, written and fsynced, renamed over path, then
+// the directory fsynced. A crash at any step leaves path either wholly old
+// or wholly new, never empty or torn, and once it returns the new contents
+// survive a power loss. Every error path before the rename removes the
+// temp, so a failed write (a full disk) strands nothing; only a crash can
+// orphan one (OpenJournal sweeps the snapshot's).
+func WriteFileAtomic(fsys FS, path, pattern string, data []byte) error {
+	fsys = Or(fsys)
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		fsys.Remove(tmp.Name())
+		return err
+	}
+	// The rename must be durable before the caller acts on it (the journal
+	// compacts the WAL a snapshot covers; the registry acknowledges a
+	// tenant): a crash that lost it would bring back the old contents.
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("syncing %s: %w", dir, err)
+	}
+	return nil
 }
 
 // IsDiskFull reports whether err is a disk-full condition (wraps

@@ -323,3 +323,58 @@ func TestMemFSSeekAndReadDir(t *testing.T) {
 		t.Fatalf("O_EXCL on existing: %v", err)
 	}
 }
+
+// TestWriteFileAtomicCrashPoints crashes WriteFileAtomic after every
+// mutating operation, under every tear mode: after the reboot the file
+// holds its old contents or its new ones, never a mix, a tear or nothing,
+// and once the call has returned the new contents are durable. A failed
+// step leaves no temp file behind.
+func TestWriteFileAtomicCrashPoints(t *testing.T) {
+	old, next := []byte("old manifest"), []byte("the new, longer manifest")
+	fresh := func() *MemFS {
+		m := NewMemFS()
+		if err := m.MkdirAll("/d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(m, "/d/f", ".f-*", old); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := fresh()
+	m.CrashAfter(0)
+	if err := WriteFileAtomic(m, "/d/f", ".f-*", next); err != nil {
+		t.Fatalf("dry run: %v", err)
+	}
+	total := m.Ops()
+	m.Reboot(TearNone)
+	if data, err := m.ReadFile("/d/f"); err != nil || !bytes.Equal(data, next) {
+		t.Fatalf("after a completed write and a power loss: %q, %v", data, err)
+	}
+	for n := 1; n < total; n++ {
+		for _, tear := range []TearMode{TearNone, TearPartial, TearBitFlip} {
+			m := fresh()
+			m.CrashAfter(n)
+			if err := WriteFileAtomic(m, "/d/f", ".f-*", next); !errors.Is(err, ErrCrashed) {
+				t.Fatalf("crash after %d of %d ops: %v, want ErrCrashed", n, total, err)
+			}
+			m.Reboot(tear)
+			if data, err := m.ReadFile("/d/f"); err != nil || !bytes.Equal(data, old) && !bytes.Equal(data, next) {
+				t.Errorf("crash after %d of %d ops, tear %d: %q, %v", n, total, tear, data, err)
+			}
+		}
+	}
+
+	m = fresh()
+	m.FailNextSync(syscall.EIO)
+	if err := WriteFileAtomic(m, "/d/f", ".f-*", next); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("failed fsync: %v, want EIO", err)
+	}
+	entries, err := m.ReadDir("/d")
+	if err != nil || len(entries) != 1 || entries[0].Name() != "f" {
+		t.Fatalf("after a failed fsync /d holds %v (%v), want only f", entries, err)
+	}
+	if data, _ := m.ReadFile("/d/f"); !bytes.Equal(data, old) {
+		t.Fatalf("after a failed fsync f = %q, want the old contents", data)
+	}
+}

@@ -29,6 +29,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/hpcfail/hpcfail/internal/iofault"
 )
 
 // Lifecycle and access errors, surfaced to HTTP handlers for status
@@ -204,6 +206,11 @@ func (r *Registry) Create(name string, m Manifest) (*Tenant, error) {
 		dir = filepath.Join(r.root, canon)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("registry: creating %s: %w", dir, err)
+		}
+		// The root's fsync makes the new directory's entry durable, so the
+		// manifest written into it below cannot vanish with it.
+		if err := iofault.Disk.SyncDir(r.root); err != nil {
+			return nil, fmt.Errorf("registry: syncing %s: %w", r.root, err)
 		}
 		if err := writeManifest(dir, m); err != nil {
 			return nil, err
@@ -480,19 +487,16 @@ func (t *Tenant) acquire() (func(), error) {
 	}, nil
 }
 
-// writeManifest persists a manifest atomically (write temp, rename).
+// writeManifest persists a manifest atomically and durably
+// (iofault.WriteFileAtomic): a tenant whose creation was acknowledged comes
+// back after a power loss with its whole manifest.
 func writeManifest(dir string, m Manifest) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("registry: encoding manifest: %w", err)
 	}
-	raw = append(raw, '\n')
-	tmp := filepath.Join(dir, manifestFile+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	if err := iofault.WriteFileAtomic(nil, filepath.Join(dir, manifestFile), ".tenant-*", append(raw, '\n')); err != nil {
 		return fmt.Errorf("registry: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestFile)); err != nil {
-		return fmt.Errorf("registry: installing manifest: %w", err)
 	}
 	return nil
 }

@@ -228,6 +228,18 @@ func (e *Engine) Lag(now time.Time) time.Duration {
 	return 0
 }
 
+// Counts returns how many events the engine retains and how many it has
+// accepted since construction: Snapshot's len(Active) and Observed without
+// the copy.
+func (e *Engine) Counts() (active int, observed uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, evs := range e.events {
+		active += len(evs)
+	}
+	return active, e.observed
+}
+
 // Snapshot is a race-free copy of the engine's state at one instant.
 type Snapshot struct {
 	// Window is the sliding-window length.

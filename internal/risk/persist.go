@@ -94,47 +94,18 @@ type persistedSnapshot struct {
 // OpenJournal sweeps stale ones (crash or error path leftovers) on startup.
 const snapshotTempPattern = ".snapshot-*"
 
-// WriteSnapshotFileFS atomically persists an engine snapshot that covers
-// the first applied WAL records: temp file, fsync, rename. A crash
-// mid-write leaves the previous snapshot intact. fsys nil means the real
-// disk; fault-injection tests fail or crash any step of the protocol here.
+// WriteSnapshotFileFS atomically and durably persists an engine snapshot
+// that covers the first applied WAL records (iofault.WriteFileAtomic): a
+// crash mid-write leaves the previous snapshot intact, and the caller may
+// compact the WAL the snapshot covers once it returns. fsys nil means the
+// real disk; fault-injection tests fail or crash any step of the protocol.
 func WriteSnapshotFileFS(fsys iofault.FS, path string, snap Snapshot, applied uint64) error {
-	fsys = iofault.Or(fsys)
 	data, err := encodeSnapshot(snap, applied, time.Now().UTC())
 	if err != nil {
 		return fmt.Errorf("risk: encoding snapshot: %w", err)
 	}
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), snapshotTempPattern)
-	if err != nil {
+	if err := iofault.WriteFileAtomic(fsys, path, snapshotTempPattern, data); err != nil {
 		return fmt.Errorf("risk: snapshot: %w", err)
-	}
-	// Every error path below must unlink the temp, or a disk-full snapshot
-	// attempt strands partial files that themselves consume space. A crash
-	// can still orphan one — OpenJournal sweeps those.
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
-		return fmt.Errorf("risk: snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
-		return fmt.Errorf("risk: snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmp.Name())
-		return fmt.Errorf("risk: snapshot: %w", err)
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		fsys.Remove(tmp.Name())
-		return fmt.Errorf("risk: snapshot: %w", err)
-	}
-	// The rename must be durable before it is acted on: the caller compacts
-	// WAL segments the snapshot covers right after this returns, and a
-	// crash that kept the unlinks but lost the rename would leave the old
-	// snapshot pointing into a compacted-away WAL range.
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("risk: snapshot: syncing %s: %w", filepath.Dir(path), err)
 	}
 	return nil
 }

@@ -39,9 +39,9 @@ func parseRatesQuery(raw string) (ratesQuery, error) {
 	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "window":
-			q.window, err = parseWindow(v)
+			q.window, err = trace.ParseWindow(v)
 		case "scope":
-			q.scope, err = parseScope(v)
+			q.scope, err = analysis.ParseScope(v)
 		default:
 			return unknownParam(key)
 		}

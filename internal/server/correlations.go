@@ -50,9 +50,9 @@ func parseCorrelationsQuery(raw string) (correlationsQuery, error) {
 	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "window":
-			q.window, err = parseWindow(v)
+			q.window, err = trace.ParseWindow(v)
 		case "scope":
-			q.scope, err = parseScope(v)
+			q.scope, err = analysis.ParseScope(v)
 		case "system":
 			q.system, err = strconv.Atoi(v)
 			if err != nil || q.system < 0 {

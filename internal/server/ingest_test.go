@@ -92,7 +92,7 @@ func TestOneStoreAppendPerShard(t *testing.T) {
 					t.Errorf("shard %d version %d -> %d, want %d", i, versions0[i], v, want)
 				}
 			}
-			if got, want := s.fabric.totalEvents(), len(fleetDS().Failures)+8; got != want {
+			if got, want := s.fabric.status().total.events, len(fleetDS().Failures)+8; got != want {
 				t.Errorf("stores hold %d events, want %d", got, want)
 			}
 		})
@@ -117,7 +117,7 @@ func TestSlowWriteReportsItsOutcome(t *testing.T) {
 		cfg.Logf = func(string, ...any) {}
 	})
 	_, eng, j := s.fabric.shards[0].view()
-	before := s.fabric.totalEvents()
+	before := s.fabric.status().total.events
 	fsys.armed.Store(true)
 	resp, body := postEvents(t, ts.URL, `{"events":[{"system":1,"node":1,"category":"HW","hw":"CPU"}]}`)
 	if fsys.armed.Load() {
@@ -134,7 +134,7 @@ func TestSlowWriteReportsItsOutcome(t *testing.T) {
 	if got := eng.Snapshot().Observed; got != 1 {
 		t.Errorf("engine observed %d events, want 1", got)
 	}
-	if got := s.fabric.totalEvents(); got != before+1 {
+	if got := s.fabric.status().total.events; got != before+1 {
 		t.Errorf("store holds %d events, want %d", got, before+1)
 	}
 
@@ -150,7 +150,7 @@ func TestSlowWriteReportsItsOutcome(t *testing.T) {
 	if got := eng.Snapshot().Observed; got != 1 {
 		t.Errorf("given-up write reached the engine: observed %d, want 1", got)
 	}
-	if got := s.fabric.totalEvents(); got != before+1 {
+	if got := s.fabric.status().total.events; got != before+1 {
 		t.Errorf("given-up write reached the store: %d events, want %d", got, before+1)
 	}
 }
@@ -278,7 +278,7 @@ func TestCrossShardWALFailureDurableSet(t *testing.T) {
 			if !bytes.Equal(firstBody, secondBody) {
 				t.Errorf("replayed body differs:\n%s\nvs\n%s", firstBody, secondBody)
 			}
-			if got := s.fabric.totalEvents(); got != len(fleetDS().Failures)+3 {
+			if got := s.fabric.status().total.events; got != len(fleetDS().Failures)+3 {
 				t.Errorf("stores hold %d events after the retry, want %d", got, len(fleetDS().Failures)+3)
 			}
 		})

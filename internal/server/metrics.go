@@ -2,16 +2,19 @@ package server
 
 import (
 	"fmt"
-	"io"
-	"sort"
+	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/hpcfail/hpcfail/internal/store"
 )
 
-// metrics is a tiny dependency-free Prometheus-text metrics registry: per
-// route/status request counters, per-route latency sums, cache and
-// singleflight counters, and engine gauges supplied at render time.
+// metrics is a dataset's own counters: per route/status request counts,
+// per-route latency sums, cache, singleflight and ingest counters. The
+// /metrics table (families) renders them beside the dataset's status read.
 type metrics struct {
 	mu       sync.Mutex
 	requests map[routeCode]uint64 // route+status -> count
@@ -72,241 +75,198 @@ func (m *metrics) hitRate() float64 {
 	return float64(h) / float64(h+miss)
 }
 
-// admissionGauge is one route's live admission-control state.
-type admissionGauge struct {
-	inflight int64
-	queued   int64
-	peak     int64
-	shed     uint64
-}
-
-// shardGauge is one shard's live supervision state.
-type shardGauge struct {
-	state      string
-	healthy    bool
-	version    uint64
-	lag        uint64 // WAL records the standby trails the leader by
-	failovers  uint64
-	hasStandby bool
-	diskFull   bool // shard is in read-only mode (WAL disk full)
-}
-
-// gauges carries point-in-time values the registry does not own.
-type gauges struct {
-	engineLag      time.Duration
-	activeEvents   int
-	observedEvents uint64
-	cacheEntries   int
-	breakerOpen    bool
-	breakerTrips   uint64
-	walRecords     uint64
-	walSegments    int
-	readOnly       bool   // any shard in read-only mode
-	readOnlyEntry  uint64 // read-only-mode entries since start
-	walAppendErrs  uint64 // WAL append/sync/snapshot failures since start
-	datasetVersion uint64
-	datasetEvents  int
-	storeAppends   uint64
-	storeRebuilds  uint64
-	shards         []shardGauge
-	admission      map[string]admissionGauge
-}
-
-// metricsRow is one dataset's slice of the exposition: its counters and
-// point-in-time gauges, labeled with the dataset name. The default tenant
-// renders with ds == "" — no dataset label, byte-identical to the
-// single-tenant server's output — so existing dashboards keep working.
-type metricsRow struct {
+// metricsInput is one dataset's input to the /metrics table: its label
+// ("" for the default tenant, which renders unlabeled — the exact
+// single-tenant exposition, so dashboards and the replay SLO gate keep
+// working), its status read and its server's counters.
+type metricsInput struct {
 	ds string
-	m  *metrics
-	g  gauges
+	st datasetStatus
+	s  *Server
 }
 
-// dsLabel combines the optional dataset label with a row's other labels
+// sample is one exposition line of a family: a name suffix (a summary's
+// _sum and _count), the labels that follow the dataset label, and a value
+// printed with %v (%d for integers, %g for floats).
+type sample struct {
+	suffix, labels string
+	value          any
+}
+
+// family is one metric family: declared once, rendered for every dataset.
+type family struct {
+	name, help, typ string
+	samples         func(d *metricsInput) []sample
+}
+
+// families is the /metrics table, in exposition order.
+var families = []family{
+	{"hpcserve_requests_total", "Completed HTTP requests by route and status code.", "counter", func(d *metricsInput) []sample {
+		m := d.s.metrics
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		var out []sample
+		for k, n := range m.requests {
+			out = append(out, sample{labels: fmt.Sprintf("route=%q,code=\"%d\"", k.route, k.code), value: n})
+		}
+		return byLabels(out)
+	}},
+	{"hpcserve_request_seconds", "Cumulative request latency by route.", "summary", func(d *metricsInput) []sample {
+		m := d.s.metrics
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		var out []sample
+		for route, agg := range m.latency {
+			lbl := fmt.Sprintf("route=%q", route)
+			out = append(out, sample{"_sum", lbl, agg.sum.Seconds()}, sample{"_count", lbl, agg.count})
+		}
+		return byLabels(out)
+	}},
+	{"hpcserve_condprob_cache_hits_total", "Conditional-probability cache hits.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.cacheHits.Load() })},
+	{"hpcserve_condprob_cache_misses_total", "Conditional-probability cache misses.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.cacheMisses.Load() })},
+	{"hpcserve_condprob_cache_hit_rate", "Cache hit fraction since start.", "gauge",
+		scalar(func(d *metricsInput) any { return d.s.metrics.hitRate() })},
+	{"hpcserve_condprob_cache_entries", "Cached conditional-probability results.", "gauge",
+		scalar(func(d *metricsInput) any { return d.s.cache.Len() })},
+	{"hpcserve_condprob_shared_total", "Requests served by another request's in-flight computation.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.shared.Load() })},
+	{"hpcserve_events_accepted_total", "Events accepted by POST /v1/events.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.eventsIn.Load() })},
+	{"hpcserve_events_rejected_total", "Events rejected by POST /v1/events.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.eventsBad.Load() })},
+	{"hpcserve_engine_observed_events_total", "Events the risk engine has accepted since start.", "counter",
+		scalar(func(d *metricsInput) any { return d.st.total.observed })},
+	{"hpcserve_engine_active_events", "Events currently inside the engine's sliding windows.", "gauge",
+		scalar(func(d *metricsInput) any { return d.st.total.active })},
+	{"hpcserve_engine_lag_seconds", "Time since the newest event the engine has seen.", "gauge",
+		scalar(func(d *metricsInput) any { return d.st.total.engineLag.Seconds() })},
+	{"hpcserve_shed_total", "Requests rejected by admission control.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.shed.Load() })},
+	{"hpcserve_degraded_total", "Condprob requests answered degraded while the compute circuit was open.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.degraded.Load() })},
+	{"hpcserve_idempotent_replays_total", "Event POSTs replayed from the idempotency cache.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.idemReplays.Load() })},
+	{"hpcserve_breaker_open", "Whether any shard's analysis compute circuit is open.", "gauge",
+		scalar(func(d *metricsInput) any { return b2i(d.st.total.breakerOpen) })},
+	{"hpcserve_breaker_trips_total", "Closed-to-open transitions of the compute circuits, summed over shards.", "counter",
+		scalar(func(d *metricsInput) any { return d.st.total.breakerTrips })},
+	{"hpcserve_wal_records_total", "Records ever appended to the write-ahead log.", "counter",
+		scalar(func(d *metricsInput) any { return d.st.total.walRecords })},
+	{"hpcserve_wal_segments", "Live write-ahead-log segment files.", "gauge",
+		scalar(func(d *metricsInput) any { return d.st.total.walSegments })},
+	{"hpcserve_read_only", "Whether any shard is rejecting writes because its WAL disk is full.", "gauge",
+		scalar(func(d *metricsInput) any { return b2i(d.st.total.ReadOnly) })},
+	{"hpcserve_read_only_entries_total", "Times a shard entered read-only mode (WAL disk full).", "counter",
+		scalar(func(d *metricsInput) any { return d.s.fabric.roEntries.Load() })},
+	{"hpcserve_read_only_rejects_total", "Event POSTs rejected at the read-only gate.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.readOnlyRejects.Load() })},
+	{"hpcserve_wal_append_errors_total", "WAL append, sync or snapshot failures.", "counter",
+		scalar(func(d *metricsInput) any { return d.s.fabric.walAppendErrs.Load() })},
+	{"hpcserve_dataset_version", "Current version of the dataset store.", "gauge",
+		scalar(func(d *metricsInput) any { return d.st.total.version })},
+	{"hpcserve_dataset_events", "Failure events in the current dataset snapshot.", "gauge",
+		scalar(func(d *metricsInput) any { return d.st.total.events })},
+	{"hpcserve_store_appends_total", "Batches applied to the dataset store since start.", "counter",
+		scalar(func(d *metricsInput) any { return d.st.total.appends })},
+	{"hpcserve_store_rebuilds_total", "Store appends that fell back to a full index rebuild.", "counter",
+		scalar(func(d *metricsInput) any { return d.st.total.rebuilds })},
+	{"hpcserve_partial_responses_total", "Scatter-gather responses served with X-Partial: true (a shard was down or slow).", "counter",
+		scalar(func(d *metricsInput) any { return d.s.metrics.partial.Load() })},
+	{"hpcserve_shard_healthy", "Whether the shard is Ready (1) or not (0).", "gauge", func(d *metricsInput) []sample {
+		out := make([]sample, len(d.st.shards))
+		for i, r := range d.st.shards {
+			out[i] = sample{labels: fmt.Sprintf("shard=\"%d\",state=%q", i, r.State), value: b2i(r.State == store.ShardReady.String())}
+		}
+		return out
+	}},
+	{"hpcserve_shard_dataset_version", "Current dataset-store version of the shard.", "gauge",
+		perShard(func(r shardRow) any { return r.version })},
+	{"hpcserve_shard_failovers_total", "Standby promotions the shard has been through.", "counter",
+		perShard(func(r shardRow) any { return r.failovers })},
+	{"hpcserve_wal_replication_lag_records", "WAL records the shard's standby trails its leader by (0 with no standby).", "gauge",
+		perShard(func(r shardRow) any { return r.lag })},
+	{"hpcserve_shard_disk_full", "Whether the shard's WAL disk is full (shard is read-only).", "gauge",
+		perShard(func(r shardRow) any { return b2i(r.ReadOnly) })},
+	{"hpcserve_admission_inflight", "Handlers currently running, by route.", "gauge",
+		perRoute(func(l *limiter) any { return l.inflight.Load() })},
+	{"hpcserve_admission_queued", "Requests waiting for a handler slot, by route.", "gauge",
+		perRoute(func(l *limiter) any { return l.queued.Load() })},
+	{"hpcserve_admission_peak_inflight", "High-water mark of concurrent handlers, by route.", "gauge",
+		perRoute(func(l *limiter) any { return l.peak.Load() })},
+	{"hpcserve_admission_shed_total", "Requests shed at admission, by route.", "counter",
+		perRoute(func(l *limiter) any { return l.shed.Load() })},
+}
+
+// scalar is a family with one unlabeled sample per dataset.
+func scalar(val func(d *metricsInput) any) func(d *metricsInput) []sample {
+	return func(d *metricsInput) []sample { return []sample{{value: val(d)}} }
+}
+
+// perShard is a family with one sample per shard, labeled by shard.
+func perShard(val func(r shardRow) any) func(d *metricsInput) []sample {
+	return func(d *metricsInput) []sample {
+		out := make([]sample, len(d.st.shards))
+		for i, r := range d.st.shards {
+			out[i] = sample{labels: fmt.Sprintf("shard=\"%d\"", i), value: val(r)}
+		}
+		return out
+	}
+}
+
+// perRoute is a family with one sample per admission-limited route,
+// labeled by route.
+func perRoute(val func(l *limiter) any) func(d *metricsInput) []sample {
+	return func(d *metricsInput) []sample {
+		var out []sample
+		for route, l := range d.s.limits {
+			if l != nil {
+				out = append(out, sample{labels: fmt.Sprintf("route=%q", route), value: val(l)})
+			}
+		}
+		return byLabels(out)
+	}
+}
+
+// dsLabel joins the optional dataset label and a sample's other labels
 // into a rendered label set ("" when there are none).
 func dsLabel(ds, rest string) string {
-	switch {
-	case ds == "" && rest == "":
+	if ds != "" {
+		rest = strings.TrimSuffix(fmt.Sprintf("dataset=%q,%s", ds, rest), ",")
+	}
+	if rest == "" {
 		return ""
-	case ds == "":
-		return "{" + rest + "}"
-	case rest == "":
-		return fmt.Sprintf("{dataset=%q}", ds)
-	default:
-		return fmt.Sprintf("{dataset=%q,%s}", ds, rest)
+	}
+	return "{" + rest + "}"
+}
+
+// handleMetrics renders the family table in Prometheus text exposition
+// format: each family's HELP/TYPE header once, then its samples for the
+// default tenant and every named tenant, in that order.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	in := []metricsInput{{ds: "", st: s.fabric.status(), s: s}}
+	s.eachTenant(func(name string, ts *Server) {
+		in = append(in, metricsInput{ds: name, st: ts.fabric.status(), s: ts})
+	})
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	for _, fam := range families {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
+		for i := range in {
+			for _, smp := range fam.samples(&in[i]) {
+				fmt.Fprintf(w, "%s%s%s %v\n", fam.name, smp.suffix, dsLabel(in[i].ds, smp.labels), smp.value)
+			}
+		}
 	}
 }
 
-// writeMetricsRows renders every dataset's metrics in Prometheus text
-// exposition format with deterministic line order: each family's HELP/TYPE
-// header once, then one line (or line group) per dataset row.
-func writeMetricsRows(w io.Writer, rows []metricsRow) {
-	family := func(name, help, typ string, emit func(r metricsRow)) {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-		for _, r := range rows {
-			emit(r)
-		}
-	}
-	simple := func(name, help, typ string, val func(r metricsRow) string) {
-		family(name, help, typ, func(r metricsRow) {
-			fmt.Fprintf(w, "%s%s %s\n", name, dsLabel(r.ds, ""), val(r))
-		})
-	}
-	u := func(v uint64) string { return fmt.Sprintf("%d", v) }
-	d := func(v int) string { return fmt.Sprintf("%d", v) }
-	f := func(v float64) string { return fmt.Sprintf("%g", v) }
-
-	family("hpcserve_requests_total", "Completed HTTP requests by route and status code.", "counter", func(r metricsRow) {
-		r.m.mu.Lock()
-		reqKeys := make([]routeCode, 0, len(r.m.requests))
-		for k := range r.m.requests {
-			reqKeys = append(reqKeys, k)
-		}
-		sort.Slice(reqKeys, func(i, j int) bool {
-			if reqKeys[i].route != reqKeys[j].route {
-				return reqKeys[i].route < reqKeys[j].route
-			}
-			return reqKeys[i].code < reqKeys[j].code
-		})
-		for _, k := range reqKeys {
-			fmt.Fprintf(w, "hpcserve_requests_total%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("route=%q,code=\"%d\"", k.route, k.code)), r.m.requests[k])
-		}
-		r.m.mu.Unlock()
-	})
-	family("hpcserve_request_seconds", "Cumulative request latency by route.", "summary", func(r metricsRow) {
-		r.m.mu.Lock()
-		latKeys := make([]string, 0, len(r.m.latency))
-		for k := range r.m.latency {
-			latKeys = append(latKeys, k)
-		}
-		sort.Strings(latKeys)
-		for _, k := range latKeys {
-			agg := r.m.latency[k]
-			lbl := dsLabel(r.ds, fmt.Sprintf("route=%q", k))
-			fmt.Fprintf(w, "hpcserve_request_seconds_sum%s %g\n", lbl, agg.sum.Seconds())
-			fmt.Fprintf(w, "hpcserve_request_seconds_count%s %d\n", lbl, agg.count)
-		}
-		r.m.mu.Unlock()
-	})
-
-	simple("hpcserve_condprob_cache_hits_total", "Conditional-probability cache hits.", "counter",
-		func(r metricsRow) string { return u(r.m.cacheHits.Load()) })
-	simple("hpcserve_condprob_cache_misses_total", "Conditional-probability cache misses.", "counter",
-		func(r metricsRow) string { return u(r.m.cacheMisses.Load()) })
-	simple("hpcserve_condprob_cache_hit_rate", "Cache hit fraction since start.", "gauge",
-		func(r metricsRow) string { return f(r.m.hitRate()) })
-	simple("hpcserve_condprob_cache_entries", "Cached conditional-probability results.", "gauge",
-		func(r metricsRow) string { return d(r.g.cacheEntries) })
-	simple("hpcserve_condprob_shared_total", "Requests served by another request's in-flight computation.", "counter",
-		func(r metricsRow) string { return u(r.m.shared.Load()) })
-	simple("hpcserve_events_accepted_total", "Events accepted by POST /v1/events.", "counter",
-		func(r metricsRow) string { return u(r.m.eventsIn.Load()) })
-	simple("hpcserve_events_rejected_total", "Events rejected by POST /v1/events.", "counter",
-		func(r metricsRow) string { return u(r.m.eventsBad.Load()) })
-	simple("hpcserve_engine_observed_events_total", "Events the risk engine has accepted since start.", "counter",
-		func(r metricsRow) string { return u(r.g.observedEvents) })
-	simple("hpcserve_engine_active_events", "Events currently inside the engine's sliding windows.", "gauge",
-		func(r metricsRow) string { return d(r.g.activeEvents) })
-	simple("hpcserve_engine_lag_seconds", "Time since the newest event the engine has seen.", "gauge",
-		func(r metricsRow) string { return f(r.g.engineLag.Seconds()) })
-	simple("hpcserve_shed_total", "Requests rejected by admission control.", "counter",
-		func(r metricsRow) string { return u(r.m.shed.Load()) })
-	simple("hpcserve_degraded_total", "Condprob requests answered degraded while the compute circuit was open.", "counter",
-		func(r metricsRow) string { return u(r.m.degraded.Load()) })
-	simple("hpcserve_idempotent_replays_total", "Event POSTs replayed from the idempotency cache.", "counter",
-		func(r metricsRow) string { return u(r.m.idemReplays.Load()) })
-	simple("hpcserve_breaker_open", "Whether any shard's analysis compute circuit is open.", "gauge",
-		func(r metricsRow) string { return d(b2i(r.g.breakerOpen)) })
-	simple("hpcserve_breaker_trips_total", "Closed-to-open transitions of the compute circuits, summed over shards.", "counter",
-		func(r metricsRow) string { return u(r.g.breakerTrips) })
-	simple("hpcserve_wal_records_total", "Records ever appended to the write-ahead log.", "counter",
-		func(r metricsRow) string { return u(r.g.walRecords) })
-	simple("hpcserve_wal_segments", "Live write-ahead-log segment files.", "gauge",
-		func(r metricsRow) string { return d(r.g.walSegments) })
-	simple("hpcserve_read_only", "Whether any shard is rejecting writes because its WAL disk is full.", "gauge",
-		func(r metricsRow) string { return d(b2i(r.g.readOnly)) })
-	simple("hpcserve_read_only_entries_total", "Times a shard entered read-only mode (WAL disk full).", "counter",
-		func(r metricsRow) string { return u(r.g.readOnlyEntry) })
-	simple("hpcserve_read_only_rejects_total", "Event POSTs rejected at the read-only gate.", "counter",
-		func(r metricsRow) string { return u(r.m.readOnlyRejects.Load()) })
-	simple("hpcserve_wal_append_errors_total", "WAL append, sync or snapshot failures.", "counter",
-		func(r metricsRow) string { return u(r.g.walAppendErrs) })
-	simple("hpcserve_dataset_version", "Current version of the dataset store.", "gauge",
-		func(r metricsRow) string { return u(r.g.datasetVersion) })
-	simple("hpcserve_dataset_events", "Failure events in the current dataset snapshot.", "gauge",
-		func(r metricsRow) string { return d(r.g.datasetEvents) })
-	simple("hpcserve_store_appends_total", "Batches applied to the dataset store since start.", "counter",
-		func(r metricsRow) string { return u(r.g.storeAppends) })
-	simple("hpcserve_store_rebuilds_total", "Store appends that fell back to a full index rebuild.", "counter",
-		func(r metricsRow) string { return u(r.g.storeRebuilds) })
-	simple("hpcserve_partial_responses_total", "Scatter-gather responses served with X-Partial: true (a shard was down or slow).", "counter",
-		func(r metricsRow) string { return u(r.m.partial.Load()) })
-
-	family("hpcserve_shard_healthy", "Whether the shard is Ready (1) or not (0).", "gauge", func(r metricsRow) {
-		for i, sg := range r.g.shards {
-			fmt.Fprintf(w, "hpcserve_shard_healthy%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("shard=\"%d\",state=%q", i, sg.state)), b2i(sg.healthy))
-		}
-	})
-	family("hpcserve_shard_dataset_version", "Current dataset-store version of the shard.", "gauge", func(r metricsRow) {
-		for i, sg := range r.g.shards {
-			fmt.Fprintf(w, "hpcserve_shard_dataset_version%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("shard=\"%d\"", i)), sg.version)
-		}
-	})
-	family("hpcserve_shard_failovers_total", "Standby promotions the shard has been through.", "counter", func(r metricsRow) {
-		for i, sg := range r.g.shards {
-			fmt.Fprintf(w, "hpcserve_shard_failovers_total%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("shard=\"%d\"", i)), sg.failovers)
-		}
-	})
-	family("hpcserve_wal_replication_lag_records", "WAL records the shard's standby trails its leader by (0 with no standby).", "gauge", func(r metricsRow) {
-		for i, sg := range r.g.shards {
-			fmt.Fprintf(w, "hpcserve_wal_replication_lag_records%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("shard=\"%d\"", i)), sg.lag)
-		}
-	})
-	family("hpcserve_shard_disk_full", "Whether the shard's WAL disk is full (shard is read-only).", "gauge", func(r metricsRow) {
-		for i, sg := range r.g.shards {
-			fmt.Fprintf(w, "hpcserve_shard_disk_full%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("shard=\"%d\"", i)), b2i(sg.diskFull))
-		}
-	})
-
-	admRoutesOf := func(r metricsRow) []string {
-		routes := make([]string, 0, len(r.g.admission))
-		for route := range r.g.admission {
-			routes = append(routes, route)
-		}
-		sort.Strings(routes)
-		return routes
-	}
-	family("hpcserve_admission_inflight", "Handlers currently running, by route.", "gauge", func(r metricsRow) {
-		for _, route := range admRoutesOf(r) {
-			fmt.Fprintf(w, "hpcserve_admission_inflight%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("route=%q", route)), r.g.admission[route].inflight)
-		}
-	})
-	family("hpcserve_admission_queued", "Requests waiting for a handler slot, by route.", "gauge", func(r metricsRow) {
-		for _, route := range admRoutesOf(r) {
-			fmt.Fprintf(w, "hpcserve_admission_queued%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("route=%q", route)), r.g.admission[route].queued)
-		}
-	})
-	family("hpcserve_admission_peak_inflight", "High-water mark of concurrent handlers, by route.", "gauge", func(r metricsRow) {
-		for _, route := range admRoutesOf(r) {
-			fmt.Fprintf(w, "hpcserve_admission_peak_inflight%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("route=%q", route)), r.g.admission[route].peak)
-		}
-	})
-	family("hpcserve_admission_shed_total", "Requests shed at admission, by route.", "counter", func(r metricsRow) {
-		for _, route := range admRoutesOf(r) {
-			fmt.Fprintf(w, "hpcserve_admission_shed_total%s %d\n",
-				dsLabel(r.ds, fmt.Sprintf("route=%q", route)), r.g.admission[route].shed)
-		}
-	})
+// byLabels sorts a family's samples by their rendered labels, keeping the
+// order of samples that share them (a summary's _sum before its _count).
+// That is route order, then code order: routes hold no byte below '"' and
+// status codes have three digits.
+func byLabels(out []sample) []sample {
+	slices.SortStableFunc(out, func(a, b sample) int { return strings.Compare(a.labels, b.labels) })
+	return out
 }
 
 func b2i(v bool) int {

@@ -5,7 +5,6 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/analysis"
@@ -116,25 +115,25 @@ func (q condProbQuery) Key() string {
 		q.anchor, q.target, q.window, q.scope, q.group)
 }
 
-// parseCondProbQuery parses a raw /v1/condprob query string. It shares the
-// event syntax of cmd/hpcanalyze: ENV|HW|HUMAN|NET|SW|UNDET, optionally
-// refined as HW/<component>, SW/<class>, or ENV/<subtype>.
+// parseCondProbQuery parses a raw /v1/condprob query string in the event,
+// window and scope vocabulary cmd/hpcanalyze shares (trace.ParseEventSpec,
+// trace.ParseWindow, analysis.ParseScope).
 func parseCondProbQuery(raw string) (condProbQuery, error) {
 	q := condProbQuery{window: trace.Week, scope: analysis.ScopeNode}
 	err := queryParams(raw, func(key, v string) (err error) {
 		switch key {
 		case "anchor":
-			if q.anchor, _, err = parseEventSpec(v); err != nil {
+			if q.anchor, _, err = trace.ParseEventSpec(v); err != nil {
 				return fmt.Errorf("anchor: %w", err)
 			}
 		case "target":
-			if q.target, _, err = parseEventSpec(v); err != nil {
+			if q.target, _, err = trace.ParseEventSpec(v); err != nil {
 				return fmt.Errorf("target: %w", err)
 			}
 		case "window":
-			q.window, err = parseWindow(v)
+			q.window, err = trace.ParseWindow(v)
 		case "scope":
-			q.scope, err = parseScope(v)
+			q.scope, err = analysis.ParseScope(v)
 		case "group":
 			q.group, err = strconv.Atoi(v)
 			if err != nil || q.group < 0 || q.group > 2 {
@@ -151,93 +150,9 @@ func parseCondProbQuery(raw string) (condProbQuery, error) {
 // preds resolves the canonical anchor/target labels back into predicates.
 // Canonical labels always re-parse; a failure here is a bug.
 func (q condProbQuery) preds() (anchor, target trace.Pred, err error) {
-	if _, anchor, err = parseEventSpec(q.anchor); err != nil {
+	if _, anchor, err = trace.ParseEventSpec(q.anchor); err != nil {
 		return nil, nil, err
 	}
-	_, target, err = parseEventSpec(q.target)
+	_, target, err = trace.ParseEventSpec(q.target)
 	return anchor, target, err
-}
-
-// parseEventSpec parses the CLI event syntax, returning the canonical label
-// (stable across case variants) and the predicate. An empty spec means "any
-// failure" and yields a nil predicate.
-func parseEventSpec(s string) (string, trace.Pred, error) {
-	if s == "" {
-		return "", nil, nil
-	}
-	catLabel, rest, refined := strings.Cut(s, "/")
-	cat, err := parseCategoryFold(catLabel)
-	if err != nil {
-		return "", nil, err
-	}
-	if !refined {
-		return cat.String(), trace.CategoryPred(cat), nil
-	}
-	switch cat {
-	case trace.Hardware:
-		for _, c := range trace.HWComponents {
-			if strings.EqualFold(c.String(), rest) {
-				return "HW/" + c.String(), trace.HWPred(c), nil
-			}
-		}
-		return "", nil, fmt.Errorf("unknown hardware component %q", rest)
-	case trace.Software:
-		for _, c := range trace.SWClasses {
-			if strings.EqualFold(c.String(), rest) {
-				return "SW/" + c.String(), trace.SWPred(c), nil
-			}
-		}
-		return "", nil, fmt.Errorf("unknown software class %q", rest)
-	case trace.Environment:
-		for _, c := range trace.EnvClasses {
-			if strings.EqualFold(c.String(), rest) {
-				return "ENV/" + c.String(), trace.EnvPred(c), nil
-			}
-		}
-		return "", nil, fmt.Errorf("unknown environment subtype %q", rest)
-	default:
-		return "", nil, fmt.Errorf("category %s has no subtypes", cat)
-	}
-}
-
-func parseCategoryFold(s string) (trace.Category, error) {
-	for _, c := range trace.Categories {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown category %q", s)
-}
-
-// parseWindow accepts the paper's window names or a Go duration.
-func parseWindow(s string) (time.Duration, error) {
-	switch strings.ToLower(s) {
-	case "day":
-		return trace.Day, nil
-	case "week":
-		return trace.Week, nil
-	case "month":
-		return trace.Month, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad window %q (use day, week, month, or a duration)", s)
-	}
-	if d <= 0 || d > 10*365*trace.Day {
-		return 0, fmt.Errorf("window %v out of range", d)
-	}
-	return d, nil
-}
-
-func parseScope(s string) (analysis.Scope, error) {
-	switch strings.ToLower(s) {
-	case "node":
-		return analysis.ScopeNode, nil
-	case "rack":
-		return analysis.ScopeRack, nil
-	case "system":
-		return analysis.ScopeSystem, nil
-	default:
-		return 0, fmt.Errorf("unknown scope %q", s)
-	}
 }

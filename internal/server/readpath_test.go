@@ -79,7 +79,7 @@ func TestShardKilledMidObserveAppendsOnce(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	before := s.fabric.totalEvents()
+	before := s.fabric.status().total.events
 	fsys.armed.Store(true)
 	resp, body := postEvents(t, ts.URL, `{"events":[{"system":1,"node":1,"category":"HW","hw":"CPU"}]}`)
 	<-killed
@@ -89,7 +89,7 @@ func TestShardKilledMidObserveAppendsOnce(t *testing.T) {
 	if fsys.armed.Load() {
 		t.Fatal("no WAL write happened; the kill never ran mid-observe")
 	}
-	if got := s.fabric.totalEvents(); got != before+1 {
+	if got := s.fabric.status().total.events; got != before+1 {
 		t.Fatalf("store holds %d events after one acknowledged event, want %d", got, before+1)
 	}
 }

@@ -390,139 +390,6 @@ func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
 	s.writeJSON(w, code, apiError{Error: err.Error()})
 }
 
-// handleHealthz is pure liveness: the process is up and can read its own
-// state. Shard health lives in /readyz — a fleet with a dead shard is alive
-// but not fully ready.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	f := s.fabric
-	body := map[string]any{
-		"status":          "ok",
-		"systems":         len(f.fleet),
-		"window":          f.window.String(),
-		"dataset_version": f.maxVersion(),
-		"dataset_events":  f.totalEvents(),
-	}
-	if f.n() > 1 {
-		body["shards"] = f.n()
-	}
-	w.Header().Set("X-Dataset-Version", strconv.FormatUint(f.maxVersion(), 10))
-	s.writeJSON(w, http.StatusOK, body)
-}
-
-// handleReadyz is the readiness gate: 200 only when every shard is Ready
-// and every configured standby has warmed (fully drained its leader's WAL
-// at least once). Load balancers should route on this, not /healthz, so a
-// server mid-recovery or mid-failover drains instead of serving partials.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	// readiness is one dataset's status and shard rows. A read-only dataset
-	// still serves reads — load balancers should keep routing queries — but
-	// the status tells operators writes are being rejected.
-	readiness := func(f *fabric) map[string]any {
-		ready, rows := f.status()
-		status := "ready"
-		switch {
-		case !ready:
-			status = "not-ready"
-		case f.readOnly():
-			status = "read-only"
-		}
-		return map[string]any{"status": status, "shards": rows}
-	}
-	body := readiness(s.fabric)
-	code := http.StatusOK
-	if body["status"] == "not-ready" {
-		code = http.StatusServiceUnavailable
-	}
-	// Named tenants report their own readiness per row; a read-only or
-	// recovering tenant degrades only its own routes, so the process-level
-	// code (what load balancers route on) stays the default tenant's.
-	datasets := map[string]any{}
-	s.eachTenant(func(name string, ts *Server) { datasets[name] = readiness(ts.fabric) })
-	if len(datasets) > 0 {
-		body["datasets"] = datasets
-	}
-	s.writeJSON(w, code, body)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// One row per dataset: the default tenant renders unlabeled (the exact
-	// pre-registry exposition, so dashboards and the replay SLO gate keep
-	// working), named tenants render the same families with a dataset label.
-	rows := []metricsRow{{ds: "", m: s.metrics, g: s.gatherGauges()}}
-	s.eachTenant(func(name string, ts *Server) {
-		rows = append(rows, metricsRow{ds: name, m: ts.metrics, g: ts.gatherGauges()})
-	})
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	writeMetricsRows(w, rows)
-}
-
-// gatherGauges collects the point-in-time gauge values for this server's
-// metrics row.
-func (s *Server) gatherGauges() gauges {
-	f := s.fabric
-	g := gauges{
-		cacheEntries:  s.cache.Len(),
-		readOnlyEntry: f.roEntries.Load(),
-		walAppendErrs: f.walAppendErrs.Load(),
-		admission:     make(map[string]admissionGauge, len(s.limits)),
-	}
-	now := s.now()
-	for i, sh := range f.shards {
-		st, eng, j := sh.view()
-		esnap := eng.Snapshot()
-		dsnap := st.Snapshot()
-		g.activeEvents += len(esnap.Active)
-		g.observedEvents += esnap.Observed
-		g.engineLag = max(g.engineLag, eng.Lag(now))
-		g.datasetVersion = max(g.datasetVersion, dsnap.Version())
-		g.datasetEvents += dsnap.Events()
-		g.storeAppends += st.Appends()
-		g.storeRebuilds += st.Rebuilds()
-		// Any shard's open circuit reads as open; trips sum across shards.
-		open, trips := sh.breaker.snapshot()
-		g.breakerOpen = g.breakerOpen || open
-		g.breakerTrips += trips
-		sg := shardGauge{
-			state:     f.sup.State(i).String(),
-			healthy:   f.sup.State(i) == store.ShardReady,
-			version:   dsnap.Version(),
-			failovers: sh.failovers.Load(),
-			diskFull:  sh.diskFull.Load(),
-		}
-		g.readOnly = g.readOnly || sg.diskFull
-		if j != nil {
-			g.walRecords += j.WALCount()
-			g.walSegments += j.WALSegments()
-		}
-		// Replication lag in records: leader appends minus standby applies
-		// while the leader lives; once it is dead, what the standby can
-		// still read from the log past its position.
-		if sb := sh.getStandby(); sb != nil {
-			sg.hasStandby = true
-			if j != nil {
-				if c, a := j.WALCount(), sb.Applied(); c > a {
-					sg.lag = c - a
-				}
-			} else if pending, err := sb.Pending(); err == nil {
-				sg.lag = pending
-			}
-		}
-		g.shards = append(g.shards, sg)
-	}
-	for route, lim := range s.limits {
-		if lim == nil {
-			continue
-		}
-		g.admission[route] = admissionGauge{
-			inflight: lim.inflight.Load(),
-			queued:   lim.queued.Load(),
-			peak:     lim.peak.Load(),
-			shed:     lim.shed.Load(),
-		}
-	}
-	return g
-}
-
 // handleSnapshot serves the engine's full observable state in the same
 // canonical form the on-disk snapshot uses. The kill-and-recover test
 // compares these bytes between a crashed-and-recovered server and an

@@ -79,6 +79,13 @@ type shard struct {
 	// miner maintains the shard's correlation-rule counts incrementally
 	// against st; it is rebuilt alongside the store on promotion.
 	miner *correlate.Miner
+	// lastJournal is the journal the shard last served with. Its WAL count
+	// stays readable after a kill detaches it, until a promotion retires it.
+	lastJournal *risk.Journal
+	// carry keeps the shard's counters monotone across failover: it holds
+	// the final counts of every component the shard retired, minus what
+	// its current components had counted when it adopted them (see row).
+	carry counters
 }
 
 // view reads the shard's current serving components as one consistent set.
@@ -326,15 +333,17 @@ func (f *fabric) promote(i int) error {
 		return fmt.Errorf("server: shard %d promotion: %w", i, err)
 	}
 	sh.mu.Lock()
+	retired := countersOf(sh.st, sh.engine, sh.lastJournal)
 	if st := j.Store(); st != nil {
 		sh.st = st
 	}
 	sh.engine = j.Engine()
-	sh.journal = j
+	sh.journal, sh.lastJournal = j, j
 	sh.standby = nil
 	// The promoted store is a different log; a fresh miner re-mines it on
 	// the next correlations query instead of trusting stale positions.
 	sh.miner = correlate.NewMiner(sh.st, f.corrWindows...)
+	sh.carry = sh.carry.plus(retired).minus(countersOf(sh.st, sh.engine, j))
 	sh.mu.Unlock()
 	sh.stall.Store(0)
 	sh.gen.Add(1)
@@ -342,6 +351,35 @@ func (f *fabric) promote(i int) error {
 	f.sup.Transition(i, store.ShardPromoting, store.ShardReady, "standby promoted")
 	f.logf("hpcserve: shard %d promoted standby (%d wal records)", i, j.WALCount())
 	return nil
+}
+
+// counters are the counts a shard reads off its swappable components: WAL
+// records off the journal, appends and rebuilds off the store, observed
+// events off the engine. A promotion replaces all three, so a shard
+// reports them through its carry (see shard.carry).
+type counters struct {
+	walRecords, appends, rebuilds, observed uint64
+}
+
+// countersOf reads the counts of one component set (j may be nil).
+func countersOf(st *store.Store, eng *risk.Engine, j *risk.Journal) counters {
+	_, observed := eng.Counts()
+	c := counters{appends: st.Appends(), rebuilds: st.Rebuilds(), observed: observed}
+	if j != nil {
+		c.walRecords = j.WALCount()
+	}
+	return c
+}
+
+// plus and minus wrap around like all uint64 arithmetic: a carry alone is
+// "negative" when the successors had counted more than what they replaced,
+// but a carry plus its current components' counts never is.
+func (c counters) plus(o counters) counters {
+	return counters{c.walRecords + o.walRecords, c.appends + o.appends, c.rebuilds + o.rebuilds, c.observed + o.observed}
+}
+
+func (c counters) minus(o counters) counters {
+	return counters{c.walRecords - o.walRecords, c.appends - o.appends, c.rebuilds - o.rebuilds, c.observed - o.observed}
 }
 
 // tick is one upkeep round, the only periodic work a fabric gets. Where
@@ -465,9 +503,8 @@ func (f *fabric) syncAll() {
 	}
 }
 
-// maxVersion returns the highest dataset-store version across shards, and
-// totalEvents the fleet-wide event count — what a one-shard server reads
-// off its one snapshot.
+// maxVersion returns the highest dataset-store version across shards —
+// what a one-shard server reads off its one snapshot.
 func (f *fabric) maxVersion() uint64 {
 	var v uint64
 	for _, sh := range f.shards {
@@ -477,15 +514,6 @@ func (f *fabric) maxVersion() uint64 {
 	return v
 }
 
-func (f *fabric) totalEvents() int {
-	n := 0
-	for _, sh := range f.shards {
-		st, _, _ := sh.view()
-		n += st.Snapshot().Events()
-	}
-	return n
-}
-
 // allShards lists every shard index.
 func (f *fabric) allShards() []int {
 	idxs := make([]int, f.n())
@@ -493,50 +521,6 @@ func (f *fabric) allShards() []int {
 		idxs[i] = i
 	}
 	return idxs
-}
-
-// shardStatus is one shard's row in the /readyz body.
-type shardStatus struct {
-	Shard   int    `json:"shard"`
-	State   string `json:"state"`
-	Reason  string `json:"reason,omitempty"`
-	Standby string `json:"standby,omitempty"`
-	Systems int    `json:"systems"`
-	// ReadOnly marks a shard whose WAL disk is full: reads serve, writes 503.
-	ReadOnly bool `json:"read_only,omitempty"`
-}
-
-// status reports readiness: every shard Ready and every standby warm. A
-// recovering shard (WAL replay in OpenJournal) never reaches here un-ready —
-// construction is synchronous — but a standby still draining its leader's
-// log does, and so does any shard that died or is mid-promotion.
-func (f *fabric) status() (bool, []shardStatus) {
-	ready := true
-	rows := make([]shardStatus, f.n())
-	for i, sh := range f.shards {
-		st := f.sup.State(i)
-		row := shardStatus{Shard: i, State: st.String(), Reason: f.sup.Reason(i), Systems: len(sh.systems), ReadOnly: sh.diskFull.Load()}
-		if st != store.ShardReady {
-			ready = false
-		}
-		if sb := sh.getStandby(); sb != nil {
-			switch {
-			case sb.ResyncNeeded():
-				// Replication hit a compaction gap: the standby can never
-				// catch up again and must be rebuilt. Distinct from
-				// "warming" so operators see a dead-end, not a slow drain.
-				row.Standby = "resync-needed"
-				ready = false
-			case sb.Warm():
-				row.Standby = "warm"
-			default:
-				row.Standby = "warming"
-				ready = false
-			}
-		}
-		rows[i] = row
-	}
-	return ready, rows
 }
 
 // ShardCount returns the number of fault domains the server is split into
@@ -691,13 +675,14 @@ func newFabric(cfg Config, w time.Duration, now func() time.Time, logf func(stri
 			return nil, fmt.Errorf("server: shard %d: a live dataset's journal must apply its events to the shard's store", i)
 		}
 		sh := &shard{
-			idx:     i,
-			systems: fleetCopy(st.Snapshot().Dataset().Systems),
-			breaker: newBreaker(cfg.BreakerThreshold, now),
-			st:      st,
-			engine:  engine,
-			journal: journal,
-			miner:   correlate.NewMiner(st, cfg.CorrelationWindows...),
+			idx:         i,
+			systems:     fleetCopy(st.Snapshot().Dataset().Systems),
+			breaker:     newBreaker(cfg.BreakerThreshold, now),
+			st:          st,
+			engine:      engine,
+			journal:     journal,
+			lastJournal: journal,
+			miner:       correlate.NewMiner(st, cfg.CorrelationWindows...),
 		}
 		if cfg.Standby && cfg.ShardWAL.Dir != "" {
 			// The standby gets its own dataset copy, store and engine over the

@@ -350,7 +350,7 @@ func TestSupervisorAutoFailover(t *testing.T) {
 
 	// A healthy tick beats both shards; nothing changes.
 	srv.SuperviseTick(context.Background())
-	if _, rows := srv.fabric.status(); rows[0].State != "ready" || rows[1].State != "ready" {
+	if rows := srv.fabric.status().shards; rows[0].State != "ready" || rows[1].State != "ready" {
 		t.Fatalf("healthy tick changed states: %+v", rows)
 	}
 
@@ -363,7 +363,8 @@ func TestSupervisorAutoFailover(t *testing.T) {
 	srv.SuperviseTick(context.Background()) // heartbeat fails; no beat recorded
 	clock.Advance(2 * time.Second)
 	srv.SuperviseTick(context.Background()) // expire + auto-promote
-	ready, rows := srv.fabric.status()
+	st := srv.fabric.status()
+	ready, rows := st.total.ready, st.shards
 	if rows[0].State != "ready" {
 		t.Fatalf("shard 0 after auto-failover = %+v", rows[0])
 	}
@@ -390,10 +391,10 @@ func TestReadyzWarmup(t *testing.T) {
 		t.Fatalf("warming readyz = %d, want 503; body %s", resp.StatusCode, body)
 	}
 	var warming struct {
-		Shards []shardStatus `json:"shards"`
+		Shards []shardRow `json:"shards"`
 	}
 	mustDecode(t, body, &warming)
-	if !slices.ContainsFunc(warming.Shards, func(r shardStatus) bool { return r.Standby == "warming" }) {
+	if !slices.ContainsFunc(warming.Shards, func(r shardRow) bool { return r.Standby == "warming" }) {
 		t.Fatalf("warming readyz body = %s", body)
 	}
 	resp, _ = getRaw(t, ts.URL+"/healthz")

@@ -19,6 +19,7 @@ import (
 
 	"github.com/hpcfail/hpcfail/internal/registry"
 	"github.com/hpcfail/hpcfail/internal/simulate"
+	"github.com/hpcfail/hpcfail/internal/trace"
 )
 
 // defaultTenantName is the reserved dataset name that resolves to the root
@@ -219,7 +220,7 @@ func (s *Server) buildTenantResource(name, dir string, m registry.Manifest) (reg
 	w := s.tmpl.Window
 	if spec.Window != "" {
 		var err error
-		if w, err = parseWindow(spec.Window); err != nil {
+		if w, err = trace.ParseWindow(spec.Window); err != nil {
 			return nil, err
 		}
 	}
@@ -334,29 +335,16 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, code, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, tn.Resource().(*Server).datasetStatus(tn.Name(), tn.State().String()))
-}
-
-// datasetStatus is this server's row in the dataset API's answers.
-func (s *Server) datasetStatus(name, state string) datasetStatusJSON {
-	return datasetStatusJSON{
-		Name:           name,
-		State:          state,
-		Systems:        len(s.fabric.fleet),
-		DatasetVersion: s.fabric.maxVersion(),
-		Shards:         s.fabric.n(),
-		ReadOnly:       s.fabric.readOnly(),
-	}
+	s.writeJSON(w, http.StatusCreated, tn.Resource().(*Server).fabric.status().entry(tn.Name(), tn.State().String()))
 }
 
 func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
 	if !s.adminGate(w, r) {
 		return
 	}
-	rows := []datasetStatusJSON{s.datasetStatus(defaultTenantName, registry.StateOpen.String())}
-	s.eachTenant(func(name string, ts *Server) {
-		rows = append(rows, ts.datasetStatus(name, registry.StateOpen.String()))
-	})
+	open := registry.StateOpen.String()
+	rows := []datasetStatusJSON{s.fabric.status().entry(defaultTenantName, open)}
+	s.eachTenant(func(name string, ts *Server) { rows = append(rows, ts.fabric.status().entry(name, open)) })
 	s.writeJSON(w, http.StatusOK, map[string]any{"datasets": rows})
 }
 

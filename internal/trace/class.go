@@ -1,5 +1,10 @@
 package trace
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Class identifies one class-partition of a failure log: the whole log
 // (ClassAny), one root-cause category, or one (category, subtype) leaf.
 // Every failure belongs to ClassAny, to its category's class, and — when
@@ -177,6 +182,55 @@ func SWPred(s SWClass) Pred {
 // EnvPred matches environment failures of one subtype.
 func EnvPred(e EnvClass) Pred {
 	return &ClassPred{kind: predEnv, class: EnvClassOf(e), env: e}
+}
+
+// ParseEventSpec parses the event syntax the CLIs and the API share —
+// ENV|HW|HUMAN|NET|SW|UNDET, optionally refined as HW/<component>,
+// SW/<class> or ENV/<subtype>, any case — into its canonical label (stable
+// across case variants) and predicate. An empty spec means "any failure"
+// and yields an empty label and a nil predicate.
+func ParseEventSpec(s string) (string, Pred, error) {
+	if s == "" {
+		return "", nil, nil
+	}
+	catLabel, rest, refined := strings.Cut(s, "/")
+	cat, err := foldLookup(Categories, catLabel, "category")
+	if err != nil {
+		return "", nil, err
+	}
+	if !refined {
+		return cat.String(), CategoryPred(cat), nil
+	}
+	leaf := func(label string, p Pred, err error) (string, Pred, error) {
+		if err != nil {
+			return "", nil, err
+		}
+		return cat.String() + "/" + label, p, nil
+	}
+	switch cat {
+	case Hardware:
+		c, err := foldLookup(HWComponents, rest, "hardware component")
+		return leaf(c.String(), HWPred(c), err)
+	case Software:
+		c, err := foldLookup(SWClasses, rest, "software class")
+		return leaf(c.String(), SWPred(c), err)
+	case Environment:
+		c, err := foldLookup(EnvClasses, rest, "environment subtype")
+		return leaf(c.String(), EnvPred(c), err)
+	default:
+		return "", nil, fmt.Errorf("category %s has no subtypes", cat)
+	}
+}
+
+// foldLookup finds the value of vals named s, ignoring case.
+func foldLookup[T fmt.Stringer](vals []T, s, what string) (T, error) {
+	for _, v := range vals {
+		if strings.EqualFold(v.String(), s) {
+			return v, nil
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q", what, s)
 }
 
 // PredOf wraps an arbitrary filter function as a Pred. Such predicates are

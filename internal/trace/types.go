@@ -13,6 +13,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -482,6 +483,31 @@ const (
 	// "month" as a fixed-length window.
 	Month = 30 * Day
 )
+
+// maxWindow bounds ParseWindow: no analysis window spans more than the
+// decade a failure log covers.
+const maxWindow = 10 * 365 * Day
+
+// ParseWindow parses an analysis window: the paper's names day, week and
+// month (any case) or a Go duration in (0, 10 years].
+func ParseWindow(s string) (time.Duration, error) {
+	switch strings.ToLower(s) {
+	case "day":
+		return Day, nil
+	case "week":
+		return Week, nil
+	case "month":
+		return Month, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad window %q (use day, week, month, or a duration)", s)
+	}
+	if d <= 0 || d > maxWindow {
+		return 0, fmt.Errorf("window %v out of range", d)
+	}
+	return d, nil
+}
 
 // WindowName returns the paper's name for one of the standard windows, or a
 // duration string for any other length.

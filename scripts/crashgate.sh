@@ -8,13 +8,14 @@
 # sealed-segment corruption test (Open and a follower refuse it alike) and the
 # mid-rotation recovery test run here too, as does the serve loop's
 # interval-policy flush (acknowledged appends survive a power loss after a
-# quiet spell). Shared by verify.sh and the CI crashgate job so the two can
-# never drift. CRASHGATE_DEEP=1 widens the
+# quiet spell), and the durable-write helper behind snapshot.json and
+# tenant.json is crashed after each of its operations. Shared by verify.sh
+# and the CI crashgate job so the two can never drift. CRASHGATE_DEEP=1 widens the
 # sweep (~3x the crash points) for the nightly run.
 set -eu
 
 deep="${CRASHGATE_DEEP:-}"
 
 CRASHGATE_DEEP="$deep" go test -race \
-    -run 'TestCrashConsistencySweep|TestStandby|TestSealedSegment|TestRecoveryAfterCrashMidRotation|TestFsyncGatePoisonsLog|TestAppendENOSPCRollsBackAndRecovers|TestAppendShortWriteRollsBack|TestRotateENOSPCReattachesTail|TestLogOverMemFSEndToEnd|TestMemFS|TestInject|TestDiskFull|TestKillAndRecoverDiskFull|TestReadOnly|TestUpkeepFlushesIntervalWAL' \
+    -run 'TestCrashConsistencySweep|TestStandby|TestSealedSegment|TestRecoveryAfterCrashMidRotation|TestFsyncGatePoisonsLog|TestAppendENOSPCRollsBackAndRecovers|TestAppendShortWriteRollsBack|TestRotateENOSPCReattachesTail|TestLogOverMemFSEndToEnd|TestMemFS|TestInject|TestDiskFull|TestKillAndRecoverDiskFull|TestReadOnly|TestUpkeepFlushesIntervalWAL|TestWriteFileAtomicCrashPoints' \
     ./internal/iofault/ ./internal/wal/ ./internal/risk/ ./internal/server/ ./internal/client/ ./cmd/hpcserve/
