@@ -1,8 +1,10 @@
 // Command hpcbench is the repeatable performance harness of the toolkit:
 // kernel micro-benchmarks pitting the indexed analysis core against the
 // frozen naive reference, macro benchmarks over the lift table and risk
-// engine, the end-to-end experiment suite, and server throughput over
-// httptest — all emitted as machine-readable JSON (BENCH_results.json).
+// engine, the end-to-end experiment suite, server throughput over
+// httptest, and durable recovery (a journal replaying its WAL, a warm
+// standby's promotion) — all emitted as machine-readable JSON
+// (BENCH_results.json).
 //
 // Usage:
 //
@@ -27,6 +29,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -157,6 +160,9 @@ func run(args []string) (err error) {
 		return err
 	}
 	if err := b.serveIngestBench(ds); err != nil {
+		return err
+	}
+	if err := b.recoveryBenches(ds); err != nil {
 		return err
 	}
 
@@ -645,6 +651,78 @@ func (b *bencher) serveIngestBench(ds *trace.Dataset) error {
 		srv.Close()
 		if reqErr != nil {
 			return reqErr
+		}
+	}
+	return nil
+}
+
+// recoveryRecords is the WAL length the recovery rows replay.
+const recoveryRecords = 50000
+
+// recoveryBenches times recovery over a WAL of recoveryRecords one-event
+// records on one system, written without fsync, once each: OpenJournal
+// replaying every record into a fresh engine and store, as a restarting
+// shard does (recovery/openjournal-50k), and promoting a standby that has
+// already drained the log, as a failover does (recovery/promote-warm-50k).
+func (b *bencher) recoveryBenches(ds *trace.Dataset) error {
+	const openName, promoteName = "recovery/openjournal-50k", "recovery/promote-warm-50k"
+	names := slices.DeleteFunc([]string{openName, promoteName}, func(name string) bool {
+		return b.filter != nil && !b.filter.MatchString(name)
+	})
+	if len(names) == 0 {
+		return nil
+	}
+	dir, err := os.MkdirTemp("", "hpcbench-recovery-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	opts := wal.Options{Dir: dir, Policy: wal.SyncNever}
+	log, err := wal.Open(opts)
+	if err != nil {
+		return err
+	}
+	sys, start := ds.Systems[0], datasetEnd(ds)
+	for i := 0; i < recoveryRecords; i++ {
+		f := trace.Failure{System: sys.ID, Node: i % sys.Nodes, Time: start.Add(time.Duration(i) * time.Minute), Category: trace.Hardware, HW: trace.CPU}
+		if _, err := log.Append(risk.EncodeEvent(f)); err != nil {
+			return err
+		}
+	}
+	if err := log.Close(); err != nil {
+		return err
+	}
+	for _, name := range names {
+		// The engine and store a recovering shard starts from.
+		st, err := store.New(ds.FilterSystems(sys.ID))
+		if err != nil {
+			return err
+		}
+		eng, err := risk.FromAnalyzer(st.Snapshot().Analyzer(), trace.Day)
+		if err != nil {
+			return err
+		}
+		var sb *risk.Standby
+		if name == promoteName {
+			if sb, err = risk.NewStandby(risk.StandbyConfig{Dir: dir, Engine: eng, Store: st}); err == nil {
+				_, err = sb.Catchup()
+			}
+		}
+		var j *risk.Journal
+		if err == nil {
+			b.measureOnce(name, "recovery", func() {
+				if sb != nil {
+					j, err = sb.Promote(nil, opts, nil)
+				} else {
+					j, _, err = risk.OpenJournal(risk.JournalConfig{Engine: eng, Store: st, WAL: opts})
+				}
+			})
+		}
+		if err == nil {
+			err = j.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	return nil

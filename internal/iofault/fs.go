@@ -14,6 +14,7 @@
 package iofault
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -93,7 +94,7 @@ func Open(fsys FS, name string) (File, error) {
 // or wholly new, never empty or torn, and once it returns the new contents
 // survive a power loss. Every error path before the rename removes the
 // temp, so a failed write (a full disk) strands nothing; only a crash can
-// orphan one (OpenJournal sweeps the snapshot's).
+// orphan one, which SweepTemps removes at the next boot.
 func WriteFileAtomic(fsys FS, path, pattern string, data []byte) error {
 	fsys = Or(fsys)
 	dir := filepath.Dir(path)
@@ -122,6 +123,31 @@ func WriteFileAtomic(fsys FS, path, pattern string, data []byte) error {
 		return fmt.Errorf("syncing %s: %w", dir, err)
 	}
 	return nil
+}
+
+// SweepTemps removes the files in dir that match pattern: the temps a crash
+// stranded between WriteFileAtomic's create and its rename. They are never
+// valid state (the rename is what commits), and on a nearly-full disk their
+// dead bytes matter. It returns how many it removed and the first error,
+// sweeping on past a file it could not remove; a missing dir holds none.
+func SweepTemps(fsys FS, dir, pattern string) (int, error) {
+	fsys = Or(fsys)
+	ents, err := fsys.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	removed := 0
+	for _, e := range ents {
+		if ok, _ := filepath.Match(pattern, e.Name()); !ok || e.IsDir() {
+			continue
+		}
+		if rerr := fsys.Remove(filepath.Join(dir, e.Name())); rerr != nil {
+			err = cmp.Or(err, rerr)
+			continue
+		}
+		removed++
+	}
+	return removed, err
 }
 
 // IsDiskFull reports whether err is a disk-full condition (wraps

@@ -378,3 +378,45 @@ func TestWriteFileAtomicCrashPoints(t *testing.T) {
 		t.Fatalf("after a failed fsync f = %q, want the old contents", data)
 	}
 }
+
+// TestSweepTempsAfterCrashPoints: whichever operation of WriteFileAtomic a
+// crash lands after, SweepTemps at the next boot leaves the directory
+// holding the target alone — old or new, never a stranded temp — and
+// touches nothing that does not match its pattern. Directory entries are
+// durable at once in one pass, as on file systems that journal them
+// eagerly; that is where a temp outlives the crash.
+func TestSweepTempsAfterCrashPoints(t *testing.T) {
+	if n, err := SweepTemps(NewMemFS(), "/missing", ".f-*"); n != 0 || err != nil {
+		t.Fatalf("sweeping a missing directory = %d, %v", n, err)
+	}
+	stranded := 0
+	for _, eager := range []bool{false, true} {
+		for n := 1; ; n++ {
+			m := NewMemFS()
+			m.EagerDirSync(eager)
+			if err := m.MkdirAll("/d/.f-dir", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFileAtomic(m, "/d/f", ".f-*", []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			m.CrashAfter(n)
+			if err := WriteFileAtomic(m, "/d/f", ".f-*", []byte("new")); !errors.Is(err, ErrCrashed) {
+				break // n is past the last operation
+			}
+			m.Reboot(TearNone)
+			removed, err := SweepTemps(m, "/d", ".f-*")
+			if err != nil {
+				t.Fatalf("eager %v, crash after %d ops: sweep: %v", eager, n, err)
+			}
+			stranded += removed
+			entries, err := m.ReadDir("/d")
+			if err != nil || len(entries) != 2 || entries[0].Name() != ".f-dir" || entries[1].Name() != "f" {
+				t.Fatalf("eager %v, crash after %d ops: /d holds %v (%v), want .f-dir and f", eager, n, entries, err)
+			}
+		}
+	}
+	if stranded == 0 {
+		t.Fatal("no crash point stranded a temp; the sweep removed nothing")
+	}
+}

@@ -15,6 +15,17 @@ func approx(t *testing.T, name string, got, want, tol float64) {
 	}
 }
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
 func TestBasicsAndShape(t *testing.T) {
 	m := New(2, 3)
 	if m.Rows() != 2 || m.Cols() != 3 {
@@ -36,26 +47,9 @@ func TestBasicsAndShape(t *testing.T) {
 	}
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Error("FromRows layout wrong")
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrShape) {
-		t.Error("ragged rows should fail with ErrShape")
-	}
-	empty, err := FromRows(nil)
-	if err != nil || empty.Rows() != 0 {
-		t.Error("empty FromRows should give 0x0")
-	}
-}
-
 func TestMulAndTranspose(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	p, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +70,7 @@ func TestMulAndTranspose(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	v, err := a.MulVec([]float64{1, 0, -1})
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +83,11 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestIdentity(t *testing.T) {
-	i3 := Identity(3)
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	i3 := New(3, 3)
+	for i := 0; i < 3; i++ {
+		i3.Set(i, i, 1)
+	}
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	p, _ := a.Mul(i3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
@@ -100,7 +97,7 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestWeightedGram(t *testing.T) {
-	x, _ := FromRows([][]float64{{1, 2}, {1, 3}, {1, 4}})
+	x := fromRows([][]float64{{1, 2}, {1, 3}, {1, 4}})
 	w := []float64{1, 2, 3}
 	g, err := WeightedGram(x, w)
 	if err != nil {
@@ -120,7 +117,7 @@ func TestWeightedGram(t *testing.T) {
 }
 
 func TestWeightedXtY(t *testing.T) {
-	x, _ := FromRows([][]float64{{1, 2}, {1, 3}})
+	x := fromRows([][]float64{{1, 2}, {1, 3}})
 	v, err := WeightedXtY(x, []float64{2, 1}, []float64{10, 20})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +128,7 @@ func TestWeightedXtY(t *testing.T) {
 
 func TestCholeskyAndSolve(t *testing.T) {
 	// SPD matrix with known factor: A = [[4,2],[2,3]].
-	a, _ := FromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +144,7 @@ func TestCholeskyAndSolve(t *testing.T) {
 	approx(t, "chol x0", 4*x[0]+2*x[1], 10, 1e-10)
 	approx(t, "chol x1", 2*x[0]+3*x[1], 8, 1e-10)
 	// Non-SPD rejected.
-	bad, _ := FromRows([][]float64{{1, 2}, {2, 1}})
+	bad := fromRows([][]float64{{1, 2}, {2, 1}})
 	if _, err := Cholesky(bad); !errors.Is(err, ErrSingular) {
 		t.Error("indefinite matrix should fail Cholesky")
 	}
@@ -155,7 +152,7 @@ func TestCholeskyAndSolve(t *testing.T) {
 
 func TestSolveGauss(t *testing.T) {
 	// Non-symmetric system requiring pivoting.
-	a, _ := FromRows([][]float64{{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}})
+	a := fromRows([][]float64{{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}})
 	b := []float64{-8, 0, 3}
 	x, err := SolveGauss(a, b)
 	if err != nil {
@@ -168,14 +165,14 @@ func TestSolveGauss(t *testing.T) {
 		}
 		approx(t, "gauss residual", got, b[i], 1e-10)
 	}
-	sing, _ := FromRows([][]float64{{1, 2}, {2, 4}})
+	sing := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := SolveGauss(sing, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Error("singular matrix should fail")
 	}
 }
 
 func TestInverse(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 7}, {2, 6}})
+	a := fromRows([][]float64{{4, 7}, {2, 6}})
 	inv, err := Inverse(a)
 	if err != nil {
 		t.Fatal(err)

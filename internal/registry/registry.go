@@ -185,6 +185,10 @@ func Canonical(name string) (string, error) {
 
 const manifestFile = "tenant.json"
 
+// manifestTempPattern names the temps writeManifest stages through; OpenAll
+// sweeps the ones a crash stranded.
+const manifestTempPattern = ".tenant-*"
+
 // Create registers a new tenant: canonicalize the name, persist the
 // manifest (durable registries only), build the resource, and open it.
 // The write-then-build order means a crash mid-Create leaves a manifest
@@ -229,9 +233,11 @@ func (r *Registry) Create(name string, m Manifest) (*Tenant, error) {
 	return t, nil
 }
 
-// OpenAll scans the root for tenant manifests and rebuilds each one.
-// A tenant that fails to build fails the whole boot: silently serving a
-// subset of durable datasets would be worse than not starting.
+// OpenAll scans the root for tenant manifests and rebuilds each one. It
+// first sweeps each directory's stranded manifest temps: a crash mid-Create
+// can leave one beside no manifest at all. A tenant that fails to build
+// fails the whole boot: silently serving a subset of durable datasets would
+// be worse than not starting.
 func (r *Registry) OpenAll() error {
 	if r.root == "" {
 		return nil
@@ -248,6 +254,9 @@ func (r *Registry) OpenAll() error {
 			continue
 		}
 		dir := filepath.Join(r.root, e.Name())
+		if _, err := iofault.SweepTemps(nil, dir, manifestTempPattern); err != nil {
+			r.logf("registry: sweeping manifest temps in %s: %v", dir, err)
+		}
 		raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 		if err != nil {
 			if os.IsNotExist(err) {
@@ -495,7 +504,7 @@ func writeManifest(dir string, m Manifest) error {
 	if err != nil {
 		return fmt.Errorf("registry: encoding manifest: %w", err)
 	}
-	if err := iofault.WriteFileAtomic(nil, filepath.Join(dir, manifestFile), ".tenant-*", append(raw, '\n')); err != nil {
+	if err := iofault.WriteFileAtomic(nil, filepath.Join(dir, manifestFile), manifestTempPattern, append(raw, '\n')); err != nil {
 		return fmt.Errorf("registry: writing manifest: %w", err)
 	}
 	return nil

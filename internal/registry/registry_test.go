@@ -175,6 +175,42 @@ func TestManifestRoundTripOpenAll(t *testing.T) {
 	}
 }
 
+// TestOpenAllSweepsManifestTemps: a crash inside writeManifest strands a
+// .tenant-* temp, beside the old manifest or, mid-Create, beside none.
+// OpenAll removes both kinds before reading manifests, leaves other files
+// alone, and rebuilds only the tenant whose manifest committed.
+func TestOpenAllSweepsManifestTemps(t *testing.T) {
+	root := t.TempDir()
+	if _, err := newTestRegistry(t, root).Create("alpha", Manifest{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(root, "beta"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	temps := []string{filepath.Join(root, "alpha", ".tenant-123"), filepath.Join(root, "beta", ".tenant-456")}
+	kept := filepath.Join(root, "beta", "notes.txt")
+	for _, path := range append(temps, kept) {
+		if err := os.WriteFile(path, []byte(`{"name":"beta"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := newTestRegistry(t, root)
+	if err := r.OpenAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range temps {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived OpenAll: %v", path, err)
+		}
+	}
+	if _, err := os.Stat(kept); err != nil {
+		t.Errorf("OpenAll removed %s: %v", kept, err)
+	}
+	if names := r.Names(); len(names) != 1 || names[0] != "alpha" {
+		t.Fatalf("Names = %v, want [alpha]", names)
+	}
+}
+
 func TestDrainWaitsForRelease(t *testing.T) {
 	r := newTestRegistry(t, "")
 	if _, err := r.Create("d", Manifest{}); err != nil {

@@ -14,8 +14,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/checkpoint"
@@ -191,8 +191,9 @@ func convert[A, B any](in []A, f func(A) B) []B {
 type JournalConfig struct {
 	// Engine is the engine to make durable. Required.
 	Engine *Engine
-	// WAL configures the log (Dir required). Policy/Interval/SegmentBytes
-	// pass through to wal.Open. WAL.FS is the filesystem for everything
+	// WAL configures the log (Dir required). Policy, Interval,
+	// SegmentBytes and Now pass through to wal.Follower.Lead when recovery
+	// promotes the journal's standby. WAL.FS is the filesystem for everything
 	// under Dir: the log, the snapshot machinery and recovery reads. Nil
 	// means the real disk; fault-injection and crash-sweep tests substitute
 	// an iofault.MemFS or iofault.Inject there.
@@ -253,15 +254,21 @@ type Journal struct {
 	// covered is the WAL count the newest snapshot covers, -1 while none
 	// exists: a due snapshot that would cover no new record is skipped.
 	covered int64
+	// walCount and walSegments publish the log's Count and Segments after
+	// every change, so status probes never wait on mu, which ObserveBatch
+	// holds across fsyncs.
+	walCount    atomic.Uint64
+	walSegments atomic.Int64
 }
 
 // OpenJournal opens (or creates) the durable state under cfg.WAL.Dir and
 // returns the journal ready for Observe. Recovery is a failover onto the
 // journal's own directory: a Standby restores the newest snapshot into the
-// engine, its follower replays the WAL tail, and Promote opens the log for
-// writing — one path for recovery and failover, with the store receiving
-// the snapshot's actives and the tail as one batch. The engine must be
-// freshly built (no events observed) or recovery equivalence is lost.
+// engine, its follower replays the WAL tail, and Promote leads from where
+// the follower stopped — one path for recovery and failover, with the
+// store receiving the snapshot's actives and the tail as one batch. The
+// engine must be freshly built (no events observed) or recovery
+// equivalence is lost.
 func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 	var stats RecoveryStats
 	if cfg.Engine == nil {
@@ -272,28 +279,17 @@ func OpenJournal(cfg JournalConfig) (*Journal, RecoveryStats, error) {
 	}
 	fsys := iofault.Or(cfg.WAL.FS)
 
-	// Sweep snapshot temp files stranded by a crash mid-write: they are
-	// never valid state (the rename is what commits a snapshot) and on a
-	// nearly-full disk their dead bytes matter.
-	if ents, err := fsys.ReadDir(cfg.WAL.Dir); err == nil {
-		for _, ent := range ents {
-			if ok, _ := filepath.Match(snapshotTempPattern, ent.Name()); ok && !ent.IsDir() {
-				if fsys.Remove(filepath.Join(cfg.WAL.Dir, ent.Name())) == nil {
-					stats.TempsSwept++
-				}
-			}
-		}
-	}
+	// A stranded snapshot temp is debris, not state: a sweep that fails
+	// costs disk space, never correctness, so it does not fail the open.
+	stats.TempsSwept, _ = iofault.SweepTemps(fsys, cfg.WAL.Dir, snapshotTempPattern)
 
 	sb, err := NewStandby(StandbyConfig{Dir: cfg.WAL.Dir, Engine: cfg.Engine, Store: cfg.Store, FS: fsys})
 	if err != nil {
 		return nil, stats, err
 	}
 	j, err := sb.Promote(cfg.SnapshotPolicy, cfg.WAL, cfg.Now)
-	swept := stats.TempsSwept
-	stats = sb.rec
-	stats.TempsSwept = swept
-	return j, stats, err
+	sb.rec.TempsSwept = stats.TempsSwept
+	return j, sb.rec, err
 }
 
 // Engine returns the journaled engine (for scoring reads).
@@ -344,6 +340,7 @@ func (j *Journal) ObserveBatch(events []trace.Failure) (errs []error, err error)
 			errs[i] = err
 		}
 	}
+	j.publish()
 	if serr := Apply(j.engine, j.store, events, errs); serr != nil && err == nil {
 		err = fmt.Errorf("%w: dataset store: %w", ErrAppend, serr)
 	}
@@ -429,27 +426,29 @@ func (j *Journal) snapshotLocked(now time.Time) error {
 	if err := WriteSnapshotFileFS(j.fs, j.snapPath, j.engine.Snapshot(), applied); err != nil {
 		return err
 	}
-	if err := j.log.Compact(applied); err != nil {
+	err := j.log.Compact(applied)
+	j.publish()
+	if err != nil {
 		return err
 	}
 	j.lastSnap, j.covered = now, int64(applied)
 	return nil
 }
 
-// WALCount returns how many records the WAL has ever held; WALSegments how
-// many live segment files back it. Both feed the metrics endpoint.
-func (j *Journal) WALCount() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.log.Count()
+// publish makes the log's count and segment count readable without mu.
+// Callers hold mu, or own the journal before anyone else can see it.
+func (j *Journal) publish() {
+	j.walCount.Store(j.log.Count())
+	j.walSegments.Store(int64(j.log.Segments()))
 }
 
+// WALCount returns how many records the WAL has ever held; WALSegments how
+// many live segment files back it. Both feed the status views, and neither
+// waits on an append in flight.
+func (j *Journal) WALCount() uint64 { return j.walCount.Load() }
+
 // WALSegments returns the live WAL segment count.
-func (j *Journal) WALSegments() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.log.Segments()
-}
+func (j *Journal) WALSegments() int { return int(j.walSegments.Load()) }
 
 // WALFirst returns the index of the first record still in the WAL.
 func (j *Journal) WALFirst() uint64 {

@@ -1,8 +1,8 @@
 // Warm-standby replication: a Standby keeps a second engine (and optional
 // dataset store) continuously caught up with a leader's WAL by tailing its
-// segments through a wal.Follower, so promotion on leader death is O(tail):
-// drain the last few durable records, open the log for writing, and attach
-// a Journal — no full replay, no snapshot restore on the failover path.
+// segments through a wal.Follower, so promotion on leader death is a final
+// drain, wal.Follower.Lead and a Journal — no replay and no snapshot
+// restore on the failover path (package wal says what those read).
 // Leader recovery is the same sequence with nothing warmed up yet:
 // OpenJournal builds a standby over its own directory and promotes it.
 // Records cross from the follower to the apply loop in the ship-batch wire
@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/checkpoint"
@@ -47,10 +48,12 @@ type StandbyConfig struct {
 }
 
 // Standby is a warm replica of one shard's engine state. Methods are safe
-// for concurrent use; the catchup loop, lag probes and promotion serialize
-// on one mutex. It is also how a leader recovers: OpenJournal promotes a
-// standby over the journal's own directory, so the follower is the one
-// path that turns WAL records into engine and store state.
+// for concurrent use; catchups and promotion serialize on one mutex, which
+// a drain holds across log I/O, so Applied, Warm and ResyncNeeded read
+// values the drain publishes instead of taking it. It is also how a leader
+// recovers: OpenJournal promotes a standby over the journal's own
+// directory, so the follower is the one path that turns WAL records into
+// engine and store state.
 type Standby struct {
 	mu       sync.Mutex
 	dir      string
@@ -59,11 +62,11 @@ type Standby struct {
 	st       *store.Store
 	follower *wal.Follower
 	batchMax int
-	applied  uint64          // WAL records applied (== follower position)
+	applied  atomic.Uint64   // WAL records applied (== follower position)
 	rec      RecoveryStats   // snapshot restore, replay, skip and store counters
 	queue    []trace.Failure // accepted events not yet handed to the store
-	warm     bool            // true once a catchup has fully drained the durable tail
-	resync   bool            // replication hit wal.ErrGap; the standby must be rebuilt
+	warm     atomic.Bool     // true once a catchup has fully drained the durable tail
+	resync   atomic.Bool     // replication hit wal.ErrGap; the standby must be rebuilt
 	promoted bool            // true after Promote; the standby is consumed
 }
 
@@ -95,7 +98,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 		if cfg.Store != nil {
 			s.queue = snap.Active
 		}
-		s.applied = walApplied
+		s.applied.Store(walApplied)
 		s.rec.SnapshotLoaded = true
 		s.rec.SnapshotEvents = len(snap.Active)
 		s.rec.SnapshotWALPos = walApplied
@@ -109,8 +112,8 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.applied > 0 {
-		f.Seek(s.applied)
+	if walApplied > 0 {
+		f.Seek(walApplied)
 	} else {
 		// No snapshot: the oldest surviving record must be record 0, or
 		// acknowledged events are unreachable.
@@ -130,27 +133,11 @@ func (s *Standby) Engine() *Engine { return s.engine }
 func (s *Standby) Store() *store.Store { return s.st }
 
 // Applied returns how many WAL records the standby has applied.
-func (s *Standby) Applied() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
-}
+func (s *Standby) Applied() uint64 { return s.applied.Load() }
 
 // Warm reports whether the standby has fully drained the leader's durable
 // tail at least once — the "standby warm-up" half of readiness.
-func (s *Standby) Warm() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.warm
-}
-
-// Skipped returns how many replayed records the engine rejected (catalog
-// drift; never fatal, mirrors RecoveryStats.Skipped).
-func (s *Standby) Skipped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return uint64(s.rec.Skipped)
-}
+func (s *Standby) Warm() bool { return s.warm.Load() }
 
 // ResyncNeeded reports whether replication hit a compaction gap
 // (wal.ErrGap): the leader snapshotted and truncated segments past this
@@ -160,11 +147,7 @@ func (s *Standby) Skipped() uint64 {
 // engine and store are stale, not corrupted. The remedy is a rebuild: open
 // a fresh NewStandby over the same leader directory, which restores the
 // very snapshot that caused the gap and tails from there.
-func (s *Standby) ResyncNeeded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resync
-}
+func (s *Standby) ResyncNeeded() bool { return s.resync.Load() }
 
 // Pending counts durable records not yet applied — the replication lag in
 // records measured from the log itself (usable even when the leader's
@@ -217,10 +200,10 @@ func (s *Standby) drain() (int, error) {
 		// The leader compacted past our position: flag the terminal resync
 		// condition so supervisors report it distinctly instead of retrying
 		// into the same wall forever.
-		s.resync = true
-		s.warm = false
+		s.resync.Store(true)
+		s.warm.Store(false)
 	case err == nil:
-		s.warm = true
+		s.warm.Store(true)
 	}
 	return total, err
 }
@@ -253,7 +236,7 @@ func (s *Standby) catchupBatch() (int, error) {
 		return 0, fmt.Errorf("risk: standby ship round-trip mismatch (first %d->%d, count %d->%d)", first, gotFirst, len(payloads), len(gotPayloads))
 	}
 	for _, p := range gotPayloads {
-		s.applied++
+		s.applied.Add(1)
 		f, derr := DecodeEvent(p)
 		if derr != nil {
 			s.rec.Skipped++
@@ -272,49 +255,45 @@ func (s *Standby) catchupBatch() (int, error) {
 }
 
 // Promote turns the warm standby into the shard's leader after the old
-// leader died: drain the durable tail one final time, open the WAL for
-// writing (truncating any torn tail — torn records were never yielded by
-// the follower, so nothing applied is lost), and attach a Journal that
-// appends where the dead leader stopped. The work is O(records appended
-// since the last Catchup), not O(log). The standby is consumed; further
-// Catchup or Promote calls fail.
+// leader died: drain the durable tail one final time, lead from where the
+// follower stopped (wal.Follower.Lead: a torn tail is truncated, and the
+// follower never yielded torn records, so nothing applied is lost), and
+// attach a Journal that appends where the dead leader stopped. opts
+// supplies the log's fsync policy, interval, segment size and clock. A
+// record that became readable after the final drain is drained too, never
+// truncated. The standby is consumed; further Catchup or Promote calls
+// fail.
 func (s *Standby) Promote(policy checkpoint.Policy, opts wal.Options, now func() time.Time) (*Journal, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted {
 		return nil, errors.New("risk: standby already promoted")
 	}
-	if _, err := s.drain(); err != nil {
-		return nil, fmt.Errorf("risk: promote: final catchup: %w", err)
+	var log *wal.Log
+	for {
+		if _, err := s.drain(); err != nil {
+			return nil, fmt.Errorf("risk: promote: final catchup: %w", err)
+		}
+		var err error
+		if log, err = s.follower.Lead(opts); err == nil {
+			break
+		} else if !errors.Is(err, wal.ErrBehind) {
+			return nil, fmt.Errorf("risk: promote: %w", err)
+		}
+	}
+	if c, a := log.Count(), s.applied.Load(); c != a {
+		log.Close()
+		return nil, fmt.Errorf("risk: promote: WAL holds %d records but standby applied %d — refusing to lead over a log that lost acknowledged events", c, a)
 	}
 	if now == nil {
 		now = time.Now
-	}
-	opts.Dir = s.dir
-	if opts.FS == nil {
-		opts.FS = s.fs
-	}
-	log, err := wal.Open(opts)
-	if err != nil {
-		return nil, fmt.Errorf("risk: promote: %w", err)
-	}
-	// Records appended between the final catchup and Open cannot exist (the
-	// leader is dead), but a race with a still-twitching leader is cheap to
-	// close: drain whatever the opened log holds past our position.
-	if _, err := s.drain(); err != nil {
-		log.Close()
-		return nil, fmt.Errorf("risk: promote: %w", err)
-	}
-	if c := log.Count(); c != s.applied {
-		log.Close()
-		return nil, fmt.Errorf("risk: promote: WAL holds %d records but standby applied %d — refusing to lead over a log that lost acknowledged events", c, s.applied)
 	}
 	s.promoted = true
 	covered := int64(-1)
 	if s.rec.SnapshotLoaded {
 		covered = int64(s.rec.SnapshotWALPos)
 	}
-	return &Journal{
+	j := &Journal{
 		engine:   s.engine,
 		log:      log,
 		store:    s.st,
@@ -325,7 +304,9 @@ func (s *Standby) Promote(policy checkpoint.Policy, opts wal.Options, now func()
 		now:      now,
 		lastSnap: now(),
 		covered:  covered,
-	}, nil
+	}
+	j.publish()
+	return j, nil
 }
 
 // MergeSnapshots combines per-shard engine snapshots (disjoint system sets)

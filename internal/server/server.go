@@ -124,7 +124,7 @@ type Config struct {
 	Shards int
 	// ShardWAL configures durability for every layout: Dir is the WAL root
 	// (see Shards for where each shard's log lives); the remaining options
-	// pass through to wal.Open. An empty Dir disables durability (and
+	// configure each shard's log. An empty Dir disables durability (and
 	// standbys).
 	ShardWAL wal.Options
 	// Standby, with ShardWAL.Dir set, gives every shard a warm standby that
@@ -147,8 +147,8 @@ type Config struct {
 	// (they still work, but do not survive a restart).
 	TenantRoot string
 	// TenantWAL is the per-shard durability template for named tenants:
-	// every option passes through to wal.Open with Dir rewritten to the
-	// tenant's own tree. Ignored when TenantRoot is empty.
+	// every option configures the tenant's logs as ShardWAL's do, with Dir
+	// rewritten to the tenant's own tree. Ignored when TenantRoot is empty.
 	TenantWAL wal.Options
 	// AdminToken, when set, gates the dataset-management API (POST/DELETE
 	// /v1/datasets) and, via X-Admin-Token, bypasses per-dataset tokens.

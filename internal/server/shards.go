@@ -8,7 +8,7 @@
 // failing the whole query. Each shard's WAL is tailed by a warm standby
 // (internal/risk.Standby) that replays continuously; a supervisor detects
 // shard death through panic isolation and heartbeat deadlines and promotes
-// the standby in O(tail).
+// the standby (risk.Standby.Promote; package wal says what that reads).
 package server
 
 import (

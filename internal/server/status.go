@@ -37,7 +37,9 @@ type shardRow struct {
 	counters
 }
 
-// row reads the shard's status from one view of its components.
+// row reads the shard's status from one view of its components. Nothing
+// here waits on the write path: the journal and the standby publish what
+// it reads, so a probe never queues behind an fsync or a standby catchup.
 func (sh *shard) row(sup *store.Supervisor, now time.Time) shardRow {
 	sh.mu.RLock()
 	st, eng, j, last, sb, carry := sh.st, sh.engine, sh.journal, sh.lastJournal, sh.standby, sh.carry
@@ -75,15 +77,13 @@ func (sh *shard) row(sup *store.Supervisor, now time.Time) shardRow {
 	default:
 		r.Standby, r.ready = "warming", false
 	}
-	// Replication lag in records: leader appends minus standby applies
-	// while the leader lives; once it is dead, what the standby can still
-	// read from the log past its position.
-	if j != nil {
-		if c, a := j.WALCount(), sb.Applied(); c > a {
+	// Replication lag in records: the leader's appends minus the standby's
+	// applies. A dead leader's journal keeps its final count, so the lag
+	// stays exact until promotion without reading the log here.
+	if last != nil {
+		if c, a := last.WALCount(), sb.Applied(); c > a {
 			r.lag = c - a
 		}
-	} else if pending, err := sb.Pending(); err == nil {
-		r.lag = pending
 	}
 	return r
 }

@@ -94,7 +94,3 @@ func Catalog(scale float64) []SystemConfig {
 		},
 	}
 }
-
-// SmallCatalog returns a reduced catalog for unit tests: the same system
-// IDs and roles at roughly 1/8 scale.
-func SmallCatalog() []SystemConfig { return Catalog(0.125) }

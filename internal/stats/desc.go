@@ -51,22 +51,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// PopVariance returns the population variance (n denominator), or NaN for
-// an empty sample.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))

@@ -72,29 +72,6 @@ func KSOneSample(xs []float64, cdf func(float64) float64) (TestResult, error) {
 	return TestResult{Stat: d, P: p}, nil
 }
 
-// KSTwoSample performs the two-sample KS test.
-func KSTwoSample(xs, ys []float64) (TestResult, error) {
-	n, m := len(xs), len(ys)
-	if n < 2 || m < 2 {
-		return TestResult{Stat: math.NaN(), P: math.NaN()}, ErrDegenerate
-	}
-	ex, ey := NewECDF(xs), NewECDF(ys)
-	d := 0.0
-	for _, x := range ex.sorted {
-		if diff := math.Abs(ex.At(x) - ey.At(x)); diff > d {
-			d = diff
-		}
-	}
-	for _, y := range ey.sorted {
-		if diff := math.Abs(ex.At(y) - ey.At(y)); diff > d {
-			d = diff
-		}
-	}
-	ne := float64(n) * float64(m) / float64(n+m)
-	p := ksPValue(d, ne)
-	return TestResult{Stat: d, P: p}, nil
-}
-
 // ksPValue evaluates the asymptotic Kolmogorov tail probability
 // Q(lambda) = 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2) with the
 // standard small-sample correction lambda = (sqrt(n) + 0.12 + 0.11/sqrt(n)) D.

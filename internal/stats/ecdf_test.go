@@ -61,32 +61,6 @@ func TestKSOneSampleExponential(t *testing.T) {
 	}
 }
 
-func TestKSTwoSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	xs := make([]float64, 300)
-	ys := make([]float64, 300)
-	zs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-		ys[i] = rng.NormFloat64()
-		zs[i] = rng.NormFloat64() + 2
-	}
-	same, err := KSTwoSample(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Significant(0.01) {
-		t.Errorf("identical distributions rejected: p=%.4f", same.P)
-	}
-	diff, err := KSTwoSample(xs, zs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !diff.Significant(0.01) {
-		t.Errorf("shifted distributions not rejected: p=%.4f", diff.P)
-	}
-}
-
 func TestKSPValueBounds(t *testing.T) {
 	if p := ksPValue(0, 100); p != 1 {
 		t.Errorf("D=0 should give p=1, got %g", p)

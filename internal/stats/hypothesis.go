@@ -97,38 +97,6 @@ func ChiSquareEqualRates(counts []float64, exposure []float64) (TestResult, erro
 	return ChiSquareGOF(counts, expected)
 }
 
-// ChiSquareHomogeneity tests whether m groups share the same success
-// proportion from an m x 2 table of (successes, failures) counts, using the
-// standard contingency-table statistic with (m-1) degrees of freedom.
-func ChiSquareHomogeneity(successes, trials []int) (TestResult, error) {
-	if len(successes) != len(trials) || len(successes) < 2 {
-		return TestResult{Stat: math.NaN(), P: math.NaN()}, ErrDegenerate
-	}
-	totS, totN := 0.0, 0.0
-	for i := range successes {
-		if trials[i] <= 0 || successes[i] < 0 || successes[i] > trials[i] {
-			return TestResult{Stat: math.NaN(), P: math.NaN()}, ErrDegenerate
-		}
-		totS += float64(successes[i])
-		totN += float64(trials[i])
-	}
-	if totS == 0 || totS == totN {
-		return TestResult{Stat: 0, DF: float64(len(successes) - 1), P: 1}, nil
-	}
-	pPool := totS / totN
-	stat := 0.0
-	for i := range successes {
-		n := float64(trials[i])
-		eS := n * pPool
-		eF := n * (1 - pPool)
-		dS := float64(successes[i]) - eS
-		dF := float64(trials[i]-successes[i]) - eF
-		stat += dS*dS/eS + dF*dF/eF
-	}
-	df := float64(len(successes) - 1)
-	return TestResult{Stat: stat, DF: df, P: ChiSquared{K: df}.Sf(stat)}, nil
-}
-
 // LikelihoodRatioTest compares two nested models by their maximized
 // log-likelihoods: stat = 2*(llFull - llNull), chi-square with dfFull-dfNull
 // degrees of freedom. This backs the paper's ANOVA comparison of the

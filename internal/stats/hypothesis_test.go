@@ -106,37 +106,6 @@ func TestChiSquareEqualRates(t *testing.T) {
 	}
 }
 
-func TestChiSquareHomogeneity(t *testing.T) {
-	// Same proportions across groups: statistic 0.
-	r, err := ChiSquareHomogeneity([]int{10, 20}, []int{100, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "homogeneous X2", r.Stat, 0, 1e-12)
-	// 2x2 reference: successes 50/100 vs 30/100: X² = z² = 8.3333.
-	r2, err := ChiSquareHomogeneity([]int{50, 30}, []int{100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "2x2 X2 equals z^2", r2.Stat, 2.886751345948129*2.886751345948129, 1e-9)
-	approx(t, "df", r2.DF, 1, 0)
-	// Degenerate inputs.
-	if _, err := ChiSquareHomogeneity([]int{5}, []int{10}); !errors.Is(err, ErrDegenerate) {
-		t.Error("single group should be degenerate")
-	}
-	if _, err := ChiSquareHomogeneity([]int{15, 2}, []int{10, 10}); !errors.Is(err, ErrDegenerate) {
-		t.Error("successes > trials should be degenerate")
-	}
-	// All successes: p = 1 (no variation to test).
-	r3, err := ChiSquareHomogeneity([]int{10, 10}, []int{10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.P != 1 {
-		t.Errorf("saturated table p = %g", r3.P)
-	}
-}
-
 func TestLikelihoodRatioTest(t *testing.T) {
 	r, err := LikelihoodRatioTest(-110, -100, 1, 3)
 	if err != nil {

@@ -155,46 +155,6 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// Digamma returns the digamma function psi(x), the derivative of the log
-// gamma function, for x > 0 (negative arguments are handled via the
-// reflection formula).
-func Digamma(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return math.NaN()
-	}
-	result := 0.0
-	if x < 0 {
-		// Reflection: psi(1-x) - psi(x) = pi / tan(pi x).
-		if x == math.Trunc(x) {
-			return math.NaN() // pole at non-positive integers
-		}
-		result -= math.Pi / math.Tan(math.Pi*x)
-		x = 1 - x
-	}
-	if x == 0 {
-		return math.NaN()
-	}
-	// Recurrence to push the argument above 6 for the asymptotic series.
-	for x < 6 {
-		result -= 1 / x
-		x++
-	}
-	// Asymptotic expansion.
-	inv := 1 / x
-	inv2 := inv * inv
-	result += math.Log(x) - 0.5*inv -
-		inv2*(1.0/12-inv2*(1.0/120-inv2*(1.0/252-inv2*(1.0/240-inv2/132))))
-	return result
-}
-
-// LogBeta returns log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a+b).
-func LogBeta(a, b float64) float64 {
-	lga, _ := math.Lgamma(a)
-	lgb, _ := math.Lgamma(b)
-	lgab, _ := math.Lgamma(a + b)
-	return lga + lgb - lgab
-}
-
 // LogFactorial returns log(n!) via lgamma.
 func LogFactorial(n int) float64 {
 	if n < 0 {

@@ -3,13 +3,15 @@
 // through its Log; the follower re-reads the same segment files with the
 // same CRC framing, so every record the follower yields is exactly a record
 // the leader made durable (a torn or in-flight append fails the frame check
-// and is simply retried on the next call). Batches cross the replication
-// boundary in a self-delimiting ship format (EncodeShipBatch /
-// DecodeShipBatch) so the stream can later move across a real network
-// without touching the apply path.
+// and is simply retried on the next call). Once the leader is gone, Lead
+// turns a follower that has read to the tail into the log's next writer.
+// Batches cross the replication boundary in a self-delimiting ship format
+// (EncodeShipBatch / DecodeShipBatch) so the stream can later move across a
+// real network without touching the apply path.
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"time"
 
 	"github.com/hpcfail/hpcfail/internal/iofault"
 )
@@ -26,6 +29,11 @@ import (
 // leader snapshotted and removed segments the follower had not consumed.
 // The standby must rebuild from the leader's snapshot instead of replaying.
 var ErrGap = errors.New("wal: follower position compacted away")
+
+// ErrBehind reports that Lead found a record past the follower's position:
+// leading there would append after, or truncate, a record the follower never
+// yielded. Drain the follower and lead again.
+var ErrBehind = errors.New("wal: follower behind the durable tail")
 
 // Follower is a read-only cursor over a WAL directory. It is not safe for
 // concurrent use; the standby serializes access. Its read loop is the only
@@ -40,8 +48,9 @@ var ErrGap = errors.New("wal: follower position compacted away")
 //     its last byte, and its successor must start where it ended;
 //   - a read that fails is an error, never a torn tail.
 //
-// Open recovers by draining a follower, so a standby applies exactly the
-// records its promotion would keep, and fails where that promotion would.
+// Every writer is made by Lead from a follower at the tail (Open drains a
+// fresh one), so a standby applies exactly the records its promotion keeps,
+// and fails where that promotion would.
 type Follower struct {
 	dir  string
 	fs   iofault.FS
@@ -51,9 +60,6 @@ type Follower struct {
 	off  int64  // byte offset of the next record within seg
 	torn bool   // the last read stopped at bytes that are not a whole record
 	stub string // newest segment left out for being shorter than a header
-	// entered, when set, sees every segment the follower steps into, in
-	// order; Open collects its segment list this way.
-	entered func(segment)
 }
 
 // OpenFollowerFS opens a tailing cursor at the oldest surviving record of
@@ -62,18 +68,15 @@ type Follower struct {
 // fault-injection tests would tail a log that does not exist. A missing or
 // empty directory is fine — the follower starts at record 0 and picks
 // segments up as the leader creates them.
+//
+// Only the oldest segment's header is read: the follower stands on that
+// segment's first record and checks every later segment's start as it steps
+// into it.
 func OpenFollowerFS(fsys iofault.FS, dir string) (*Follower, error) {
-	return openFollower(fsys, dir, nil)
-}
-
-// openFollower is OpenFollowerFS with an entered hook. Only the oldest
-// segment's header is read: the follower stands on that segment's first
-// record and checks every later segment's start as it steps into it.
-func openFollower(fsys iofault.FS, dir string, entered func(segment)) (*Follower, error) {
 	if dir == "" {
 		return nil, errors.New("wal: follower needs a directory")
 	}
-	f := &Follower{dir: dir, fs: iofault.Or(fsys), entered: entered}
+	f := &Follower{dir: dir, fs: iofault.Or(fsys)}
 	names, err := f.segmentList()
 	if err != nil {
 		return nil, err
@@ -104,15 +107,12 @@ func (f *Follower) Seek(pos uint64) {
 // enter stands the follower at the first record of segment name.
 func (f *Follower) enter(name string, first uint64) {
 	f.seg, f.off, f.pos = name, int64(headerSize), first
-	if f.entered != nil {
-		f.entered(segment{path: filepath.Join(f.dir, name), first: first})
-	}
 }
 
 // segmentList reads the directory and returns segment basenames ascending.
 // A directory that does not exist yet reads as empty. A newest segment
 // shorter than a header holds no records, so it is left out (and named in
-// f.stub for Open to remove); a short segment with successors stays in the
+// f.stub for Lead to remove); a short segment with successors stays in the
 // list and fails its header read.
 func (f *Follower) segmentList() ([]string, error) {
 	names, err := segmentFiles(f.fs, f.dir)
@@ -124,7 +124,7 @@ func (f *Follower) segmentList() ([]string, error) {
 	}
 	f.stub = ""
 	if n := len(names); n > 0 {
-		// A segment gone since the listing was a stub Open discarded.
+		// A segment gone since the listing was a stub Lead discarded.
 		fi, err := f.fs.Stat(filepath.Join(f.dir, names[n-1]))
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("wal: follower: %w", err)
@@ -138,9 +138,9 @@ func (f *Follower) segmentList() ([]string, error) {
 
 // locate stands the follower at the start of the oldest live segment,
 // leaving the records before its position to skip, so a sought follower
-// reads every live record through the one read loop, as Open does. It
-// returns ErrGap when the position is below the oldest live record — the
-// leader compacted past us.
+// reads every live record through the one read loop. It returns ErrGap
+// when the position is below the oldest live record — the leader compacted
+// past us.
 func (f *Follower) locate(oldest string) error {
 	first, err := readSegmentFirst(f.fs, filepath.Join(f.dir, oldest))
 	if err != nil {
@@ -265,6 +265,88 @@ func (f *Follower) Pending() (uint64, error) {
 	c := *f
 	n, err := c.Next(0, nil)
 	return uint64(n), err
+}
+
+// Lead turns a follower that has read to the durable tail into the log's
+// writer, without re-reading a record: it removes a newest segment shorter
+// than a header, truncates a torn tail at the follower's offset, lists the
+// live segments from their headers and opens the newest for appending. The
+// log is the follower's directory on the follower's filesystem; opts
+// supplies only the fsync policy, interval, segment size and clock. A record
+// readable past the follower's position is never truncated: Lead refuses
+// with ErrBehind and leaves it in place for the next drain. A log has one
+// writer, so a follower that has led must not lead again.
+func (f *Follower) Lead(opts Options) (*Log, error) {
+	if err := f.fs.MkdirAll(f.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	// At the tail this probe reads no record bytes; it refreshes the torn
+	// and stub state the repair below acts on.
+	tail := *f
+	if n, err := tail.Next(1, nil); err != nil {
+		return nil, err
+	} else if n > 0 {
+		return nil, fmt.Errorf("%w: record %d is readable", ErrBehind, f.Position())
+	}
+	names, err := tail.segmentList()
+	if err != nil {
+		return nil, err
+	}
+	if len(names) > 0 && names[len(names)-1] != tail.seg {
+		return nil, fmt.Errorf("%w: segment %s appeared", ErrBehind, names[len(names)-1])
+	}
+	if tail.stub != "" {
+		// A crash during rotation tore the newest segment's header.
+		if err := f.fs.Remove(filepath.Join(f.dir, tail.stub)); err != nil {
+			return nil, fmt.Errorf("wal: removing torn segment %s: %w", tail.stub, err)
+		}
+	}
+	l := &Log{
+		dir:      f.dir,
+		segBytes: cmp.Or(max(opts.SegmentBytes, 0), DefaultSegmentBytes),
+		policy:   opts.Policy,
+		interval: opts.SyncEvery(),
+		now:      opts.Now,
+		fs:       f.fs,
+	}
+	if l.now == nil {
+		l.now = time.Now
+	}
+	for _, name := range names {
+		path := filepath.Join(f.dir, name)
+		first, err := readSegmentFirst(f.fs, path)
+		if err != nil {
+			return nil, err
+		}
+		l.segs = append(l.segs, segment{path: path, first: first})
+	}
+	if len(l.segs) == 0 {
+		// Without a segment the follower's position is a Seek target, not a
+		// record it read: the log is empty.
+		if err := l.rotate(); err != nil {
+			return nil, err
+		}
+	} else {
+		path := l.segs[len(l.segs)-1].path
+		if tail.torn {
+			if err := f.fs.Truncate(path, tail.off); err != nil {
+				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", tail.seg, err)
+			}
+		}
+		// Bytes that landed since the probe would sit unread under the
+		// first append.
+		if fi, err := f.fs.Stat(path); err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		} else if fi.Size() != tail.off {
+			return nil, fmt.Errorf("%w: %s grew past offset %d", ErrBehind, tail.seg, tail.off)
+		}
+		if l.f, err = f.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		l.count, l.fSize = tail.pos, tail.off
+	}
+	l.lastSync = l.now()
+	return l, nil
 }
 
 // Ship-batch wire format: how a run of WAL records crosses the replication

@@ -12,10 +12,14 @@
 // first record, followed by length+CRC32C-framed records. Appends go to the
 // newest segment and rotate once it exceeds the size bound. A Follower
 // (follower.go) is the one reader of records: its read loop is the only
-// code that scans frames, and it holds the one corruption rule. Open
-// recovers by draining a follower from the oldest segment, then truncates
-// the final segment's torn tail (a record cut short by a crash mid-write)
-// to the last whole record; records before the tear are kept.
+// code that scans frames, and it holds the one corruption rule. Every
+// writer is made by Follower.Lead from a follower that has read to the
+// tail: it truncates the final segment's torn tail (a record cut short by a
+// crash mid-write) to the last whole record, keeping the records before the
+// tear, and reads directory listings and segment headers, never a record.
+// Open is a fresh follower's drain plus Lead. A standby's promotion is its
+// last drain plus Lead, so it reads the records the standby had not yet
+// applied and one header per live segment, not the history.
 //
 // Three fsync policies trade durability for ingest throughput:
 //
@@ -157,67 +161,23 @@ type segment struct {
 	first uint64 // global index of its first record
 }
 
-// Open opens (creating if needed) the log in opts.Dir. Recovery is a
-// Follower drain from the oldest segment, so Open keeps exactly the records
-// a standby over the directory applies and refuses what it refuses (see
-// Follower for the rule); it then removes a newest segment shorter than a
-// header and truncates a torn tail to the last whole record. The returned
-// log appends after the last surviving record.
+// Open opens (creating if needed) the log in opts.Dir: it drains a fresh
+// Follower from the oldest segment and leads from where the drain stopped
+// (Follower.Lead), so recovery keeps exactly the records a standby over the
+// directory applies and refuses what it refuses. The returned log appends
+// after the last surviving record.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("wal: empty directory")
 	}
-	fsys := iofault.Or(opts.FS)
-	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	l := &Log{
-		dir:      opts.Dir,
-		segBytes: opts.SegmentBytes,
-		policy:   opts.Policy,
-		interval: opts.SyncEvery(),
-		now:      opts.Now,
-		fs:       fsys,
-	}
-	if l.segBytes <= 0 {
-		l.segBytes = DefaultSegmentBytes
-	}
-	if l.now == nil {
-		l.now = time.Now
-	}
-
-	fol, err := openFollower(fsys, opts.Dir, func(s segment) { l.segs = append(l.segs, s) })
+	f, err := OpenFollowerFS(opts.FS, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fol.Next(0, nil); err != nil {
+	if _, err := f.Next(0, nil); err != nil {
 		return nil, err
 	}
-	if fol.stub != "" {
-		// A crash during rotation tore the newest segment's header.
-		if err := fsys.Remove(filepath.Join(opts.Dir, fol.stub)); err != nil {
-			return nil, fmt.Errorf("wal: removing torn segment %s: %w", fol.stub, err)
-		}
-	}
-	l.count = fol.pos
-	if len(l.segs) == 0 {
-		if err := l.rotate(); err != nil {
-			return nil, err
-		}
-	} else {
-		path := l.segs[len(l.segs)-1].path
-		if fol.torn {
-			if err := fsys.Truncate(path, fol.off); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", fol.seg, err)
-			}
-		}
-		if l.f, err = fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.fSize = fol.off
-	}
-	l.lastSync = l.now()
-	return l, nil
+	return f.Lead(opts)
 }
 
 // segmentFiles lists the directory's segment files in ascending order.

@@ -9,7 +9,9 @@
 # mid-rotation recovery test run here too, as does the serve loop's
 # interval-policy flush (acknowledged appends survive a power loss after a
 # quiet spell), and the durable-write helper behind snapshot.json and
-# tenant.json is crashed after each of its operations. Shared by verify.sh
+# tenant.json is crashed after each of its operations, with the boot sweep
+# of the temps such a crash strands (SweepTemps, and the registry's sweep
+# of .tenant-* before it reads manifests). Shared by verify.sh
 # and the CI crashgate job so the two can never drift. CRASHGATE_DEEP=1 widens the
 # sweep (~3x the crash points) for the nightly run.
 set -eu
@@ -17,5 +19,5 @@ set -eu
 deep="${CRASHGATE_DEEP:-}"
 
 CRASHGATE_DEEP="$deep" go test -race \
-    -run 'TestCrashConsistencySweep|TestStandby|TestSealedSegment|TestRecoveryAfterCrashMidRotation|TestFsyncGatePoisonsLog|TestAppendENOSPCRollsBackAndRecovers|TestAppendShortWriteRollsBack|TestRotateENOSPCReattachesTail|TestLogOverMemFSEndToEnd|TestMemFS|TestInject|TestDiskFull|TestKillAndRecoverDiskFull|TestReadOnly|TestUpkeepFlushesIntervalWAL|TestWriteFileAtomicCrashPoints' \
-    ./internal/iofault/ ./internal/wal/ ./internal/risk/ ./internal/server/ ./internal/client/ ./cmd/hpcserve/
+    -run 'TestCrashConsistencySweep|TestStandby|TestSealedSegment|TestRecoveryAfterCrashMidRotation|TestFsyncGatePoisonsLog|TestAppendENOSPCRollsBackAndRecovers|TestAppendShortWriteRollsBack|TestRotateENOSPCReattachesTail|TestLogOverMemFSEndToEnd|TestMemFS|TestInject|TestDiskFull|TestKillAndRecoverDiskFull|TestReadOnly|TestUpkeepFlushesIntervalWAL|TestWriteFileAtomicCrashPoints|TestSweepTemps|TestOpenAllSweepsManifestTemps' \
+    ./internal/iofault/ ./internal/wal/ ./internal/risk/ ./internal/registry/ ./internal/server/ ./internal/client/ ./cmd/hpcserve/
