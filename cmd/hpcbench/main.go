@@ -56,7 +56,8 @@ type BenchResult struct {
 	Name string `json:"name"`
 	// Group classifies it: "kernel" results gate CI regressions, "naive"
 	// are the frozen reference implementations, "macro"/"e2e"/"server" are
-	// informational except for the allocs/op ceilings in allocCeilings.
+	// informational except for the ceilings in allocCeilings and
+	// bytesCeilings.
 	Group       string  `json:"group"`
 	Iters       int64   `json:"iters"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -377,9 +378,11 @@ func (b *bencher) indexAppendBench(ds *trace.Dataset) {
 // one-event store.Append (validation, the copy-on-write dataset merge and
 // the analyzer's index append), chained like index-append with the fresh
 // store that starts each chain billed to the measurement. It has no naive
-// twin; the kernel regression gate pins it.
+// twin; the kernel regression gate pins it. A fresh store indexes the whole
+// boot dataset (~80 ms at scale 1), the cost of some 16,000 appends, so a
+// chain is 65,536 events long: at 4,096 the restart was ~3/4 of the row.
 func (b *bencher) storeAppendBench(ds *trace.Dataset) {
-	const chainLen = 4096
+	const chainLen = 1 << 16
 	batches, _ := tailBatches(ds, chainLen, 1)
 
 	i := 0
@@ -458,7 +461,8 @@ func (b *bencher) anomaliesBench(a *analysis.Analyzer) {
 // starting one second past the dataset's end — one system per batch
 // because failure bursts cluster on a machine, and the journal's live path
 // appends single-system batches, so the copy-on-write cost of one append
-// is one system's posting maps. It also returns the merged dataset every
+// is one system's node and rack directories plus the class lists of the
+// nodes and racks it writes. It also returns the merged dataset every
 // chain of appends converges to, which the naive references recompute
 // wholesale.
 func tailBatches(ds *trace.Dataset, chainLen, batchSize int) ([][]trace.Failure, *trace.Dataset) {
@@ -829,9 +833,28 @@ var allocCeilings = map[string]float64{
 	"condprob/any-any/system-month":  16,
 }
 
+// bytesCeilings caps bytes/op for the write path, whose allocation volume
+// is what the per-node posting-list directory bought; checkRegression and
+// the paired gate enforce them beside allocCeilings. A one-event append
+// used to clone the touched system's whole node and rack posting maps:
+// store-append/event allocated 189 KB/op and each server/ingest-http POST
+// ~113 KB at scale 1. Now an append clones the two directories (8 bytes per
+// node and rack) and the lists of the one node and rack it writes:
+// ~9 KB/op and ~16 KB/op. index-append/batch-64/indexed (~320-400 KB/op
+// before, ~215-230 KB/op now) is mostly the chain-restart rebuild billed
+// to it.
+var bytesCeilings = map[string]float64{
+	"store-append/event":              24 << 10,
+	"index-append/batch-64/indexed":   288 << 10,
+	"server/ingest-http/no-wal":       20 << 10,
+	"server/ingest-http/wal-never":    20 << 10,
+	"server/ingest-http/wal-interval": 20 << 10,
+}
+
 // checkRegression compares this run's kernel benches against a committed
 // baseline report and fails when any is more than tolerance slower, or
-// when a bench in allocCeilings allocates more than its ceiling.
+// when a bench in allocCeilings or bytesCeilings allocates more than its
+// ceiling.
 func checkRegression(rep *Report, baselinePath string, tolerance float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -864,7 +887,7 @@ func checkRegression(rep *Report, baselinePath string, tolerance float64) error 
 	if checked == 0 {
 		return fmt.Errorf("baseline %s: no kernel benches in common with this run", baselinePath)
 	}
-	bad = append(bad, allocOverruns(rep)...)
+	bad = append(bad, ceilingOverruns(rep)...)
 	if len(bad) > 0 {
 		return fmt.Errorf("hpcbench: regressions vs %s:\n  %s", baselinePath, joinLines(bad))
 	}
@@ -872,12 +895,16 @@ func checkRegression(rep *Report, baselinePath string, tolerance float64) error 
 	return nil
 }
 
-// allocOverruns lists the benches of rep over their allocCeilings entry.
-func allocOverruns(rep *Report) []string {
+// ceilingOverruns lists the benches of rep over their allocCeilings or
+// bytesCeilings entry.
+func ceilingOverruns(rep *Report) []string {
 	var bad []string
 	for _, r := range rep.Results {
 		if ceiling, ok := allocCeilings[r.Name]; ok && r.AllocsPerOp > ceiling {
 			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op over its ceiling of %.0f", r.Name, r.AllocsPerOp, ceiling))
+		}
+		if ceiling, ok := bytesCeilings[r.Name]; ok && r.BytesPerOp > ceiling {
+			bad = append(bad, fmt.Sprintf("%s: %.0f bytes/op over its ceiling of %.0f", r.Name, r.BytesPerOp, ceiling))
 		}
 	}
 	return bad
@@ -887,7 +914,8 @@ func allocOverruns(rep *Report) []string {
 // revision and a change: a kernel bench regresses when the median, across
 // pairs, of its change-over-base ns/op ratio exceeds 1+tolerance. Pairing
 // cancels the host drift that a report committed from another machine or
-// day cannot. The alloc ceilings apply to the median of the change's runs.
+// day cannot. The alloc and bytes ceilings apply to the median of the
+// change's runs.
 func judgePairs(baseList, changeList string, tolerance float64) error {
 	bases, err := loadReports(baseList)
 	if err != nil {
@@ -930,7 +958,7 @@ func judgePairs(baseList, changeList string, tolerance float64) error {
 				n, m, 100*(m-1), 100*tolerance, len(ratios[n])))
 		}
 	}
-	bad = append(bad, allocOverruns(med)...)
+	bad = append(bad, ceilingOverruns(med)...)
 	if len(bad) > 0 {
 		return fmt.Errorf("hpcbench: regressions vs the base revision:\n  %s", joinLines(bad))
 	}

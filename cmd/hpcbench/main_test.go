@@ -134,6 +134,18 @@ func TestCheckRegression(t *testing.T) {
 			t.Errorf("%s under its alloc ceiling: %v", name, err)
 		}
 	}
+	// The write path is gated on bytes/op: a one-event append that clones
+	// a system's posting maps again (~189 KB/op) must trip its ceiling.
+	for _, w := range []BenchResult{{Name: "store-append/event", Group: "kernel"}, {Name: "server/ingest-http/wal-never", Group: "server"}} {
+		w.BytesPerOp = 189 << 10
+		if err := checkRegression(reportOf([]BenchResult{kernel, w}, nil), path, 0.25); err == nil {
+			t.Errorf("%s over its bytes ceiling must fail", w.Name)
+		}
+		w.BytesPerOp = 16 << 10
+		if err := checkRegression(reportOf([]BenchResult{kernel, w}, nil), path, 0.25); err != nil {
+			t.Errorf("%s under its bytes ceiling: %v", w.Name, err)
+		}
+	}
 }
 
 func TestCheckSpeedups(t *testing.T) {

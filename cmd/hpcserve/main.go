@@ -83,7 +83,7 @@ func main() {
 	cli.Main("hpcserve", run)
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("hpcserve", flag.ContinueOnError)
 	data := fs.String("data", "", "dataset directory (omit to generate)")
 	seed := fs.Int64("seed", 1, "seed when generating")
@@ -109,6 +109,7 @@ func run(args []string) error {
 	adminToken := fs.String("admin-token", "", "token gating the dataset-management API (empty = open)")
 	policyOf := cli.PolicyFlags(fs, "lenient")
 	versionOf := cli.VersionFlag(fs, "hpcserve")
+	profileOf := cli.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -138,6 +139,18 @@ func run(args []string) error {
 	// finish, the WAL gets a final sync, and the process exits 0.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+
+	// Profiles cover boot and serving; the drain after SIGINT or SIGTERM
+	// returns through here, so the stop func flushes them on shutdown.
+	stopProf, err := profileOf()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProf(); perr != nil && err == nil {
+			err = perr
+		}
+	}()
 
 	var ds *hpcfail.Dataset
 	if *data != "" {

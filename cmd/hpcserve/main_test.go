@@ -1,6 +1,8 @@
 package main
 
 import (
+	"compress/gzip"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -51,8 +53,9 @@ func TestRunVersion(t *testing.T) {
 }
 
 // TestRunServesAndStopsOnInterrupt drives the whole binary body: generate a
-// dataset to disk, serve it on a free port, hit the API, then deliver a
-// SIGINT and watch run return cleanly.
+// dataset to disk, serve it on a free port under -cpuprofile and
+// -memprofile, hit the API, then deliver a SIGINT and watch run return
+// cleanly with both profiles written.
 func TestRunServesAndStopsOnInterrupt(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	ds, err := hpcfail.Generate(hpcfail.GenerateOptions{Seed: 7, Scale: 0.05})
@@ -71,9 +74,11 @@ func TestRunServesAndStopsOnInterrupt(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
+	cpu := filepath.Join(t.TempDir(), "cpu.out")
+	mem := filepath.Join(t.TempDir(), "mem.out")
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-data", dir, "-addr", addr, "-window", "24h"})
+		done <- run([]string{"-data", dir, "-addr", addr, "-window", "24h", "-cpuprofile", cpu, "-memprofile", mem})
 	}()
 
 	url := "http://" + addr
@@ -119,4 +124,26 @@ func TestRunServesAndStopsOnInterrupt(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not return after SIGINT")
 	}
+	// A CPU profile is completed when profiling stops, so a whole gzip
+	// stream shows the shutdown path flushed it.
+	for _, path := range []string{cpu, mem} {
+		if err := readGzip(path); err != nil {
+			t.Errorf("profile %s after SIGINT: %v", filepath.Base(path), err)
+		}
+	}
+}
+
+// readGzip reads the gzip stream a pprof profile is stored as to its end.
+func readGzip(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, zr)
+	return err
 }

@@ -112,7 +112,7 @@ func (a *Analyzer) NodeFailures(system, node int) []trace.Failure {
 		}
 		return out
 	}
-	list := si.nodeClass[nodeClassKey{node, trace.ClassAny}]
+	list := si.nodeList(node, trace.ClassAny)
 	out := make([]trace.Failure, len(list))
 	for i, p := range list {
 		out[i] = si.fails[p]
@@ -127,7 +127,7 @@ func (a *Analyzer) nodeAny(system, node int, iv trace.Interval) bool {
 	if si == nil {
 		return slices.ContainsFunc(a.NodeFailures(system, node), func(f trace.Failure) bool { return iv.Contains(f.Time) })
 	}
-	list := si.nodeClass[nodeClassKey{node, trace.ClassAny}]
+	list := si.nodeList(node, trace.ClassAny)
 	i := si.lowerBound(list, iv.Start)
 	return i < len(list) && si.fails[list[i]].Time.Before(iv.End)
 }

@@ -256,7 +256,7 @@ func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, 
 			return res, err
 		}
 		si := a.didx.system(s.ID)
-		if si == nil || scope == ScopeRack && len(si.racks.ids) == 0 {
+		if si == nil || scope == ScopeRack && len(si.layout.ids) == 0 {
 			continue
 		}
 		if si.wide {
@@ -298,8 +298,8 @@ func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, 
 				res.Conditional.Trials++
 				res.Conditional.Successes += self
 			case ScopeRack:
-				if r, placed := si.racks.rackOf(f.Node); placed {
-					res.Conditional.Trials += int(si.racks.size[r]) - 1
+				if r, placed := si.layout.rackOf(f.Node); placed {
+					res.Conditional.Trials += int(si.layout.size[r]) - 1
 					res.Conditional.Successes += int(sw.rackActive[r]) - self
 				}
 			case ScopeSystem:
@@ -333,7 +333,7 @@ type sweep struct {
 func (sw *sweep) reset(si *systemIndex, nodes int, fil trace.Pred) {
 	sw.si, sw.fil, sw.lo, sw.hi, sw.distinct = si, fil, 0, 0, 0
 	sw.count.reset(nodes)
-	sw.rackActive = append(sw.rackActive[:0], make([]int64, len(si.racks.ids))...)
+	sw.rackActive = append(sw.rackActive[:0], make([]int64, len(si.layout.ids))...)
 }
 
 // advance moves the window to the anchor at offset ta: targets at or before
@@ -368,7 +368,7 @@ func (sw *sweep) bump(p int32, d int64) {
 		return
 	}
 	sw.distinct += int(d)
-	if r, ok := sw.si.racks.rackOf(f.Node); ok {
+	if r, ok := sw.si.layout.rackOf(f.Node); ok {
 		sw.rackActive[r] += d
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -30,12 +31,6 @@ type DatasetIndex struct {
 	sys map[int]*systemIndex
 }
 
-// nodeClassKey addresses one (node, class) or (rack, class) posting list.
-type nodeClassKey struct {
-	id  int
-	cls trace.Class
-}
-
 // systemIndex holds the per-system timelines and posting lists.
 type systemIndex struct {
 	fails []trace.Failure // the system's failures in dataset (time) order
@@ -48,13 +43,25 @@ type systemIndex struct {
 	tl   []int64
 	wide bool
 
-	byClass   [trace.NumClasses][]int32
-	nodeClass map[nodeClassKey][]int32
-	rackClass map[nodeClassKey][]int32
+	byClass [trace.NumClasses][]int32
 
-	// racks is the system's layout in dense form (empty without a layout),
+	// nodes is the per-node posting-list directory for node IDs in
+	// [0, system node count), over holds any other node ID, and racks is
+	// the per-rack directory by rack ordinal. An entry stays nil until its
+	// node or rack has an event.
+	nodes []*classLists
+	over  map[int]*classLists
+	racks []*classLists
+
+	// layout is the system's layout in dense form (empty without a layout),
 	// built once and shared by every snapshot appended from this one.
-	racks *rackLayout
+	layout *rackLayout
+
+	// gen is this index's generation: 0 when built from scratch, its
+	// parent's plus one when it is the parent's copy-on-write copy. The
+	// class lists tagged with it are the ones this index may append to in
+	// place (see own); every list it inherited carries a smaller one.
+	gen uint64
 
 	// extended is claimed (once, by CAS) by the first Append that wants to
 	// grow this system's slices into their spare capacity. Readers only ever
@@ -64,15 +71,27 @@ type systemIndex struct {
 	extended atomic.Bool
 }
 
+// classLists is one node's or one rack's posting lists, one per class. gen
+// is the generation of the systemIndex that allocated it, the only index
+// that may write to it; its descendants copy it before their first write.
+// The owner tag is a number rather than a pointer to the owning index: a
+// pointer would keep every ancestor of an append chain reachable.
+type classLists struct {
+	gen  uint64
+	list [trace.NumClasses][]int32
+}
+
 // rackLayout is a layout as dense rack ordinals, immutable once built:
 // ord[n] is 1 + node n's rack ordinal (0 if unplaced) for n below the node
-// count, over holds placed nodes outside that range, and ids and size give
-// each ordinal's rack ID and placed-node count.
+// count, over holds placed nodes outside that range, ids and size give each
+// ordinal's rack ID and placed-node count, and ordOf maps a rack ID back to
+// its ordinal.
 type rackLayout struct {
-	ord  []int32
-	over map[int]int32
-	ids  []int
-	size []int32
+	ord   []int32
+	over  map[int]int32
+	ids   []int
+	size  []int32
+	ordOf map[int]int32
 }
 
 // newRackLayout densifies the layout of system id of ds (empty without one).
@@ -81,12 +100,12 @@ func newRackLayout(ds *trace.Dataset, id int) *rackLayout {
 	if lay == nil {
 		return &rackLayout{}
 	}
-	info, _ := ds.System(id)
-	rl := &rackLayout{ord: make([]int32, max(info.Nodes, 0)), over: make(map[int]int32)}
+	rl := &rackLayout{ord: make([]int32, systemNodes(ds, id)), over: make(map[int]int32), ordOf: make(map[int]int32)}
 	for o, r := range lay.Racks() {
 		members := lay.NodesInRack(r)
 		rl.ids = append(rl.ids, r)
 		rl.size = append(rl.size, int32(len(members)))
+		rl.ordOf[r] = int32(o)
 		for _, n := range members {
 			if uint(n) < uint(len(rl.ord)) {
 				rl.ord[n] = int32(o) + 1
@@ -96,6 +115,12 @@ func newRackLayout(ds *trace.Dataset, id int) *rackLayout {
 		}
 	}
 	return rl
+}
+
+// systemNodes returns the node count of system id of ds (0 when unknown).
+func systemNodes(ds *trace.Dataset, id int) int {
+	info, _ := ds.System(id)
+	return max(info.Nodes, 0)
 }
 
 // rackOf returns the rack ordinal of a placed node.
@@ -115,7 +140,7 @@ func NewDatasetIndex(ds *trace.Dataset) *DatasetIndex {
 	sysOf := func(id int) *systemIndex {
 		si := x.sys[id]
 		if si == nil {
-			si = newSystemIndex(newRackLayout(ds, id))
+			si = newSystemIndex(systemNodes(ds, id), newRackLayout(ds, id))
 			x.sys[id] = si
 		}
 		return si
@@ -130,13 +155,14 @@ func NewDatasetIndex(ds *trace.Dataset) *DatasetIndex {
 	return x
 }
 
-// newSystemIndex returns an empty per-system index sharing the given dense
-// layout (which is immutable once built).
-func newSystemIndex(racks *rackLayout) *systemIndex {
+// newSystemIndex returns an empty per-system index with a node directory
+// for node IDs in [0, nodes), sharing the given dense layout (which is
+// immutable once built).
+func newSystemIndex(nodes int, layout *rackLayout) *systemIndex {
 	return &systemIndex{
-		nodeClass: make(map[nodeClassKey][]int32),
-		rackClass: make(map[nodeClassKey][]int32),
-		racks:     racks,
+		nodes:  make([]*classLists, nodes),
+		racks:  make([]*classLists, len(layout.ids)),
+		layout: layout,
 	}
 }
 
@@ -151,34 +177,90 @@ func (si *systemIndex) add(f trace.Failure, clsBuf []trace.Class) {
 	off, exact := offsetOf(f.Time, si.base)
 	si.wide = si.wide || !exact
 	si.tl = append(si.tl, off)
-	r, placed := si.racks.rackOf(f.Node)
+	var node, rack *classLists
+	if uint(f.Node) < uint(len(si.nodes)) {
+		node = si.own(si.nodes[f.Node])
+		si.nodes[f.Node] = node
+	} else {
+		if si.over == nil {
+			si.over = make(map[int]*classLists)
+		}
+		node = si.own(si.over[f.Node])
+		si.over[f.Node] = node
+	}
+	if r, placed := si.layout.rackOf(f.Node); placed {
+		rack = si.own(si.racks[r])
+		si.racks[r] = rack
+	}
 	for _, c := range trace.ClassesOf(f, clsBuf) {
 		si.byClass[c] = append(si.byClass[c], p)
-		k := nodeClassKey{f.Node, c}
-		si.nodeClass[k] = append(si.nodeClass[k], p)
-		if placed {
-			rk := nodeClassKey{si.racks.ids[r], c}
-			si.rackClass[rk] = append(si.rackClass[rk], p)
+		node.list[c] = append(node.list[c], p)
+		if rack != nil {
+			rack.list[c] = append(rack.list[c], p)
 		}
 	}
 }
 
-// cowCopy returns a copy of si with freshly allocated posting-list maps so
-// the copy can grow without mutating map state concurrent readers of si are
-// iterating. The slice headers (timeline and posting lists) are shared; the
-// caller must hold the parent index's extension claim before appending to
-// them in place.
+// own returns cl ready for si to append to: cl itself when si allocated it,
+// otherwise a copy tagged with si's generation (an empty one for nil). The
+// copy shares cl's backing arrays, which si grows only under the extension
+// claim it holds on the index cl came from.
+func (si *systemIndex) own(cl *classLists) *classLists {
+	if cl != nil && cl.gen == si.gen {
+		return cl
+	}
+	cp := &classLists{gen: si.gen}
+	if cl != nil {
+		cp.list = cl.list
+	}
+	return cp
+}
+
+// cowCopy returns a copy of si one generation on, with its own node
+// and rack directories so the copy can grow without mutating state that
+// concurrent readers of si see. The timeline, the system posting lists and
+// the class lists are shared: the copy clones a class list before its first
+// write to it, and the caller must hold si's extension claim before any
+// slice is appended to in place.
 func (si *systemIndex) cowCopy() *systemIndex {
 	return &systemIndex{
-		fails:     si.fails,
-		base:      si.base,
-		tl:        si.tl,
-		wide:      si.wide,
-		byClass:   si.byClass,
-		nodeClass: maps.Clone(si.nodeClass),
-		rackClass: maps.Clone(si.rackClass),
-		racks:     si.racks,
+		fails:   si.fails,
+		base:    si.base,
+		tl:      si.tl,
+		wide:    si.wide,
+		byClass: si.byClass,
+		nodes:   slices.Clone(si.nodes),
+		over:    maps.Clone(si.over),
+		racks:   slices.Clone(si.racks),
+		layout:  si.layout,
+		gen:     si.gen + 1,
 	}
+}
+
+// nodeList returns the posting list of class c restricted to one node.
+func (si *systemIndex) nodeList(node int, c trace.Class) []int32 {
+	if uint(node) < uint(len(si.nodes)) {
+		return si.nodes[node].get(c)
+	}
+	return si.over[node].get(c)
+}
+
+// rackList returns the posting list of class c restricted to one rack ID.
+func (si *systemIndex) rackList(rack int, c trace.Class) []int32 {
+	o, ok := si.layout.ordOf[rack]
+	if !ok {
+		return nil
+	}
+	return si.racks[o].get(c)
+}
+
+// get returns the posting list of class c (nil for a nil receiver or a
+// class outside the dense space).
+func (cl *classLists) get(c trace.Class) []int32 {
+	if cl == nil || int(c) >= trace.NumClasses {
+		return nil
+	}
+	return cl.list[c]
 }
 
 // offsetOf returns t in nanoseconds after base, and whether that is exact
@@ -232,13 +314,14 @@ func mergeByTime(a, b []trace.Failure) []trace.Failure {
 //
 // Appends whose events land at or after a touched system's last indexed
 // event extend that system's time-sorted slices and posting lists in place —
-// amortized O(log n) per event plus a posting-map copy bounded by the
-// system's (node × class) catalog. In-place growth requires winning the
-// system's one-shot extension claim, which every linear chain of appends
-// (the versioned store's write path) does; late-arriving events, or a second
-// Append racing for the same parent system, fall back to rebuilding just
-// that system, which is slower but yields the same index contents.
-// Untouched systems are always shared.
+// amortized O(log n) per event, plus a copy of the system's node and rack
+// directories (one pointer per node and per rack) and of the class lists of
+// each node and rack the batch writes to. In-place growth requires winning
+// the system's one-shot extension claim, which every linear chain of
+// appends (the versioned store's write path) does; late-arriving events,
+// or a second Append racing for the same parent system, fall back to
+// rebuilding just that system, which is slower but yields the same index
+// contents. Untouched systems are always shared.
 func (x *DatasetIndex) Append(ds *trace.Dataset, batch []trace.Failure) *DatasetIndex {
 	if len(batch) == 0 {
 		return x
@@ -263,13 +346,13 @@ func (x *DatasetIndex) Append(ds *trace.Dataset, batch []trace.Failure) *Dataset
 		var ns *systemIndex
 		switch {
 		case old == nil:
-			ns = newSystemIndex(newRackLayout(ds, id))
+			ns = newSystemIndex(systemNodes(ds, id), newRackLayout(ds, id))
 		case (len(old.fails) == 0 || !evs[0].Time.Before(old.fails[len(old.fails)-1].Time)) &&
 			old.extended.CompareAndSwap(false, true):
 			ns = old.cowCopy()
 		default:
 			evs = mergeByTime(old.fails, evs)
-			ns = newSystemIndex(old.racks)
+			ns = newSystemIndex(len(old.nodes), old.layout)
 		}
 		for _, f := range evs {
 			ns.add(f, clsBuf[:0])

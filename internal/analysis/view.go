@@ -43,23 +43,23 @@ func (v SystemView) ClassList(cls trace.Class) []int32 { return v.si.byClass[cls
 
 // NodeClassList returns the posting list of cls restricted to one node.
 func (v SystemView) NodeClassList(node int, cls trace.Class) []int32 {
-	return v.si.nodeClass[nodeClassKey{node, cls}]
+	return v.si.nodeList(node, cls)
 }
 
 // RackClassList returns the posting list of cls restricted to one rack
 // (events on any placed node of that rack).
 func (v SystemView) RackClassList(rack int, cls trace.Class) []int32 {
-	return v.si.rackClass[nodeClassKey{rack, cls}]
+	return v.si.rackList(rack, cls)
 }
 
 // Rack returns the rack of a placed node, and whether the node is placed in
 // the system's layout (always false for systems without layouts).
 func (v SystemView) Rack(node int) (int, bool) {
-	r, ok := v.si.racks.rackOf(node)
+	r, ok := v.si.layout.rackOf(node)
 	if !ok {
 		return 0, false
 	}
-	return v.si.racks.ids[r], true
+	return v.si.layout.ids[r], true
 }
 
 // LowerBound returns the first index of list whose event time is not before

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -194,6 +195,8 @@ func TestProfileFlags(t *testing.T) {
 }
 
 func TestProfileFlagsOff(t *testing.T) {
+	rate := runtime.MemProfileRate
+	t.Cleanup(func() { runtime.MemProfileRate = rate })
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	profileOf := ProfileFlags(fs)
 	if err := fs.Parse(nil); err != nil {
@@ -202,6 +205,10 @@ func TestProfileFlagsOff(t *testing.T) {
 	stop, err := profileOf()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Without -memprofile nothing reads heap samples, so none are taken.
+	if runtime.MemProfileRate != 0 {
+		t.Errorf("MemProfileRate = %d without -memprofile, want 0", runtime.MemProfileRate)
 	}
 	if err := stop(); err != nil {
 		t.Errorf("stop with no profiles requested = %v", err)

@@ -157,7 +157,7 @@ func TestCrashConsistencySweep(t *testing.T) {
 
 			// Invariant 5: a restored snapshot must point inside the log.
 			if stats.SnapshotLoaded {
-				if first, count := j.WALFirst(), j.WALCount(); stats.SnapshotWALPos < first || stats.SnapshotWALPos > count {
+				if first, count := walFirst(j), j.WALCount(); stats.SnapshotWALPos < first || stats.SnapshotWALPos > count {
 					t.Fatalf("snapshot WAL position %d outside surviving log [%d, %d]", stats.SnapshotWALPos, first, count)
 				}
 			}
@@ -168,4 +168,11 @@ func TestCrashConsistencySweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// walFirst returns the index of the first record still in j's WAL.
+func walFirst(j *Journal) uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.log.First()
 }

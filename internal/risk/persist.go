@@ -450,13 +450,6 @@ func (j *Journal) WALCount() uint64 { return j.walCount.Load() }
 // WALSegments returns the live WAL segment count.
 func (j *Journal) WALSegments() int { return int(j.walSegments.Load()) }
 
-// WALFirst returns the index of the first record still in the WAL.
-func (j *Journal) WALFirst() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.log.First()
-}
-
 // ProbeSpace checks whether the journal's filesystem can allocate again by
 // writing and fsyncing a tiny probe file in the WAL directory. The serving
 // layer calls this to decide when to leave read-only mode after ENOSPC: a

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/checkpoint"
+	"github.com/hpcfail/hpcfail/internal/iofault"
 	"github.com/hpcfail/hpcfail/internal/trace"
 	"github.com/hpcfail/hpcfail/internal/wal"
 )
@@ -394,28 +396,54 @@ func TestJournalCompaction(t *testing.T) {
 // events re-appended at the "covered" indices.
 func TestCheckpointSyncsWAL(t *testing.T) {
 	dir := t.TempDir()
+	fsys := &segSyncFS{FS: iofault.Disk}
 	j, _, err := OpenJournal(JournalConfig{
 		Engine: testEngine(t),
-		WAL:    wal.Options{Dir: dir, Policy: wal.SyncNever},
+		WAL:    wal.Options{Dir: dir, Policy: wal.SyncNever, FS: fsys},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	synced := fsys.syncs.Load()
 	for _, f := range liveEvents(5) {
 		if err := j.Observe(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !j.log.Dirty() {
+	if fsys.syncs.Load() != synced {
 		t.Fatal("SyncNever appends should leave the log dirty")
 	}
 	if err := j.Checkpoint(day(99)); err != nil {
 		t.Fatal(err)
 	}
-	if j.log.Dirty() {
+	if fsys.syncs.Load() == synced {
 		t.Fatal("snapshot recorded applied records without syncing them first")
 	}
+}
+
+// segSyncFS counts the fsyncs of WAL segment files made through it.
+type segSyncFS struct {
+	iofault.FS
+	syncs atomic.Int64
+}
+
+func (s *segSyncFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Ext(name) != ".seg" {
+		return f, err
+	}
+	return segSyncFile{f, &s.syncs}, nil
+}
+
+type segSyncFile struct {
+	iofault.File
+	syncs *atomic.Int64
+}
+
+func (f segSyncFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
 }
 
 // TestOpenJournalRefusesSnapshotAheadOfWAL: a snapshot claiming more

@@ -149,15 +149,6 @@ func (s *Standby) Warm() bool { return s.warm.Load() }
 // very snapshot that caused the gap and tails from there.
 func (s *Standby) ResyncNeeded() bool { return s.resync.Load() }
 
-// Pending counts durable records not yet applied — the replication lag in
-// records measured from the log itself (usable even when the leader's
-// journal is gone).
-func (s *Standby) Pending() (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.follower.Pending()
-}
-
 // Catchup drains every durable record the leader has appended since the
 // last call, in ship batches, and applies them to the engine (and store).
 // It returns how many records were applied. A wal.ErrGap means the leader

@@ -258,15 +258,6 @@ func (f *Follower) Next(max int, fn func(idx uint64, payload []byte) error) (int
 	}
 }
 
-// Pending counts records readable past the current position without
-// consuming them — the replication lag in records when the leader is gone
-// (with a live leader, lag is leader Count minus follower Position).
-func (f *Follower) Pending() (uint64, error) {
-	c := *f
-	n, err := c.Next(0, nil)
-	return uint64(n), err
-}
-
 // Lead turns a follower that has read to the durable tail into the log's
 // writer, without re-reading a record: it removes a newest segment shorter
 // than a header, truncates a torn tail at the follower's offset, lists the

@@ -439,10 +439,6 @@ func (l *Log) Count() uint64 { return l.count }
 // holding a snapshot position below First have a gap.
 func (l *Log) First() uint64 { return l.segs[0].first }
 
-// Dirty reports whether appends are outstanding that have not reached
-// stable storage (always false under SyncAlways).
-func (l *Log) Dirty() bool { return l.dirty }
-
 // Segments returns how many live segment files back the log.
 func (l *Log) Segments() int { return len(l.segs) }
 

@@ -125,25 +125,25 @@ func TestSegmentRotationAndCompact(t *testing.T) {
 	l.Close()
 }
 
-// TestFirstAndDirty pins the two introspection hooks the journal's
-// crash-consistency checks rely on: First starts at 0 and only moves on
-// compaction, Dirty tracks unsynced appends.
+// TestFirstAndDirty pins First, which the journal's crash-consistency
+// checks rely on, and the dirty flag: First starts at 0 and only moves on
+// compaction, dirty tracks unsynced appends.
 func TestFirstAndDirty(t *testing.T) {
 	l := open(t, Options{Dir: t.TempDir(), Policy: SyncNever})
 	if l.First() != 0 {
 		t.Fatalf("fresh First = %d, want 0", l.First())
 	}
-	if l.Dirty() {
+	if l.dirty {
 		t.Fatal("fresh log dirty")
 	}
 	appendN(t, l, 0, 3)
-	if !l.Dirty() {
+	if !l.dirty {
 		t.Fatal("SyncNever append left log clean")
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Dirty() {
+	if l.dirty {
 		t.Fatal("Sync left log dirty")
 	}
 	l.Close()
@@ -162,12 +162,12 @@ func TestFlushFollowsPolicy(t *testing.T) {
 	}{{SyncInterval, false}, {SyncNever, true}} {
 		l := open(t, Options{Dir: t.TempDir(), Policy: tc.policy, Interval: 100 * time.Millisecond, Now: clock})
 		appendN(t, l, 0, 2)
-		if err := l.Flush(); err != nil || !l.Dirty() {
-			t.Fatalf("%v: Flush before the interval = %v, dirty %v; want nil, dirty", tc.policy, err, l.Dirty())
+		if err := l.Flush(); err != nil || !l.dirty {
+			t.Fatalf("%v: Flush before the interval = %v, dirty %v; want nil, dirty", tc.policy, err, l.dirty)
 		}
 		now = now.Add(100 * time.Millisecond)
-		if err := l.Flush(); err != nil || l.Dirty() != tc.wantDirty {
-			t.Fatalf("%v: Flush after the interval = %v, dirty %v; want nil, dirty %v", tc.policy, err, l.Dirty(), tc.wantDirty)
+		if err := l.Flush(); err != nil || l.dirty != tc.wantDirty {
+			t.Fatalf("%v: Flush after the interval = %v, dirty %v; want nil, dirty %v", tc.policy, err, l.dirty, tc.wantDirty)
 		}
 		l.Close()
 	}

@@ -4,13 +4,14 @@
 # the working tree, then times the kernel benches of the two in sixteen
 # interleaved pairs of quick runs, alternating which side runs first. Fails
 # when any kernel bench's median change-over-base ns/op ratio across the
-# pairs exceeds 1+TOLERANCE, or when a median allocs/op passes its
-# allocCeilings entry; then, in one full quick run of the working tree,
-# when an indexed kernel's speedup over its naive reference drops below
-# MIN_SPEEDUP (or its speedupFloors entry). Judging against runs from the
-# same host, minutes apart, cancels the host drift that makes a committed
-# BENCH_results.json an unreliable reference. One quick run's kernel
-# timings vary by up to +-25% from process to process, hence the many pairs.
+# pairs exceeds 1+TOLERANCE, or when a median allocs/op or bytes/op passes
+# its allocCeilings or bytesCeilings entry; then, in one full quick run of
+# the working tree, when an indexed kernel's speedup over its naive
+# reference drops below MIN_SPEEDUP (or its speedupFloors entry). Judging
+# against runs from the same host, minutes apart, cancels the host drift
+# that makes a committed BENCH_results.json an unreliable reference. One
+# quick run's kernel timings vary by up to +-25% from process to process,
+# hence the many pairs.
 # Shared by verify.sh and CI.
 set -eu
 
@@ -20,8 +21,10 @@ tolerance="${TOLERANCE:-0.25}"
 min_speedup="${MIN_SPEEDUP:-1.5}"
 base="${BENCH_BASE:-HEAD}"
 pairs=16
-# The kernel benches, plus risk/topk-10 for its alloc ceiling.
-kernels='/indexed$|^condprob/any-any/system-month$|^risk/topk-10$'
+# The kernel benches, plus risk/topk-10 for its alloc ceiling and the
+# one-event write path (store-append, ingest over HTTP) for its bytes
+# ceilings.
+kernels='/indexed$|^condprob/any-any/system-month$|^risk/topk-10$|^store-append/event$|^server/ingest-http/'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
