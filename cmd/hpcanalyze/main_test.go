@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -56,6 +57,22 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+	}
+}
+
+// TestStrictRefusesGarbageUnservedTables: the offline tools load every
+// table, so garbage temps.csv and jobs.csv fail a -strictness strict run,
+// though hpcserve, which reads only the served tables, boots on the same
+// directory (its TestServesDespiteGarbageUnservedTables).
+func TestStrictRefusesGarbageUnservedTables(t *testing.T) {
+	for _, name := range []string{"temps.csv", "jobs.csv"} {
+		dir := testData(t)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not,a\ntable\n\x00\xff"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-data", dir, "-strictness", "strict", "-summary"}); err == nil {
+			t.Errorf("-strictness strict accepts a garbage %s", name)
 		}
 	}
 }

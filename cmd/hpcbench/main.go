@@ -1,8 +1,9 @@
 // Command hpcbench is the repeatable performance harness of the toolkit:
 // kernel micro-benchmarks pitting the indexed analysis core against the
 // frozen naive reference, macro benchmarks over the lift table and risk
-// engine, the end-to-end experiment suite, server throughput over
-// httptest, and durable recovery (a journal replaying its WAL, a warm
+// engine, hpcserve's served-table boot load against the full load, the
+// end-to-end experiment suite, server throughput over httptest, and
+// durable recovery (a journal replaying its WAL, a warm
 // standby's promotion) — all emitted as machine-readable JSON
 // (BENCH_results.json).
 //
@@ -43,6 +44,7 @@ import (
 	"github.com/hpcfail/hpcfail/internal/stats"
 	"github.com/hpcfail/hpcfail/internal/store"
 	"github.com/hpcfail/hpcfail/internal/trace"
+	"github.com/hpcfail/hpcfail/internal/validate"
 	"github.com/hpcfail/hpcfail/internal/wal"
 )
 
@@ -144,6 +146,9 @@ func run(args []string) (err error) {
 		b.minTime = 40 * time.Millisecond
 	}
 
+	if err := b.bootBench(ds); err != nil {
+		return err
+	}
 	a := analysis.New(ds)
 	b.kernelBenches(a, ds)
 	b.indexAppendBench(ds)
@@ -282,10 +287,16 @@ func (b *bencher) measureOnce(name, group string, fn func()) {
 // pair measures the indexed and naive variants of one kernel and records
 // their speedup.
 func (b *bencher) pair(name string, indexed, naive func()) {
-	b.measure(name+"/indexed", "kernel", indexed)
-	b.measure(name+"/naive", "naive", naive)
-	iNs, iOK := b.lookup(name + "/indexed")
-	nNs, nOK := b.lookup(name + "/naive")
+	b.pairNamed(name, "indexed", "naive", indexed, naive)
+}
+
+// pairNamed measures name/fast in the kernel group against its reference
+// name/ref and records the speedup of fast under name.
+func (b *bencher) pairNamed(name, fast, ref string, fastFn, refFn func()) {
+	b.measure(name+"/"+fast, "kernel", fastFn)
+	b.measure(name+"/"+ref, "naive", refFn)
+	iNs, iOK := b.lookup(name + "/" + fast)
+	nNs, nOK := b.lookup(name + "/" + ref)
 	if !iOK || !nOK || iNs <= 0 {
 		return
 	}
@@ -344,6 +355,37 @@ func (b *bencher) kernelBenches(a *analysis.Analyzer, ds *trace.Dataset) {
 		func() { a.BaselineNodeProb(sys, trace.Week, nil) },
 		func() { a.BaselineNodeProbNaive(sys, trace.Week, nil) },
 	)
+}
+
+// bootBench pits hpcserve's boot load, which reads only the served tables
+// (systems, failures, layouts), against the full load the offline tools
+// do, both under the lenient policy hpcserve boots with, over the bench
+// dataset written to a temporary directory. The served load skips the job,
+// temperature, maintenance and neutron tables, most of the bytes on disk.
+func (b *bencher) bootBench(ds *trace.Dataset) error {
+	const served, full = "boot/load-served", "boot/load-full"
+	if b.filter != nil && !b.filter.MatchString(served) && !b.filter.MatchString(full) {
+		return nil
+	}
+	dir, err := os.MkdirTemp("", "hpcbench-boot-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	if err := trace.SaveDir(dir, ds); err != nil {
+		return err
+	}
+	p := validate.DefaultPolicy()
+	var loadErr error
+	load := func(fn func(string, validate.Policy) (*trace.Dataset, *validate.Report, error)) func() {
+		return func() {
+			if _, _, err := fn(dir, p); err != nil {
+				loadErr = err
+			}
+		}
+	}
+	b.pairNamed("boot", "load-served", "load-full", load(trace.LoadServedWith), load(trace.LoadDirWith))
+	return loadErr
 }
 
 // indexAppendBench pits incremental index maintenance — the versioned
@@ -780,8 +822,11 @@ func printTable(w io.Writer, rep *Report) {
 // position classes once instead of walking the layout and sorting twice per
 // node; measured ~14x at scale 1. CondProb sweeps each system's anchors
 // and targets once with in-window node counts instead of probing per
-// anchor; measured 5-40x at node and rack scope at scale 1.
+// anchor; measured 5-40x at node and rack scope at scale 1. boot's served
+// load reads systems, failures and layouts only, not the job, temperature,
+// maintenance and neutron tables; measured ~10x at scale 1.
 var speedupFloors = map[string]float64{
+	"boot":                    5,
 	"index-append/batch-64":   25,
 	"correlate-mine/batch-64": 10,
 	"anomalies/fleet-k10":     5,
@@ -833,17 +878,32 @@ var allocCeilings = map[string]float64{
 	"condprob/any-any/system-month":  16,
 }
 
-// bytesCeilings caps bytes/op for the write path, whose allocation volume
-// is what the per-node posting-list directory bought; checkRegression and
-// the paired gate enforce them beside allocCeilings. A one-event append
+// bytesCeilings caps bytes/op where allocation volume is what an
+// optimization bought; checkRegression and the paired gate enforce them
+// beside allocCeilings. On the write path it is what the per-node
+// posting-list directory bought. A one-event append
 // used to clone the touched system's whole node and rack posting maps:
 // store-append/event allocated 189 KB/op and each server/ingest-http POST
 // ~113 KB at scale 1. Now an append clones the two directories (8 bytes per
 // node and rack) and the lists of the one node and rack it writes:
 // ~9 KB/op and ~16 KB/op. index-append/batch-64/indexed (~320-400 KB/op
 // before, ~215-230 KB/op now) is mostly the chain-restart rebuild billed
-// to it.
+// to it. On the read path, the CondProb and baseline kernels borrow their
+// per-node scratch from a pool instead of allocating two dense node ranges
+// per call (18.9 KB/op before, ~2.4 KB and 0 now), the vicinity detector
+// reuses its buffers across calls (406 KB/op before, ~4.8 KB now), and
+// server/risk-top-http sizes its score and contribution slices exactly and
+// encodes into a pooled buffer (49 KB/op before, ~33 KB now).
 var bytesCeilings = map[string]float64{
+	"condprob/any-any/node/indexed":   6 << 10,
+	"condprob/hw-any/node/indexed":    6 << 10,
+	"condprob/hw-hw/node/indexed":     6 << 10,
+	"condprob/mem-mem/node/indexed":   6 << 10,
+	"condprob/hw-any/rack/indexed":    6 << 10,
+	"condprob/net-sw/system/indexed":  6 << 10,
+	"baseline/any/week/indexed":       1 << 10,
+	"anomalies/fleet-k10/indexed":     64 << 10,
+	"server/risk-top-http":            40 << 10,
 	"store-append/event":              24 << 10,
 	"index-append/batch-64/indexed":   288 << 10,
 	"server/ingest-http/no-wal":       20 << 10,

@@ -34,22 +34,26 @@ func TestRunQuickEmitsReport(t *testing.T) {
 	if len(rep.Results) == 0 || len(rep.Speedups) == 0 {
 		t.Fatalf("empty report: %d results, %d speedups", len(rep.Results), len(rep.Speedups))
 	}
-	// Every indexed kernel has a naive twin and a speedup; standalone
-	// kernel rows (no naive twin) carry no /indexed suffix.
-	kernels := 0
+	// Every indexed kernel has a naive twin and a speedup, and so does the
+	// served boot load against the full one; standalone kernel rows (no
+	// naive twin) carry no /indexed suffix.
+	kernels, refs := 0, 0
 	for _, r := range rep.Results {
 		if r.Iters <= 0 || r.NsPerOp <= 0 {
 			t.Errorf("%s: degenerate measurement %+v", r.Name, r)
 		}
-		if r.Group == "kernel" && strings.HasSuffix(r.Name, "/indexed") {
+		if r.Group == "kernel" && (strings.HasSuffix(r.Name, "/indexed") || r.Name == "boot/load-served") {
 			kernels++
+		}
+		if r.Group == "naive" {
+			refs++
 		}
 		if r.Group == "e2e" {
 			t.Errorf("%s: end-to-end bench must not run in -quick mode", r.Name)
 		}
 	}
-	if kernels != len(rep.Speedups) {
-		t.Errorf("%d kernel benches but %d speedups", kernels, len(rep.Speedups))
+	if kernels != len(rep.Speedups) || refs != len(rep.Speedups) {
+		t.Errorf("%d kernel benches and %d references but %d speedups", kernels, refs, len(rep.Speedups))
 	}
 }
 

@@ -10,6 +10,12 @@
 //	         [-snapshot-every 5m]] [-shards N [-standby]] [-chaos-seed N]
 //	         [-chaos-kill-shard I -chaos-kill-after 5s]
 //
+// hpcserve reads only the served tables of -data: systems.csv,
+// failures.csv and the layout_<id>.csv files. The job, temperature,
+// maintenance and neutron tables, which only the offline analyses use, are
+// neither parsed nor validated, so -strictness and -max-skip-rate judge the
+// served tables alone.
+//
 // The server answers from a versioned dataset store. With -live-ingest (the
 // default), events accepted by POST /v1/events advance that store, so
 // /v1/condprob answers reflect them on the next query — no restart, no
@@ -159,7 +165,7 @@ func run(args []string) (err error) {
 			return err
 		}
 		var rep *hpcfail.ValidationReport
-		ds, rep, err = hpcfail.LoadDatasetWith(*data, policy)
+		ds, rep, err = trace.LoadServedWith(*data, policy)
 		if err != nil {
 			cli.PrintReport("hpcserve", rep, 5)
 			return err

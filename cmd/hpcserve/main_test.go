@@ -57,6 +57,74 @@ func TestRunVersion(t *testing.T) {
 // -memprofile, hit the API, then deliver a SIGINT and watch run return
 // cleanly with both profiles written.
 func TestRunServesAndStopsOnInterrupt(t *testing.T) {
+	dir := saveDataset(t)
+	cpu := filepath.Join(t.TempDir(), "cpu.out")
+	mem := filepath.Join(t.TempDir(), "mem.out")
+	serveUntilInterrupt(t, []string{"-data", dir, "-window", "24h", "-cpuprofile", cpu, "-memprofile", mem}, func(url string) {
+		resp, err := http.Get(url + "/v1/risk/top?k=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("risk/top = %d", resp.StatusCode)
+		}
+	})
+	// A CPU profile is completed when profiling stops, so a whole gzip
+	// stream shows the shutdown path flushed it.
+	for _, path := range []string{cpu, mem} {
+		if err := readGzip(path); err != nil {
+			t.Errorf("profile %s after SIGINT: %v", filepath.Base(path), err)
+		}
+	}
+}
+
+// TestServesDespiteGarbageUnservedTables: hpcserve reads only the served
+// tables, so a dataset whose temps.csv and jobs.csv are garbage boots under
+// -strictness strict, and its validation report names neither file
+// (hpcanalyze's TestStrictRefusesGarbageUnservedTables is the other half).
+func TestServesDespiteGarbageUnservedTables(t *testing.T) {
+	dir := saveDataset(t)
+	for _, name := range []string{"temps.csv", "jobs.csv"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not,a\ntable\n\x00\xff"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = stderr }()
+	logged := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		logged <- b
+	}()
+	serveUntilInterrupt(t, []string{"-data", dir, "-strictness", "strict"}, func(url string) {
+		resp, err := http.Get(url + "/v1/risk/top?k=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("risk/top = %d", resp.StatusCode)
+		}
+	})
+	os.Stderr = stderr
+	w.Close()
+	log := <-logged
+	for _, name := range []string{"temps.csv", "jobs.csv", "maintenance.csv", "neutrons.csv"} {
+		if strings.Contains(string(log), name) {
+			t.Errorf("hpcserve reported on %s, which it does not serve; stderr:\n%s", name, log)
+		}
+	}
+}
+
+// saveDataset generates a small dataset into a fresh directory.
+func saveDataset(t *testing.T) string {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "data")
 	ds, err := hpcfail.Generate(hpcfail.GenerateOptions{Seed: 7, Scale: 0.05})
 	if err != nil {
@@ -65,7 +133,14 @@ func TestRunServesAndStopsOnInterrupt(t *testing.T) {
 	if err := hpcfail.SaveDataset(dir, ds); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
 
+// serveUntilInterrupt runs the command with args on a free port, calls
+// probe with its base URL once /healthz answers, then delivers a SIGINT and
+// requires run to return nil.
+func serveUntilInterrupt(t *testing.T, args []string, probe func(url string)) {
+	t.Helper()
 	// Reserve a free port, then release it for the command to bind.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -74,11 +149,9 @@ func TestRunServesAndStopsOnInterrupt(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	cpu := filepath.Join(t.TempDir(), "cpu.out")
-	mem := filepath.Join(t.TempDir(), "mem.out")
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-data", dir, "-addr", addr, "-window", "24h", "-cpuprofile", cpu, "-memprofile", mem})
+		done <- run(append(args, "-addr", addr))
 	}()
 
 	url := "http://" + addr
@@ -99,15 +172,7 @@ func TestRunServesAndStopsOnInterrupt(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-
-	resp, err := http.Get(url + "/v1/risk/top?k=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("risk/top = %d", resp.StatusCode)
-	}
+	probe(url)
 
 	p, err := os.FindProcess(os.Getpid())
 	if err != nil {
@@ -123,13 +188,6 @@ func TestRunServesAndStopsOnInterrupt(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not return after SIGINT")
-	}
-	// A CPU profile is completed when profiling stops, so a whole gzip
-	// stream shows the shutdown path flushed it.
-	for _, path := range []string{cpu, mem} {
-		if err := readGzip(path); err != nil {
-			t.Errorf("profile %s after SIGINT: %v", filepath.Base(path), err)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/hpcfail/hpcfail/internal/stats"
@@ -127,7 +128,8 @@ func (a *Analyzer) BaselineNodeProb(systems []trace.SystemInfo, w time.Duration,
 		return a.BaselineNodeProbNaive(systems, w, pred)
 	}
 	cls, fil := routePred(pred)
-	last := newNodeSlots(systems) // 1 + the node's last marked window index
+	last := takeNodeSlots() // 1 + the node's last marked window index
+	defer last.release()
 	successes, trials := 0, 0
 	for _, s := range systems {
 		nw := int(s.Period.Duration() / w)
@@ -249,7 +251,8 @@ func (a *Analyzer) CondProbCtx(ctx context.Context, systems []trace.SystemInfo, 
 
 	aCls, aFil := routePred(anchorPred)
 	tCls, tFil := routePred(targetPred)
-	sw := sweep{count: newNodeSlots(systems)}
+	sw := sweep{count: takeNodeSlots()}
+	defer sw.count.release()
 	scanned := 0
 	for _, s := range systems {
 		if err := ctx.Err(); err != nil {
@@ -324,7 +327,7 @@ type sweep struct {
 	si         *systemIndex
 	fil        trace.Pred
 	lo, hi     int
-	count      nodeSlots
+	count      *nodeSlots
 	distinct   int
 	rackActive []int64
 }
@@ -374,20 +377,22 @@ func (sw *sweep) bump(p int32, d int64) {
 }
 
 // nodeSlots is one query's per-node scratch, dense over [0, nodes) with a
-// side map for node IDs outside that range.
+// side map for node IDs outside that range. Queries borrow one from
+// nodeSlotsPool, so the dense range is allocated once per pooled scratch
+// instead of once per query.
 type nodeSlots struct {
 	dense []int64
 	over  map[int]*int64
 }
 
-// newNodeSlots reserves the dense range of the largest of systems.
-func newNodeSlots(systems []trace.SystemInfo) nodeSlots {
-	n := 0
-	for _, s := range systems {
-		n = max(n, s.Nodes)
-	}
-	return nodeSlots{dense: make([]int64, 0, n), over: make(map[int]*int64)}
-}
+var nodeSlotsPool = sync.Pool{New: func() any { return new(nodeSlots) }}
+
+// takeNodeSlots borrows a scratch; reset it before use and release it
+// when the query is done.
+func takeNodeSlots() *nodeSlots { return nodeSlotsPool.Get().(*nodeSlots) }
+
+// release returns the scratch to the pool.
+func (ns *nodeSlots) release() { nodeSlotsPool.Put(ns) }
 
 // reset zeroes every slot and sets the dense range to [0, nodes).
 func (ns *nodeSlots) reset(nodes int) {
@@ -402,6 +407,9 @@ func (ns *nodeSlots) at(n int) *int64 {
 	}
 	c := ns.over[n]
 	if c == nil {
+		if ns.over == nil {
+			ns.over = make(map[int]*int64)
+		}
 		c = new(int64)
 		ns.over[n] = c
 	}

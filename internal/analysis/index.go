@@ -3,6 +3,7 @@ package analysis
 import (
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -71,14 +72,34 @@ type systemIndex struct {
 	extended atomic.Bool
 }
 
-// classLists is one node's or one rack's posting lists, one per class. gen
-// is the generation of the systemIndex that allocated it, the only index
-// that may write to it; its descendants copy it before their first write.
-// The owner tag is a number rather than a pointer to the owning index: a
-// pointer would keep every ancestor of an append chain reachable.
+// classLists is one node's or one rack's posting lists, held only for the
+// classes it has events of: bit c of mask is set when class c has a list,
+// and lists holds those lists in class order, so class c's is at the
+// number of set bits below c. A node meets a few of the NumClasses classes,
+// so a dense per-class array would be mostly empty headers. gen is the
+// generation of the systemIndex that allocated it, the only index that may
+// write to it; its descendants copy it before their first write. The owner
+// tag is a number rather than a pointer to the owning index: a pointer
+// would keep every ancestor of an append chain reachable.
 type classLists struct {
-	gen  uint64
-	list [trace.NumClasses][]int32
+	gen   uint64
+	mask  uint32
+	lists [][]int32
+}
+
+// The class bitmask must hold every dense class.
+var _ [32 - trace.NumClasses]struct{}
+
+// add appends position p to class c's list, creating the list when c is
+// new here.
+func (cl *classLists) add(c trace.Class, p int32) {
+	bit := uint32(1) << c
+	i := bits.OnesCount32(cl.mask & (bit - 1))
+	if cl.mask&bit == 0 {
+		cl.mask |= bit
+		cl.lists = slices.Insert(cl.lists, i, nil)
+	}
+	cl.lists[i] = append(cl.lists[i], p)
 }
 
 // rackLayout is a layout as dense rack ordinals, immutable once built:
@@ -194,24 +215,25 @@ func (si *systemIndex) add(f trace.Failure, clsBuf []trace.Class) {
 	}
 	for _, c := range trace.ClassesOf(f, clsBuf) {
 		si.byClass[c] = append(si.byClass[c], p)
-		node.list[c] = append(node.list[c], p)
+		node.add(c, p)
 		if rack != nil {
-			rack.list[c] = append(rack.list[c], p)
+			rack.add(c, p)
 		}
 	}
 }
 
 // own returns cl ready for si to append to: cl itself when si allocated it,
 // otherwise a copy tagged with si's generation (an empty one for nil). The
-// copy shares cl's backing arrays, which si grows only under the extension
-// claim it holds on the index cl came from.
+// copy has its own list headers but shares each list's backing array,
+// which si grows only under the extension claim it holds on the index cl
+// came from.
 func (si *systemIndex) own(cl *classLists) *classLists {
 	if cl != nil && cl.gen == si.gen {
 		return cl
 	}
 	cp := &classLists{gen: si.gen}
 	if cl != nil {
-		cp.list = cl.list
+		cp.mask, cp.lists = cl.mask, slices.Clone(cl.lists)
 	}
 	return cp
 }
@@ -260,7 +282,11 @@ func (cl *classLists) get(c trace.Class) []int32 {
 	if cl == nil || int(c) >= trace.NumClasses {
 		return nil
 	}
-	return cl.list[c]
+	bit := uint32(1) << c
+	if cl.mask&bit == 0 {
+		return nil
+	}
+	return cl.lists[bits.OnesCount32(cl.mask&(bit-1))]
 }
 
 // offsetOf returns t in nanoseconds after base, and whether that is exact

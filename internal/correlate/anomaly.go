@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/hpcfail/hpcfail/internal/analysis"
 	"github.com/hpcfail/hpcfail/internal/layout"
@@ -69,7 +70,8 @@ func DetectAnomalies(an *analysis.Analyzer, systems []int, k int) []Anomaly {
 		didx = analysis.NewDatasetIndex(an.DS)
 	}
 	top := topAnomalies{k: k}
-	var vc vicinity
+	vc := vicinities.Get().(*vicinity)
+	defer vicinities.Put(vc)
 	for _, id := range systemIDs(an.DS, systems) {
 		info, ok := an.DS.System(id)
 		if !ok {
@@ -260,12 +262,16 @@ type placement struct {
 // rack's range in vicinity.byRate and vicinity.byBurst.
 type slot struct{ pos, lo, hi int }
 
+// vicinities recycles the detector's buffers from call to call.
+var vicinities = sync.Pool{New: func() any { return new(vicinity) }}
+
 // vicinity is one system's nodes grouped the way vicinities are built from
 // them. A node n placed at (rack r, position p) has vicinity
 // (G_p ∪ R_r) \ {n}, where G_p is every placed node at position p and R_r
 // every node of rack r: the position class G_p without n, plus the
 // rack-mates at positions other than p. Only nodes in [0, Nodes) count as
-// placed. Every buffer is reused from system to system.
+// placed. Every buffer is reused from system to system, and through
+// vicinities from one DetectAnomalies call to the next.
 type vicinity struct {
 	stats  []nodeStats
 	place  []slot

@@ -219,7 +219,8 @@ func (sl *systemLifts) risk(node, nodeRack int) float64 {
 }
 
 // scoreFromLifts computes one node's score from the precomputed lifts,
-// newest event first. Callers must hold e.mu (read or write).
+// newest event first, its Contributions sized exactly (nil when there are
+// none). Callers must hold e.mu (read or write).
 func (e *Engine) scoreFromLifts(s trace.SystemInfo, node int, now time.Time, sl *systemLifts) Score {
 	sc := Score{
 		System: s.ID,
@@ -230,6 +231,16 @@ func (e *Engine) scoreFromLifts(s trace.SystemInfo, node int, now time.Time, sl 
 	nodeRack := -1
 	if lay := e.layouts[s.ID]; lay != nil {
 		nodeRack = lay.Rack(node)
+	}
+	n := 0
+	for i := range sl.lifts {
+		el := &sl.lifts[i]
+		if el.scopes[el.scopeFor(node, nodeRack)-1].ok {
+			n++
+		}
+	}
+	if n > 0 {
+		sc.Contributions = make([]Contribution, 0, n)
 	}
 	miss, missLo, missHi := 1.0, 1.0, 1.0
 	for i := range sl.lifts {

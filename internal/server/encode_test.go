@@ -64,8 +64,8 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	var logged []string
 	s := &Server{logf: func(format string, args ...any) { logged = append(logged, format) }}
 	rec := httptest.NewRecorder()
-	if body := s.writeJSON(rec, http.StatusOK, struct{ Risk float64 }{math.NaN()}); body != nil {
-		t.Errorf("writeJSON returned %q for an unencodable value, want nil", body)
+	if s.writeJSON(rec, http.StatusOK, struct{ Risk float64 }{math.NaN()}) {
+		t.Error("writeJSON reported an unencodable value as encoded")
 	}
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status = %d, want 500", rec.Code)
@@ -79,5 +79,44 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	}
 	if len(logged) != 1 {
 		t.Errorf("logged %d lines, want 1", len(logged))
+	}
+}
+
+// TestWriteJSONIsMarshalLine: the pooled encoder writes exactly the bytes
+// of json.Marshal plus a newline (HTML escaping included), a kept body is
+// the caller's own copy that later responses through the pool do not
+// overwrite, and a body too large to pool still encodes whole.
+func TestWriteJSONIsMarshalLine(t *testing.T) {
+	s := &Server{logf: t.Logf}
+	big := strings.Repeat("x", 2*maxPooledBody)
+	var kept []byte
+	for i, v := range []any{
+		map[string]any{"html": "<a href=\"x\">&</a>", "n": 1.5, "list": []int{1, 2}},
+		riskTopResponse{Window: "24h0m0s", Scores: []scoreJSON{}},
+		apiError{Error: big},
+		[]string{"after"},
+	} {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		rec := httptest.NewRecorder()
+		var keep *[]byte
+		if i == 0 {
+			keep = &kept
+		}
+		if !s.writeJSONKeep(rec, http.StatusOK, v, keep) {
+			t.Fatalf("value %d did not encode", i)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("value %d: body %q, want %q", i, rec.Body.Bytes(), want)
+		}
+		if i == 0 && !bytes.Equal(kept, want) {
+			t.Errorf("kept body %q, want %q", kept, want)
+		}
+	}
+	if want := "{\"html\":\"\\u003ca href=\\\"x\\\"\\u003e\\u0026\\u003c/a\\u003e\",\"list\":[1,2],\"n\":1.5}\n"; string(kept) != want {
+		t.Errorf("kept body after later responses = %q, want %q", kept, want)
 	}
 }

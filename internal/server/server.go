@@ -47,6 +47,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -77,9 +78,12 @@ import (
 // Config assembles a Server.
 type Config struct {
 	// Dataset is the in-memory dataset the server answers from. The server
-	// partitions it into per-shard versioned stores; a one-shard server
-	// takes it over without a copy, so callers must not reuse it for a
-	// second server. Required unless Store is set.
+	// keeps only its served tables (trace.Dataset.Served: systems, failures
+	// and layouts), so the job, temperature, maintenance and neutron records
+	// it was given are neither held nor copied. It partitions those into
+	// per-shard versioned stores; a one-shard server takes them over without
+	// a copy, so callers must not reuse the dataset for a second server.
+	// Required unless Store is set.
 	Dataset *trace.Dataset
 	// FrozenDataset stops POST /v1/events from advancing the server's
 	// stores: accepted events still feed the risk engines (and WALs), but
@@ -215,16 +219,20 @@ type Server struct {
 	routeTab   map[string]http.Handler
 }
 
-// New builds the root server over the config's dataset and wires up the
-// named-dataset registry: tenants persisted under cfg.TenantRoot are
-// reopened, and new ones can be created through the dataset API. The root
-// server itself is the "default" tenant.
+// New builds the root server over the served tables of the config's
+// dataset and wires up the named-dataset registry: tenants persisted under
+// cfg.TenantRoot are reopened, and new ones can be created through the
+// dataset API. The root server itself is the "default" tenant.
 func New(cfg Config) (*Server, error) {
+	if cfg.Dataset != nil {
+		cfg.Dataset = cfg.Dataset.Served()
+	}
 	s, err := newServer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.tmpl = cfg
+	s.tmpl.Dataset = nil // tenants generate their own; the shards hold the boot tables
 	s.adminToken = cfg.AdminToken
 	reg, err := registry.New(registry.Config{
 		Root:  cfg.TenantRoot,
@@ -363,20 +371,43 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// bodyBufs recycles response encoding buffers. A buffer grown past
+// maxPooledBody (a large snapshot or risk/top body) is dropped instead of
+// pooled, so one big response does not pin its capacity.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
 // writeJSON is the one response encoder: it writes v as one compact JSON
-// line and returns the body. It encodes before the status line, so a value
-// that fails to encode answers 500 with the error envelope (and returns
-// nil) instead of its intended code with an empty body.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) []byte {
-	body, err := json.Marshal(v)
-	if err != nil {
+// line, the bytes of json.Marshal plus a newline, and reports whether v
+// encoded. It encodes before the status line, so a value that fails to
+// encode answers 500 with the error envelope (and reports false) instead
+// of its intended code with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) bool {
+	return s.writeJSONKeep(w, code, v, nil)
+}
+
+// writeJSONKeep is writeJSON that, when v encodes and keep is non-nil,
+// also stores a copy of the body in *keep: the body itself is encoded into
+// a pooled buffer that is reused once the response is written.
+func (s *Server) writeJSONKeep(w http.ResponseWriter, code int, v any, keep *[]byte) bool {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		s.logf("server: encoding response: %v", err)
 		s.writeJSON(w, http.StatusInternalServerError, apiError{Error: "encoding response: " + err.Error()})
-		return nil
+		return false
 	}
-	body = append(body, '\n')
-	sendJSON(w, code, body)
-	return body
+	sendJSON(w, code, buf.Bytes())
+	if keep != nil {
+		*keep = bytes.Clone(buf.Bytes())
+	}
+	return true
 }
 
 // sendJSON writes an encoded JSON body under code.
@@ -437,7 +468,9 @@ type scoreJSON struct {
 	Contributions []contributionJSON `json:"contributions,omitempty"`
 }
 
-func (s *Server) scoreJSON(sc risk.Score) scoreJSON {
+// scoreJSONOf renders one score under the window label its response
+// shares.
+func scoreJSONOf(sc risk.Score, window string) scoreJSON {
 	out := scoreJSON{
 		System: sc.System,
 		Node:   sc.Node,
@@ -447,7 +480,10 @@ func (s *Server) scoreJSON(sc risk.Score) scoreJSON {
 		RiskHi: sc.Hi,
 		Base:   sc.Base,
 		Factor: finite(sc.Factor),
-		Window: s.fabric.window.String(),
+		Window: window,
+	}
+	if len(sc.Contributions) > 0 {
+		out.Contributions = make([]contributionJSON, 0, len(sc.Contributions))
 	}
 	for _, c := range sc.Contributions {
 		cj := contributionJSON{
@@ -538,7 +574,7 @@ func (s *Server) handleRiskNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stampPartial(w, g)
-	s.writeJSON(w, http.StatusOK, s.scoreJSON(scores[0]))
+	s.writeJSON(w, http.StatusOK, scoreJSONOf(scores[0], f.window.String()))
 }
 
 // riskTopResponse is the /v1/risk/top body.
@@ -582,9 +618,11 @@ func (s *Server) handleRiskTop(w http.ResponseWriter, r *http.Request) {
 		sort.Slice(merged, func(i, j int) bool { return risk.ScoreLess(merged[i], merged[j]) })
 	}
 	s.stampPartial(w, g)
-	out := riskTopResponse{At: now, Window: f.window.String(), Scores: []scoreJSON{}}
-	for _, sc := range merged[:min(q.K, len(merged))] {
-		out.Scores = append(out.Scores, s.scoreJSON(sc))
+	win := f.window.String()
+	top := merged[:min(q.K, len(merged))]
+	out := riskTopResponse{At: now, Window: win, Scores: make([]scoreJSON, len(top))}
+	for i, sc := range top {
+		out.Scores[i] = scoreJSONOf(sc, win)
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }
@@ -812,8 +850,8 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) (idemResult, err
 		return idemResult{}, errUnrecorded
 	}
 	record := func(code int, v any) (idemResult, error) {
-		body := s.writeJSON(w, code, v)
-		if body == nil {
+		var body []byte
+		if !s.writeJSONKeep(w, code, v, &body) {
 			return idemResult{}, errUnrecorded
 		}
 		return idemResult{code, body}, nil
@@ -1067,6 +1105,7 @@ func ServeListener(ctx context.Context, ln net.Listener, cfg Config) error {
 		ln.Close()
 		return err
 	}
+	cfg.Dataset = nil // New kept the served tables; let the caller's other tables go
 	// life is the serve lifetime: requests, the upkeep loop and OnStart run
 	// under it, and it ends only after Shutdown has drained every handler,
 	// so a request caught by shutdown is served under a live context instead

@@ -229,7 +229,7 @@ func (s *Server) buildTenantResource(name, dir string, m registry.Manifest) (reg
 		return nil, err
 	}
 	cfg := Config{
-		Dataset:            ds,
+		Dataset:            ds.Served(),
 		Window:             w,
 		Shards:             spec.Shards,
 		FrozenDataset:      s.tmpl.FrozenDataset,

@@ -170,6 +170,14 @@ func (d *Dataset) FilterSystems(ids ...int) *Dataset {
 	return out
 }
 
+// Served returns a shallow copy of the dataset holding only the served
+// tables — systems, failures and layouts, the tables a failure-risk
+// server's queries read — so that holding it keeps none of the job,
+// temperature, maintenance or neutron records alive.
+func (d *Dataset) Served() *Dataset {
+	return &Dataset{Systems: d.Systems, Failures: d.Failures, Layouts: d.Layouts}
+}
+
 // FilterGroup returns the dataset restricted to the systems of one group.
 func (d *Dataset) FilterGroup(g Group) *Dataset {
 	var ids []int

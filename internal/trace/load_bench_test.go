@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkLoadDirWith times loading a generated dataset directory (seed 1,
-// scale 0.1: every table, ~1.3 MB) under the strict and lenient policies;
-// hpcserve boots lenient.
+// scale 0.1: every table, ~1.3 MB) under the strict and lenient policies,
+// as the offline tools do; hpcserve boots lenient through LoadServedWith.
 func BenchmarkLoadDirWith(b *testing.B) {
 	ds, err := simulate.Generate(simulate.Options{Seed: 1, Scale: 0.1})
 	if err != nil {

@@ -585,6 +585,23 @@ func countRows(f *os.File) (int, error) {
 // catalog. A dataset is returned together with the report even when the
 // error budget is exceeded, so callers can inspect what loaded.
 func LoadDirWith(dir string, p validate.Policy) (*Dataset, *validate.Report, error) {
+	return loadDir(dir, p, false)
+}
+
+// LoadServedWith is LoadDirWith restricted to the served tables: systems,
+// failures and the layouts, the tables a failure-risk server's queries
+// read. The job, temperature, maintenance and neutron files are neither
+// opened nor validated, so the policy and its error budget judge the served
+// tables alone and the returned report says nothing of the others. Its
+// dataset equals Served of LoadDirWith's over the same directory.
+func LoadServedWith(dir string, p validate.Policy) (*Dataset, *validate.Report, error) {
+	return loadDir(dir, p, true)
+}
+
+// loadDir is LoadDirWith, or with servedOnly LoadServedWith: one table
+// list, read in order, of which servedOnly skips the optional entries (the
+// served tables are the required ones, plus the layouts).
+func loadDir(dir string, p validate.Policy, servedOnly bool) (*Dataset, *validate.Report, error) {
 	rep := &validate.Report{}
 	d := &Dataset{Layouts: make(map[int]*layout.Layout)}
 	tables := []struct {
@@ -607,6 +624,9 @@ func LoadDirWith(dir string, p validate.Policy) (*Dataset, *validate.Report, err
 		{NeutronsFile, false, into(neutronsTable, &d.Neutrons, p, rep)},
 	}
 	for _, t := range tables {
+		if servedOnly && !t.required {
+			continue
+		}
 		f, err := os.Open(filepath.Join(dir, t.file))
 		if !t.required && os.IsNotExist(err) {
 			rep.Add(validate.Diagnostic{File: t.file, Class: validate.MissingTable,

@@ -21,10 +21,10 @@ tolerance="${TOLERANCE:-0.25}"
 min_speedup="${MIN_SPEEDUP:-1.5}"
 base="${BENCH_BASE:-HEAD}"
 pairs=16
-# The kernel benches, plus risk/topk-10 for its alloc ceiling and the
-# one-event write path (store-append, ingest over HTTP) for its bytes
-# ceilings.
-kernels='/indexed$|^condprob/any-any/system-month$|^risk/topk-10$|^store-append/event$|^server/ingest-http/'
+# The kernel benches, plus risk/topk-10 for its alloc ceiling, the
+# one-event write path (store-append, ingest over HTTP) and risk/top over
+# HTTP for their bytes ceilings, and the served-table boot load.
+kernels='/indexed$|^condprob/any-any/system-month$|^risk/topk-10$|^store-append/event$|^server/ingest-http/|^server/risk-top-http$|^boot/'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
